@@ -5,9 +5,8 @@
 //! `Ordering::Relaxed` or `.unwrap()` and must never fire on occurrences
 //! inside string literals or comments (`SNIPPETS.md` quotes, doc examples,
 //! regression-test notes). Conversely, the ordering audit must *find*
-//! `// ORDERING:` comments, and the serde-sync pass must read the field-key
-//! string literals of manual impls. So the lexer produces three views of
-//! one file:
+//! `// ORDERING:` comments. So the lexer produces three views of one
+//! file:
 //!
 //! * [`Lexed::scrubbed`] — the source with every comment and every literal
 //!   *content* replaced by spaces (delimiters and newlines kept), so code

@@ -4,9 +4,8 @@
 //! invariants the compiler does not check: every atomic ordering choice
 //! must be *argued* (one wrong `Relaxed` silently corrupts estimates
 //! rather than crashing), `parking_lot`'s non-poisoning locks are
-//! load-bearing, library code must not panic on data, and the manual
-//! serde impls behind the checkpoint seam must never drift out of sync
-//! with their structs. This crate audits all of it, over every
+//! load-bearing, and library code must not panic on data. This crate
+//! audits all of it, over every
 //! non-`vendor/` crate, with a hand-rolled lexer (no `syn`; the build is
 //! offline) so string literals and comments can never fool a lint.
 //!
@@ -22,9 +21,7 @@
 //! * **lock-discipline** — `std::sync::{Mutex,RwLock}` are banned in
 //!   library code (vendored `parking_lot` only), as are `.unwrap()` /
 //!   `.expect(` / `panic!` outside tests, binaries, and the
-//!   `analyzer-allow.toml` allowlist;
-//! * **serde-sync** — manual `Serialize`/`Deserialize` impls are
-//!   cross-checked against their struct's field list.
+//!   `analyzer-allow.toml` allowlist.
 //!
 //! **Semantic passes** on per-function facts ([`parser`]) and the
 //! workspace call graph ([`callgraph`]):
@@ -58,11 +55,10 @@ use std::time::Instant;
 
 /// Every pass the analyzer runs, in execution order. `--pass NAME`
 /// selects one; anything else is a usage error.
-pub const PASS_NAMES: [&str; 7] = [
+pub const PASS_NAMES: [&str; 6] = [
     "ordering-audit",
     "unsafe-gate",
     "lock-discipline",
-    "serde-sync",
     "atomic-protocol",
     "lock-order",
     "hot-path-hygiene",
@@ -337,11 +333,6 @@ pub fn run_passes(
     if enabled("lock-discipline") {
         timed("lock-discipline", &mut findings, &mut timings, &mut || {
             sources.iter().flat_map(passes::locks::check).collect()
-        });
-    }
-    if enabled("serde-sync") {
-        timed("serde-sync", &mut findings, &mut timings, &mut || {
-            passes::serde_sync::check(&sources)
         });
     }
 

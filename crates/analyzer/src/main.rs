@@ -43,8 +43,8 @@ fn main() -> ExitCode {
                     "{USAGE}\n\
                      \n\
                      Static-analysis gate for the freesketch workspace. Passes:\n\
-                     ordering-audit, unsafe-gate, lock-discipline, serde-sync,\n\
-                     atomic-protocol, lock-order, hot-path-hygiene.\n\
+                     ordering-audit, unsafe-gate, lock-discipline, atomic-protocol,\n\
+                     lock-order, hot-path-hygiene.\n\
                      --pass NAME runs a single pass; --list-passes prints the names.\n\
                      Exit status: 0 clean, 1 findings, 2 usage/I/O error."
                 );

@@ -9,7 +9,6 @@ pub mod hot_path;
 pub mod lock_order;
 pub mod locks;
 pub mod ordering;
-pub mod serde_sync;
 pub mod unsafe_gate;
 
 use crate::lexer::Lexed;

@@ -5,9 +5,7 @@
 //! directory the analyzer's own discovery deliberately skips.
 
 use analyzer::callgraph::Workspace;
-use analyzer::passes::{
-    atomic_protocol, hot_path, lock_order, locks, ordering, serde_sync, unsafe_gate,
-};
+use analyzer::passes::{atomic_protocol, hot_path, lock_order, locks, ordering, unsafe_gate};
 use analyzer::{CrateManifest, Finding, SourceFile};
 use std::path::{Path, PathBuf};
 
@@ -71,32 +69,6 @@ fn locks_bad_fires() {
 #[test]
 fn locks_good_is_clean() {
     let findings = locks::check(&load("locks_good.rs"));
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn serde_bad_fires() {
-    // Three findings: Serialize forgets `total`; Deserialize both misses
-    // `total` and invents `legacy_total`.
-    let findings = serde_sync::check(&[load("serde_bad.rs")]);
-    assert_eq!(findings.len(), 3, "{findings:?}");
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("`total`") && f.message.contains("Serialize")),
-        "Serialize impl forgets `total`: {findings:?}"
-    );
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("`legacy_total`") && f.message.contains("not a field")),
-        "Deserialize impl invents `legacy_total`: {findings:?}"
-    );
-}
-
-#[test]
-fn serde_good_is_clean() {
-    let findings = serde_sync::check(&[load("serde_good.rs")]);
     assert!(findings.is_empty(), "{findings:?}");
 }
 

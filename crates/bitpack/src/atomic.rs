@@ -123,15 +123,37 @@ impl AtomicBitArray {
         self.len - ones as usize
     }
 
-    /// Rebuilds an atomic array from a sequential [`crate::BitArray`]
-    /// snapshot — the restore half of [`AtomicBitArray::snapshot`].
+    /// Number of backing words.
     #[must_use]
-    pub fn from_bits(bits: &crate::BitArray) -> Self {
-        let arr = Self::new(bits.len());
-        for i in bits.iter_ones() {
-            arr.set(i);
-        }
-        arr
+    pub fn word_count(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Backing word `i`, laid out as [`crate::BitArray::words`].
+    ///
+    /// # Panics
+    /// Panics if `i >= word_count()`.
+    #[must_use]
+    pub fn word(&self, i: usize) -> u64 {
+        // ORDERING: relaxed-ok — monotone bits; read at quiescence for an
+        // exact image, and any interleaved view is still a valid (slightly
+        // stale) sketch state.
+        self.words[i].load(Ordering::Relaxed)
+    }
+
+    /// Rebuilds an array of `len` bits from its backing words, validated
+    /// and zero-counted as [`crate::BitArray::from_words`] does.
+    ///
+    /// # Errors
+    /// The first violated shape invariant.
+    pub fn from_words(len: usize, words: Vec<u64>) -> Result<Self, String> {
+        let bits = crate::BitArray::from_words(len, words)?;
+        let zeros = bits.zeros();
+        Ok(Self {
+            words: bits.into_words().into_iter().map(AtomicU64::new).collect(),
+            len,
+            zeros: AtomicUsize::new(zeros),
+        })
     }
 
     /// Bitwise OR of another array into this one (concurrent sketch
@@ -158,27 +180,6 @@ impl AtomicBitArray {
             // ORDERING: relaxed-ok — advisory counter, same as set().
             self.zeros.fetch_sub(flipped, Ordering::Relaxed);
         }
-    }
-
-    /// Converts into a sequential [`crate::BitArray`] snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> crate::BitArray {
-        let mut b = crate::BitArray::new(self.len);
-        for (wi, w) in self.words.iter().enumerate() {
-            // ORDERING: relaxed-ok — snapshot of monotone bits; taken at
-            // quiescence for exactness, and any interleaved view is still a
-            // valid (slightly stale) sketch state.
-            let mut bits = w.load(Ordering::Relaxed);
-            while bits != 0 {
-                let b_off = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let idx = (wi << 6) + b_off;
-                if idx < self.len {
-                    b.set(idx);
-                }
-            }
-        }
-        b
     }
 }
 
@@ -220,17 +221,18 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trip() {
+    fn words_round_trip() {
         let a = AtomicBitArray::new(130);
         for i in [0usize, 63, 64, 65, 129] {
             a.set(i);
         }
-        let snap = a.snapshot();
-        assert_eq!(snap.ones(), 5);
-        for i in [0usize, 63, 64, 65, 129] {
-            assert!(snap.get(i));
+        let words: Vec<u64> = (0..a.word_count()).map(|i| a.word(i)).collect();
+        let back = AtomicBitArray::from_words(130, words).expect("valid words");
+        for i in 0..130 {
+            assert_eq!(back.get(i), a.get(i), "bit {i}");
         }
-        assert_eq!(snap.zeros(), a.zeros());
+        assert_eq!(back.zeros(), a.zeros());
+        assert!(AtomicBitArray::from_words(130, vec![0, 0, 1 << 5]).is_err());
     }
 
     #[test]

@@ -148,21 +148,66 @@ impl AtomicPackedArray {
             .sum()
     }
 
-    /// Rebuilds an atomic array from a sequential [`crate::PackedArray`]
-    /// snapshot — the restore half of [`AtomicPackedArray::snapshot`].
+    /// Number of backing words.
+    #[must_use]
+    pub fn word_count(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Backing word `i`: registers `i·c .. (i+1)·c` for `c = ⌊64/w⌋`
+    /// cells per word, cell `j` of the word at bits `j·w .. (j+1)·w`.
     ///
     /// # Panics
-    /// Panics if the snapshot's width is outside `1..=16` (impossible for
-    /// a validated [`crate::PackedArray`]).
+    /// Panics if `i >= word_count()`.
     #[must_use]
-    pub fn from_packed(regs: &crate::PackedArray) -> Self {
-        let arr = Self::new(regs.len(), regs.width());
-        for (i, v) in regs.iter().enumerate() {
-            if v > 0 {
-                arr.store_max(i, v);
+    pub fn word(&self, i: usize) -> u64 {
+        // ORDERING: relaxed-ok — registers only grow; read at quiescence for
+        // an exact image, and any interleaved view is still a valid
+        // (slightly stale) sketch state.
+        self.words[i].load(Ordering::Relaxed)
+    }
+
+    /// Rebuilds an array of `len` registers of `width` bits from its
+    /// backing words (the inverse of [`AtomicPackedArray::word`]).
+    ///
+    /// # Errors
+    /// The first violated invariant: zero length, a width outside
+    /// `1..=16`, a word count that does not match the geometry, or bits
+    /// set outside the cells.
+    pub fn from_words(len: usize, width: u8, words: Vec<u64>) -> Result<Self, String> {
+        if len == 0 {
+            return Err("register array length is zero".to_string());
+        }
+        if !(1..=16).contains(&width) {
+            return Err(format!("register width {width} outside 1..=16"));
+        }
+        let cells_per_word = 64 / usize::from(width);
+        let expected = len.div_ceil(cells_per_word);
+        if words.len() != expected {
+            return Err(format!(
+                "register array has {} words, expected {expected} for {len} registers of \
+                 {width} bits",
+                words.len()
+            ));
+        }
+        let last_cells = len - (expected - 1) * cells_per_word;
+        for (i, &w) in words.iter().enumerate() {
+            let cells = if i + 1 == expected {
+                last_cells
+            } else {
+                cells_per_word
+            };
+            let bits = cells * usize::from(width);
+            if bits < 64 && w >> bits != 0 {
+                return Err(format!("stray bits in register word {i}"));
             }
         }
-        arr
+        Ok(Self {
+            words: words.into_iter().map(AtomicU64::new).collect(),
+            len,
+            width,
+            cells_per_word,
+        })
     }
 
     /// Element-wise max of another array into this one (concurrent HLL
@@ -179,19 +224,6 @@ impl AtomicPackedArray {
                 self.store_max(i, v);
             }
         }
-    }
-
-    /// Snapshot into a sequential [`crate::PackedArray`].
-    #[must_use]
-    pub fn snapshot(&self) -> crate::PackedArray {
-        let mut p = crate::PackedArray::new(self.len, self.width);
-        for i in 0..self.len {
-            let v = self.load(i);
-            if v > 0 {
-                p.store(i, v);
-            }
-        }
-        p
     }
 }
 
@@ -213,7 +245,6 @@ mod tests {
         for i in 0..300 {
             assert_eq!(a.load(i), p.load(i));
         }
-        assert_eq!(a.snapshot(), p);
     }
 
     // Tiny local RNG to avoid a dev-dependency cycle on hashkit.
@@ -246,13 +277,12 @@ mod tests {
         });
         // Re-applying the same updates sequentially must change nothing:
         // every register already holds the max.
-        let snap = arr.snapshot();
         for t in 0..8u64 {
             let mut st = t;
             for _ in 0..20_000 {
                 let i = (next(&mut st) % 1024) as usize;
                 let v = (next(&mut st) % 32) as u16;
-                assert!(snap.load(i) >= v, "register {i} below max");
+                assert!(arr.load(i) >= v, "register {i} below max");
             }
         }
     }
@@ -292,14 +322,37 @@ mod tests {
     }
 
     #[test]
-    fn sum_pow2_neg_matches_snapshot() {
+    fn sum_pow2_neg_matches_sequential_array() {
         let arr = AtomicPackedArray::new(64, 5);
+        let mut seq = crate::PackedArray::new(64, 5);
         for i in 0..64 {
             arr.store_max(i, (i % 32) as u16);
+            seq.store(i, (i % 32) as u16);
         }
-        let direct = arr.sum_pow2_neg();
-        let via_snapshot = arr.snapshot().sum_pow2_neg();
-        assert!((direct - via_snapshot).abs() < 1e-12);
+        assert!((arr.sum_pow2_neg() - seq.sum_pow2_neg()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn words_round_trip_and_reject_bad_shapes() {
+        // 12 five-bit cells per word: 25 registers fill three words.
+        let arr = AtomicPackedArray::new(25, 5);
+        arr.store_max(0, 31);
+        arr.store_max(11, 9);
+        arr.store_max(24, 17);
+        let words: Vec<u64> = (0..arr.word_count()).map(|i| arr.word(i)).collect();
+        let back = AtomicPackedArray::from_words(25, 5, words.clone()).expect("valid words");
+        for i in 0..25 {
+            assert_eq!(back.load(i), arr.load(i), "register {i}");
+        }
+        assert!(AtomicPackedArray::from_words(25, 5, words[..2].to_vec()).is_err());
+        assert!(AtomicPackedArray::from_words(25, 17, words.clone()).is_err());
+        // The four spare bits of a full word, and a cell past the length.
+        let mut spare = words.clone();
+        spare[0] |= 1 << 62;
+        assert!(AtomicPackedArray::from_words(25, 5, spare).is_err());
+        let mut past = words;
+        past[2] |= 1 << 5;
+        assert!(AtomicPackedArray::from_words(25, 5, past).is_err());
     }
 
     #[test]

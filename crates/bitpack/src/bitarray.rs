@@ -179,6 +179,32 @@ impl BitArray {
         self.zeros = self.len;
     }
 
+    /// The backing words: bit `i` is bit `i % 64` of word `i / 64`.
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Rebuilds an array of `len` bits from its backing words (the inverse
+    /// of [`BitArray::words`]), recounting the zero count.
+    ///
+    /// # Errors
+    /// The first violated shape invariant (see [`BitArray::validate`]).
+    pub fn from_words(len: usize, words: Vec<u64>) -> Result<Self, String> {
+        let mut bits = Self {
+            words,
+            len,
+            zeros: len,
+        };
+        bits.check_shape()?;
+        bits.zeros = bits.recount_zeros();
+        Ok(bits)
+    }
+
+    pub(crate) fn into_words(self) -> Vec<u64> {
+        self.words
+    }
+
     /// Checks the structural invariants a freshly deserialized array must
     /// satisfy: non-empty, the right word count for `len`, no stray bits
     /// past `len`, and a zero count that matches the actual contents.
@@ -189,6 +215,20 @@ impl BitArray {
     /// # Errors
     /// A human-readable description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
+        self.check_shape()?;
+        if self.zeros != self.recount_zeros() {
+            return Err(format!(
+                "zero count {} disagrees with contents ({})",
+                self.zeros,
+                self.recount_zeros()
+            ));
+        }
+        Ok(())
+    }
+
+    // Everything `validate` checks except the zero count; once it holds,
+    // `recount_zeros` cannot underflow.
+    fn check_shape(&self) -> Result<(), String> {
         if self.len == 0 {
             return Err("bit array length is zero".to_string());
         }
@@ -206,13 +246,6 @@ impl BitArray {
             if last >> tail_bits != 0 {
                 return Err(format!("stray bits past length {}", self.len));
             }
-        }
-        if self.zeros != self.recount_zeros() {
-            return Err(format!(
-                "zero count {} disagrees with contents ({})",
-                self.zeros,
-                self.recount_zeros()
-            ));
         }
         Ok(())
     }
@@ -413,6 +446,21 @@ mod tests {
         assert_eq!(b.warm(127), 1);
         assert_eq!(b.zeros(), 127);
         assert!(b.get(64));
+    }
+
+    #[test]
+    fn words_round_trip_and_reject_bad_shapes() {
+        let mut b = BitArray::new(130);
+        for i in [0usize, 63, 64, 129] {
+            b.set(i);
+        }
+        let back = BitArray::from_words(130, b.words().to_vec()).expect("valid words");
+        assert_eq!(back, b);
+        assert!(BitArray::from_words(0, Vec::new()).is_err());
+        assert!(BitArray::from_words(130, vec![0; 2]).is_err());
+        // Bit 130 lies past the length.
+        let err = BitArray::from_words(130, vec![0, 0, 1 << 2]).expect_err("stray bit");
+        assert!(err.contains("stray"), "{err}");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! equal-memory accounting is unchanged — [`FusedBitArray::memory_bytes`]
 //! reports the physical footprint.
 
-use crate::slotstore::{ConcurrentSlotStore, FreezeStore, SlotStore};
+use crate::slotstore::{ConcurrentSlotStore, SlotStore};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Payload bits per 64-byte line group (seven `u64` payload words).
@@ -507,16 +507,6 @@ impl AtomicFusedBitArray {
         self.len - ones
     }
 
-    /// Rebuilds an atomic fused array from a [`FusedBitArray`] snapshot.
-    #[must_use]
-    pub fn from_fused(bits: &FusedBitArray) -> Self {
-        let arr = Self::new(bits.len());
-        for i in bits.iter_ones() {
-            arr.set(i);
-        }
-        arr
-    }
-
     /// Bitwise OR of another fused array into this one (concurrent sketch
     /// union); group counts and the global zero counter are settled by the
     /// flipping side.
@@ -644,18 +634,6 @@ impl ConcurrentSlotStore for AtomicFusedBitArray {
     #[inline]
     fn memory_bits(&self) -> usize {
         self.len()
-    }
-}
-
-impl FreezeStore for AtomicFusedBitArray {
-    type Frozen = FusedBitArray;
-
-    fn freeze(&self) -> FusedBitArray {
-        self.snapshot()
-    }
-
-    fn thaw(frozen: &FusedBitArray) -> Self {
-        Self::from_fused(frozen)
     }
 
     fn merge_from(&self, other: &Self) {
@@ -1112,26 +1090,13 @@ mod tests {
     }
 
     #[test]
-    fn atomic_fused_freeze_thaw_round_trips() {
-        let a = AtomicFusedBitArray::new(900);
-        for i in [0usize, 447, 448, 511, 899] {
-            a.set(i);
-        }
-        let frozen = a.freeze();
-        assert!(frozen.validate().is_ok());
-        let thawed = AtomicFusedBitArray::thaw(&frozen);
-        assert_eq!(thawed.snapshot(), frozen);
-        assert_eq!(thawed.zeros(), a.zeros());
-    }
-
-    #[test]
     fn fused_union_with_concurrent() {
         let a = AtomicFusedBitArray::new(1000);
         let b = AtomicFusedBitArray::new(1000);
         a.set(1);
         b.set(2);
         b.set(1);
-        FreezeStore::merge_from(&a, &b);
+        ConcurrentSlotStore::merge_from(&a, &b);
         assert!(a.get(1) && a.get(2));
         assert_eq!(a.zeros(), a.recount_zeros());
         assert!(a.snapshot().validate().is_ok());

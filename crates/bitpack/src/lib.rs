@@ -52,4 +52,4 @@ pub use atomic_packed::AtomicPackedArray;
 pub use bitarray::BitArray;
 pub use fused::{AtomicFusedBitArray, FusedBitArray, FusedPackedArray};
 pub use packed::PackedArray;
-pub use slotstore::{ConcurrentSlotStore, FreezeStore, SlotStore};
+pub use slotstore::{ConcurrentSlotStore, SlotStore, WordStore};

@@ -180,6 +180,24 @@ impl PackedArray {
         self.words.fill(0);
     }
 
+    /// The backing words: register `i` occupies bits `i·w .. (i+1)·w` of
+    /// the concatenated little-endian words, straddling word boundaries.
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Rebuilds an array of `len` registers of `width` bits from its
+    /// backing words (the inverse of [`PackedArray::words`]).
+    ///
+    /// # Errors
+    /// The first violated invariant (see [`PackedArray::validate`]).
+    pub fn from_words(len: usize, width: u8, words: Vec<u64>) -> Result<Self, String> {
+        let regs = Self { words, len, width };
+        regs.validate()?;
+        Ok(regs)
+    }
+
     /// Checks the structural invariants a freshly deserialized array must
     /// satisfy: non-empty, a width in `1..=16`, the right word count for
     /// the geometry, and no stray bits past the packed payload. Snapshot
@@ -370,6 +388,19 @@ mod tests {
         let mut a = PackedArray::new(8, 5);
         let b = PackedArray::new(8, 6);
         a.merge_max(&b);
+    }
+
+    #[test]
+    fn words_round_trip_and_reject_bad_shapes() {
+        let mut p = PackedArray::new(13, 5); // 65 bits: two words
+        p.store(12, 31);
+        p.store(3, 7);
+        let back = PackedArray::from_words(13, 5, p.words().to_vec()).expect("valid");
+        assert_eq!(back, p);
+        assert!(PackedArray::from_words(13, 0, vec![0; 2]).is_err());
+        assert!(PackedArray::from_words(13, 5, vec![0; 3]).is_err());
+        let err = PackedArray::from_words(13, 5, vec![0, 1 << 1]).expect_err("stray bit");
+        assert!(err.contains("stray"), "{err}");
     }
 
     #[test]

@@ -179,22 +179,6 @@ pub trait ConcurrentSlotStore: Send + Sync {
 
     /// Bits of sketch memory.
     fn memory_bits(&self) -> usize;
-}
-
-/// The persistence seam for concurrent stores: a concurrent store freezes
-/// into its sequential twin (which carries the serde impls and the
-/// validated deserialization path) and thaws back. Snapshots of the
-/// concurrent engines round-trip through `Frozen`, so one on-disk layout
-/// serves both engine families.
-pub trait FreezeStore: ConcurrentSlotStore + Sized {
-    /// The sequential twin ([`BitArray`] / [`PackedArray`]).
-    type Frozen: SlotStore;
-
-    /// Captures a sequential snapshot (quiescent state for exactness).
-    fn freeze(&self) -> Self::Frozen;
-
-    /// Rebuilds a concurrent store from a frozen snapshot.
-    fn thaw(frozen: &Self::Frozen) -> Self;
 
     /// Slot-wise union of `other` into `self` (bit: OR, register: max),
     /// through shared references.
@@ -202,6 +186,29 @@ pub trait FreezeStore: ConcurrentSlotStore + Sized {
     /// # Panics
     /// Panics if geometry differs (callers check configs first).
     fn merge_from(&self, other: &Self);
+}
+
+/// Raw-word persistence for the four split-layout stores: the backing
+/// `u64` words out, one at a time, and a validated store back in.
+/// Engine snapshots write each store as its raw words and rebuild it
+/// through [`WordStore::from_words`], so a restore never trusts the bytes
+/// it reads.
+pub trait WordStore: Sized {
+    /// Number of backing words.
+    fn word_count(&self) -> usize;
+
+    /// Backing word `i` in storage order (a relaxed load for the atomic
+    /// stores, exact once writers quiesce).
+    fn word(&self, i: usize) -> u64;
+
+    /// Rebuilds a store of `len` slots, `width` bits each, from its
+    /// backing words.
+    ///
+    /// # Errors
+    /// The first violated invariant: zero length, a width the store does
+    /// not support, a word count that does not match the geometry, or
+    /// bits set outside the slots.
+    fn from_words(len: usize, width: u8, words: Vec<u64>) -> Result<Self, String>;
 }
 
 impl SlotStore for BitArray {
@@ -376,6 +383,10 @@ impl ConcurrentSlotStore for AtomicBitArray {
     fn memory_bits(&self) -> usize {
         self.len()
     }
+
+    fn merge_from(&self, other: &Self) {
+        self.union_with(other);
+    }
 }
 
 impl ConcurrentSlotStore for AtomicPackedArray {
@@ -422,37 +433,71 @@ impl ConcurrentSlotStore for AtomicPackedArray {
     fn memory_bits(&self) -> usize {
         self.len() * usize::from(self.width())
     }
-}
-
-impl FreezeStore for AtomicBitArray {
-    type Frozen = BitArray;
-
-    fn freeze(&self) -> BitArray {
-        self.snapshot()
-    }
-
-    fn thaw(frozen: &BitArray) -> Self {
-        Self::from_bits(frozen)
-    }
-
-    fn merge_from(&self, other: &Self) {
-        self.union_with(other);
-    }
-}
-
-impl FreezeStore for AtomicPackedArray {
-    type Frozen = PackedArray;
-
-    fn freeze(&self) -> PackedArray {
-        self.snapshot()
-    }
-
-    fn thaw(frozen: &PackedArray) -> Self {
-        Self::from_packed(frozen)
-    }
 
     fn merge_from(&self, other: &Self) {
         self.merge_max(other);
+    }
+}
+
+impl WordStore for BitArray {
+    fn word_count(&self) -> usize {
+        self.words().len()
+    }
+
+    fn word(&self, i: usize) -> u64 {
+        self.words()[i]
+    }
+
+    fn from_words(len: usize, width: u8, words: Vec<u64>) -> Result<Self, String> {
+        if width != 1 {
+            return Err(format!("bit array width {width}, expected 1"));
+        }
+        Self::from_words(len, words)
+    }
+}
+
+impl WordStore for PackedArray {
+    fn word_count(&self) -> usize {
+        self.words().len()
+    }
+
+    fn word(&self, i: usize) -> u64 {
+        self.words()[i]
+    }
+
+    fn from_words(len: usize, width: u8, words: Vec<u64>) -> Result<Self, String> {
+        Self::from_words(len, width, words)
+    }
+}
+
+impl WordStore for AtomicBitArray {
+    fn word_count(&self) -> usize {
+        self.word_count()
+    }
+
+    fn word(&self, i: usize) -> u64 {
+        self.word(i)
+    }
+
+    fn from_words(len: usize, width: u8, words: Vec<u64>) -> Result<Self, String> {
+        if width != 1 {
+            return Err(format!("bit array width {width}, expected 1"));
+        }
+        Self::from_words(len, words)
+    }
+}
+
+impl WordStore for AtomicPackedArray {
+    fn word_count(&self) -> usize {
+        self.word_count()
+    }
+
+    fn word(&self, i: usize) -> u64 {
+        self.word(i)
+    }
+
+    fn from_words(len: usize, width: u8, words: Vec<u64>) -> Result<Self, String> {
+        Self::from_words(len, width, words)
     }
 }
 
@@ -537,24 +582,37 @@ mod tests {
         assert_eq!(ConcurrentSlotStore::memory_bits(&regs), 320);
     }
 
+    fn words_of<S: WordStore>(store: &S) -> Vec<u64> {
+        (0..store.word_count()).map(|i| store.word(i)).collect()
+    }
+
     #[test]
-    fn freeze_thaw_round_trips() {
-        let bits = AtomicBitArray::new(200);
+    fn word_stores_round_trip_through_their_words() {
+        let mut bits = BitArray::new(200);
+        let abits = AtomicBitArray::new(200);
         for i in [0usize, 63, 64, 150, 199] {
             bits.set(i);
+            abits.set(i);
         }
-        let frozen = bits.freeze();
-        let thawed = AtomicBitArray::thaw(&frozen);
-        assert_eq!(thawed.snapshot(), frozen);
-        assert_eq!(thawed.zeros(), bits.zeros());
+        assert_eq!(words_of(&bits), words_of(&abits), "same bit layout");
+        let back = <BitArray as WordStore>::from_words(200, 1, words_of(&bits)).expect("valid");
+        assert_eq!(back, bits);
+        let back =
+            <AtomicBitArray as WordStore>::from_words(200, 1, words_of(&abits)).expect("valid");
+        assert_eq!(back.zeros(), abits.zeros());
+        assert!(<BitArray as WordStore>::from_words(200, 5, words_of(&bits)).is_err());
 
-        let regs = AtomicPackedArray::new(100, 5);
+        let mut regs = PackedArray::new(100, 5);
+        let aregs = AtomicPackedArray::new(100, 5);
         for i in 0..100 {
-            regs.store_max(i, (i % 31) as u16);
+            regs.store(i, (i % 31) as u16);
+            aregs.store_max(i, (i % 31) as u16);
         }
-        let frozen = regs.freeze();
-        let thawed = AtomicPackedArray::thaw(&frozen);
-        assert_eq!(thawed.snapshot(), frozen);
+        let back = <PackedArray as WordStore>::from_words(100, 5, words_of(&regs)).expect("valid");
+        assert_eq!(back, regs);
+        let back =
+            <AtomicPackedArray as WordStore>::from_words(100, 5, words_of(&aregs)).expect("valid");
+        assert_eq!(words_of(&back), words_of(&aregs));
     }
 
     #[test]
@@ -572,7 +630,7 @@ mod tests {
         ca.set(1);
         cb.set(2);
         cb.set(1);
-        FreezeStore::merge_from(&ca, &cb);
+        ConcurrentSlotStore::merge_from(&ca, &cb);
         assert!(ca.get(1) && ca.get(2));
         assert_eq!(ca.zeros(), ca.recount_zeros());
 
@@ -581,7 +639,7 @@ mod tests {
         ra.store_max(3, 7);
         rb.store_max(3, 9);
         rb.store_max(10, 2);
-        FreezeStore::merge_from(&ra, &rb);
+        ConcurrentSlotStore::merge_from(&ra, &rb);
         assert_eq!(ra.load(3), 9);
         assert_eq!(ra.load(10), 2);
     }

@@ -38,13 +38,9 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
                 est.memory_bits(),
                 est.total_estimate()
             )?;
-            let users = rank_users(est);
-            writeln!(
-                out,
-                "top {} users by estimated cardinality:",
-                top.min(&users.len())
-            )?;
-            for (u, e) in users.iter().take(*top) {
+            let users = rank_users(est, *top);
+            writeln!(out, "top {} users by estimated cardinality:", users.len())?;
+            for (u, e) in &users {
                 writeln!(out, "  {u:016x}  {e:.1}")?;
             }
         }
@@ -264,13 +260,9 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
                 sketch.memory_bits(),
                 sketch.total_estimate()
             )?;
-            let users = rank_users(&sketch);
-            writeln!(
-                out,
-                "top {} users by estimated cardinality:",
-                top.min(&users.len())
-            )?;
-            for (u, e) in users.iter().take(*top) {
+            let users = rank_users(&sketch, *top);
+            writeln!(out, "top {} users by estimated cardinality:", users.len())?;
+            for (u, e) in &users {
                 writeln!(out, "  {u:016x}  {e:.1}")?;
             }
         }
@@ -413,14 +405,25 @@ fn build_serve_sketch(cli: &Cli, shards: usize) -> AnySketch {
     }
 }
 
-/// All tracked users, heaviest estimate first. `total_cmp` (not
-/// `partial_cmp`) so a degenerate estimator state emitting NaN yields a
-/// deterministic order instead of a panic — NaN sorts ahead of every
-/// finite estimate and is visible in the output.
-fn rank_users(est: &dyn CardinalityEstimator) -> Vec<(u64, f64)> {
+/// The `n` heaviest tracked users, heaviest first (`--top` and `TOPK`).
+pub(crate) fn rank_users(est: &dyn CardinalityEstimator, n: usize) -> Vec<(u64, f64)> {
     let mut users: Vec<(u64, f64)> = Vec::new();
     est.for_each_estimate(&mut |u, e| users.push((u, e)));
-    users.sort_by(|a, b| b.1.total_cmp(&a.1));
+    top_n(users, n)
+}
+
+/// The first `n` of `users` under a total order: estimate descending by
+/// `total_cmp`, then user ascending — so ties never depend on map
+/// iteration order, and a degenerate NaN estimate sorts ahead of every
+/// finite one instead of panicking. Selects the `n` before sorting them,
+/// so a small `n` costs one linear pass over all users.
+pub(crate) fn top_n(mut users: Vec<(u64, f64)>, n: usize) -> Vec<(u64, f64)> {
+    let order = |a: &(u64, f64), b: &(u64, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    if n < users.len() {
+        users.select_nth_unstable_by(n, order);
+        users.truncate(n);
+    }
+    users.sort_unstable_by(order);
     users
 }
 
@@ -518,8 +521,8 @@ impl Runner {
                 }
                 None => (build_any(cli), 0),
             };
-            // A restored sketch carries the tuning of the run that wrote
-            // it; this run's flags win (tuning never changes estimates).
+            // A restored sketch starts at the default tuning; this run's
+            // flags apply (tuning never changes estimates).
             let mut sketch = sketch;
             sketch.configure_ingest(tuning_of(cli));
             let ckpt = Checkpointer::new(path, cli.checkpoint_every)
@@ -1435,7 +1438,7 @@ mod tests {
                 "Degenerate"
             }
         }
-        let ranked = rank_users(&Degenerate);
+        let ranked = rank_users(&Degenerate, 10);
         assert_eq!(ranked.len(), 4);
         assert!(
             ranked[0].1.is_nan(),
@@ -1444,6 +1447,40 @@ mod tests {
         assert_eq!(ranked[1], (4, f64::INFINITY));
         assert_eq!(ranked[2], (1, 2.0));
         assert_eq!(ranked[3], (3, 1.0));
+    }
+
+    #[test]
+    fn top_n_matches_full_sort_then_truncate() {
+        // Few distinct estimates (many ties), some NaN and infinities, and
+        // every n from 0 past the input length.
+        let order = |a: &(u64, f64), b: &(u64, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+        let mut state = 7u64;
+        for round in 0..40 {
+            let len = round * 3;
+            let users: Vec<(u64, f64)> = (0..len)
+                .map(|_| {
+                    state = hashkit::splitmix64(state);
+                    let est = match state % 11 {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        2 => -f64::NAN,
+                        k => (k % 4) as f64,
+                    };
+                    (state >> 54, est)
+                })
+                .collect();
+            let mut full = users.clone();
+            full.sort_by(order);
+            for n in 0..=len + 2 {
+                let got = top_n(users.clone(), n);
+                let want = &full[..n.min(len)];
+                assert_eq!(got.len(), want.len(), "len {len}, n {n}");
+                for (g, w) in got.iter().zip(want) {
+                    assert_eq!(g.0, w.0, "len {len}, n {n}");
+                    assert_eq!(g.1.to_bits(), w.1.to_bits(), "len {len}, n {n}");
+                }
+            }
+        }
     }
 
     #[test]

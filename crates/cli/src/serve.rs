@@ -14,10 +14,13 @@
 //!   the concurrent stores directly. Per-user estimates are monotone
 //!   non-decreasing (counters only accumulate) and never torn (each
 //!   counter read locks its shard).
-//! * **`SNAPSHOT` / periodic checkpoints** quiesce ingest first through
-//!   the `gate` RwLock (writers hold it shared per chunk, snapshotters
-//!   take it exclusively), so every image is a chunk-boundary state —
-//!   exactly the invariant `Checkpointer` relies on.
+//! * **`SNAPSHOT` / periodic checkpoints** quiesce ingest through the
+//!   `gate` RwLock (writers hold it shared per chunk, snapshotters take it
+//!   exclusively) only while they copy the state out, so every image is a
+//!   chunk-boundary state — exactly the invariant `Checkpointer` relies
+//!   on. Encoding, checksumming, writing and fsync run after the gate is
+//!   released, one snapshot at a time under the `ckpt` mutex (lock order:
+//!   `ckpt`, then `gate`).
 //! * **Shutdown** (the `SHUTDOWN` verb, [`ServerHandle::shutdown`], or a
 //!   writer-thread panic) drains: writers finish their in-flight chunk
 //!   and exit, then the final checkpoint is published atomically
@@ -25,7 +28,7 @@
 //!   returns. A truncated snapshot is never visible at the target path.
 
 use crate::protocol::{parse_request, LineReader, LineStatus, ProtocolError, Request};
-use freesketch::snapshot::{save_snapshot_file, AnySketch, Checkpointer};
+use freesketch::snapshot::{AnySketch, Checkpointer, SnapshotImage};
 use freesketch::{CardinalityEstimator, ConcurrentEstimator};
 use graphstream::{Edge, EdgeSource};
 use parking_lot::{Mutex, RwLock};
@@ -180,6 +183,8 @@ struct Shared {
     /// The one edge source all writers pull chunks from.
     source: Mutex<SourceSlot>,
     /// Rotating checkpoint writer (`None` when checkpointing is off).
+    /// Every snapshot write — checkpoints and `SNAPSHOT` alike — holds
+    /// this lock, so two writes never race on one staging file.
     ckpt: Mutex<Option<Checkpointer>>,
     /// Errors worth surfacing in `STATS`/the final report (bounded).
     errors: Mutex<Vec<String>>,
@@ -379,11 +384,15 @@ fn run_daemon(shared: &Arc<Shared>, listener: &TcpListener, config: &ServeConfig
     {
         let mut slot = shared.ckpt.lock();
         if let Some(ckpt) = slot.as_mut() {
-            let _quiet = shared.gate.write();
-            // ORDERING: relaxed-ok — writers are joined (happens-before via
-            // join) and the gate is held exclusively; the counter is stable.
-            let edges = shared.edges_applied.load(Ordering::Relaxed);
-            match ckpt.checkpoint_now(&shared.sketch, edges) {
+            let image = {
+                let _quiet = shared.gate.write();
+                // ORDERING: relaxed-ok — writers are joined (happens-before
+                // via join) and the gate is held exclusively; the counter is
+                // stable.
+                let edges = shared.edges_applied.load(Ordering::Relaxed);
+                SnapshotImage::capture(&shared.sketch, edges)
+            };
+            match ckpt.publish(image) {
                 Ok(()) => checkpointed = true,
                 Err(e) => shared.record_error(format!("final checkpoint failed: {e}")),
             }
@@ -478,13 +487,14 @@ fn apply_pairs(est: &dyn ConcurrentEstimator, pairs: &[(u64, u64)], batch: usize
 }
 
 /// Writes a periodic checkpoint when the interval has elapsed. Lock-free
-/// pre-filter, then: `ckpt` mutex → `gate` exclusive (the one nesting
-/// order every checkpoint path uses). A checkpoint failure requests a
-/// drain — a daemon that cannot persist must not pretend it can.
+/// pre-filter, then: `ckpt` mutex → `gate` exclusive for the copy only
+/// (the one nesting order every snapshot path uses). A checkpoint failure
+/// requests a drain — a daemon that cannot persist must not pretend it
+/// can.
 fn maybe_periodic_checkpoint(shared: &Shared, every: u64) {
     // ORDERING: relaxed-ok — advisory pre-filter; the authoritative
-    // interval check runs in Checkpointer::maybe_checkpoint under the
-    // ckpt mutex with the gate held exclusively.
+    // interval check runs in Checkpointer::due under the ckpt mutex with
+    // the gate held exclusively.
     let edges = shared.edges_applied.load(Ordering::Relaxed);
     // ORDERING: relaxed-ok — same advisory pre-filter as above.
     let mark = shared.ckpt_watermark.load(Ordering::Relaxed);
@@ -498,7 +508,7 @@ fn maybe_periodic_checkpoint(shared: &Shared, every: u64) {
     let Some(ckpt) = slot.as_mut() else {
         return;
     };
-    let result = {
+    let image = {
         let _quiet = shared.gate.write();
         // ORDERING: relaxed-ok — read with the gate held exclusively:
         // every writer bumped the counter inside a read section, so the
@@ -506,9 +516,12 @@ fn maybe_periodic_checkpoint(shared: &Shared, every: u64) {
         let edges = shared.edges_applied.load(Ordering::Relaxed);
         // ORDERING: relaxed-ok — advisory watermark for the pre-filter.
         shared.ckpt_watermark.store(edges, Ordering::Relaxed);
-        ckpt.maybe_checkpoint(&shared.sketch, edges)
+        if !ckpt.due(edges) {
+            return;
+        }
+        SnapshotImage::capture(&shared.sketch, edges)
     };
-    if let Err(e) = result {
+    if let Err(e) = ckpt.publish(image) {
         shared.record_error(format!("checkpoint failed: {e}"));
         shared.begin_shutdown();
     }
@@ -570,13 +583,7 @@ fn respond(shared: &Shared, req: &Request) -> (String, bool) {
     match req {
         Request::Estimate { user } => (format!("OK {:.3}", shared.sketch.estimate(*user)), false),
         Request::TopK { n } => {
-            let mut users: Vec<(u64, f64)> = Vec::new();
-            shared
-                .sketch
-                .for_each_estimate(&mut |u, e| users.push((u, e)));
-            // total_cmp for NaN-robust deterministic order, heaviest first.
-            users.sort_by(|a, b| b.1.total_cmp(&a.1));
-            users.truncate(*n);
+            let users = crate::commands::rank_users(&shared.sketch, *n);
             let mut s = format!("OK {}", users.len());
             for (u, e) in &users {
                 let _ = write!(s, " #{u:016x}:{e:.3}");
@@ -606,8 +613,7 @@ fn respond(shared: &Shared, req: &Request) -> (String, bool) {
             let edges = shared.edges_applied.load(Ordering::Relaxed);
             // ORDERING: relaxed-ok — same advisory read as above.
             let queries = shared.served_queries.load(Ordering::Relaxed);
-            let mut users = 0u64;
-            shared.sketch.for_each_estimate(&mut |_, _| users += 1);
+            let users = shared.sketch.user_count();
             let errors = shared.errors.lock().len();
             (
                 format!(
@@ -624,13 +630,21 @@ fn respond(shared: &Shared, req: &Request) -> (String, bool) {
             )
         }
         Request::Snapshot { path } => {
-            // Quiesce writers so the image is a chunk-boundary state
-            // (the same invariant the checkpoint paths maintain).
-            let _quiet = shared.gate.write();
-            // ORDERING: relaxed-ok — read with the gate held exclusively;
-            // see maybe_periodic_checkpoint for the argument.
-            let edges = shared.edges_applied.load(Ordering::Relaxed);
-            match save_snapshot_file(Path::new(path), &shared.sketch, edges) {
+            // One snapshot write at a time (two SNAPSHOTs to one path
+            // would share its staging file), in the ckpt → gate order.
+            let _writing = shared.ckpt.lock();
+            let image = {
+                // Quiesce writers for the copy only, so the image is a
+                // chunk-boundary state (the same invariant the checkpoint
+                // paths maintain).
+                let _quiet = shared.gate.write();
+                // ORDERING: relaxed-ok — read with the gate held
+                // exclusively; see maybe_periodic_checkpoint.
+                let edges = shared.edges_applied.load(Ordering::Relaxed);
+                SnapshotImage::capture(&shared.sketch, edges)
+            };
+            let edges = image.edges();
+            match image.write_file(Path::new(path)) {
                 Ok(()) => (format!("OK snapshot {path} edges={edges}"), false),
                 Err(e) => (format!("ERR io {e}"), false),
             }
@@ -751,6 +765,61 @@ mod tests {
         assert!(!report.writer_panicked);
         assert!(!report.checkpointed, "no checkpoint configured");
         assert!(report.errors.is_empty(), "{:?}", report.errors);
+    }
+
+    #[test]
+    fn concurrent_snapshots_to_one_path_all_succeed() {
+        let src = Box::new(CycleSource::new(edges(200_000), 1));
+        let handle = spawn(
+            sharded(2),
+            src,
+            ServeConfig {
+                writers: 2,
+                chunk: 512,
+                batch: 128,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("spawn");
+        let addr = handle.addr();
+        let path =
+            std::env::temp_dir().join(format!("freesketch-serve-snap-{}.fsnp", std::process::id()));
+        let lines = format!("SNAPSHOT {}\n", path.display()).repeat(3);
+        // Both clients connect, then send together, so their SNAPSHOTs
+        // overlap while ingest runs.
+        let start = std::sync::Barrier::new(2);
+        let replies: Vec<String> = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut conn = TcpStream::connect(addr).expect("connect");
+                        start.wait();
+                        conn.write_all(lines.as_bytes()).expect("send");
+                        conn.shutdown(std::net::Shutdown::Write)
+                            .expect("half-close");
+                        let mut out = String::new();
+                        conn.read_to_string(&mut out).expect("read replies");
+                        out.lines().map(str::to_string).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            clients
+                .into_iter()
+                .flat_map(|c| c.join().expect("client thread"))
+                .collect()
+        });
+        assert_eq!(replies.len(), 6, "{replies:?}");
+        for r in &replies {
+            assert!(r.starts_with("OK snapshot"), "{r}");
+        }
+        let file = std::fs::File::open(&path).expect("snapshot written");
+        let (sketch, _) = freesketch::load_snapshot(&mut std::io::BufReader::new(file))
+            .expect("the last write left a loadable snapshot");
+        assert_eq!(sketch.kind(), "sharded-freebs");
+        assert!(!freesketch::snapshot::staging_path(&path).exists());
+        handle.shutdown();
+        handle.join().expect("join");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

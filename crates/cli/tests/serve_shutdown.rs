@@ -160,8 +160,28 @@ fn source_error_is_reported_not_fatal() {
         },
     )
     .expect("spawn");
-    // The daemon keeps serving queries after the stream dies; shut it
-    // down programmatically and check the error surfaced in the report.
+    // The daemon keeps serving queries after the stream dies: wait until
+    // STATS counts the error (a writer has pulled from the source), then
+    // shut it down programmatically and check the error surfaced in the
+    // report.
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        writer.write_all(b"STATS\n").expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        assert!(reply.starts_with("OK "), "{reply}");
+        if !reply.contains(" errors=0 ") {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "stream error never surfaced: {reply}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
     handle.shutdown();
     let report = handle.join().expect("join");
     assert!(!report.writer_panicked);

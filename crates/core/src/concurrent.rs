@@ -113,7 +113,7 @@ impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZeroQ {
 #[derive(Debug)]
 pub struct SharedZ {
     /// `Z`, stored as f64 bits.
-    z_bits: AtomicU64,
+    pub(crate) z_bits: AtomicU64,
 }
 
 impl SharedZ {
@@ -227,6 +227,28 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
     #[must_use]
     pub fn q(&self) -> f64 {
         self.q.numerator(&self.store) / self.store.len() as f64
+    }
+
+    /// Everything a snapshot records: store, hasher, tracker and counters.
+    pub(crate) fn parts(&self) -> (&S, &EdgeHasher, &Q, &ShardedCounterMap) {
+        (&self.store, &self.hasher, &self.q, &self.counters)
+    }
+
+    /// Reassembles an engine from restored [`ConcurrentEngine::parts`], at
+    /// the default ingest tuning.
+    pub(crate) fn from_parts(
+        store: S,
+        hasher: EdgeHasher,
+        q: Q,
+        counters: ShardedCounterMap,
+    ) -> Self {
+        Self {
+            store,
+            hasher,
+            q,
+            counters,
+            tuning: IngestTuning::default(),
+        }
     }
 
     /// Read-only view of the shared store (for tests and diagnostics).
@@ -470,10 +492,7 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
     /// # Errors
     /// [`graphstream::SnapshotError::ConfigMismatch`] when the hasher
     /// seeds or store geometries (length, register width) differ.
-    pub fn merge(&self, other: &Self) -> Result<(), graphstream::SnapshotError>
-    where
-        S: bitpack::FreezeStore,
-    {
+    pub fn merge(&self, other: &Self) -> Result<(), graphstream::SnapshotError> {
         if self.hasher != other.hasher {
             return Err(graphstream::SnapshotError::ConfigMismatch {
                 detail: format!(
@@ -494,7 +513,7 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
                 ),
             });
         }
-        bitpack::FreezeStore::merge_from(&self.store, &other.store);
+        self.store.merge_from(&other.store);
         other
             .counters
             .for_each(&mut |user, est| self.counters.add(user, est));
@@ -566,100 +585,6 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEstimator for Concu
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     fn ingest_batch(&self, edges: &[(u64, u64)]) {
         ConcurrentEngine::process_batch(self, edges);
-    }
-}
-
-// Like the scalar engine's, the concurrent engine's (de)serialization is
-// spelled out against the vendored stand-in's `Value` tree; the atomic
-// store round-trips through its sequential frozen twin
-// ([`bitpack::FreezeStore`]) and the sharded counter map through a
-// [`hashkit::CounterMap`] snapshot, both taken at quiescence.
-#[cfg(feature = "serde")]
-impl<S, Q> serde::Serialize for ConcurrentEngine<S, Q>
-where
-    S: bitpack::FreezeStore,
-    S::Frozen: serde::Serialize,
-    Q: serde::Serialize,
-{
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("store".to_string(), self.store.freeze().serialize_value()),
-            ("hasher".to_string(), self.hasher.serialize_value()),
-            ("q".to_string(), self.q.serialize_value()),
-            (
-                "counters".to_string(),
-                self.counters.snapshot().serialize_value(),
-            ),
-            ("tuning".to_string(), self.tuning.serialize_value()),
-        ])
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<S, Q> serde::Deserialize for ConcurrentEngine<S, Q>
-where
-    S: bitpack::FreezeStore,
-    S::Frozen: serde::Deserialize,
-    Q: serde::Deserialize,
-{
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected ConcurrentEngine map"))?;
-        let frozen = <S::Frozen>::deserialize_value(serde::map_field(map, "store")?)?;
-        // Thawing trusts the frozen array's invariants (e.g. no stray bits
-        // past its logical length), so reject inconsistent input here —
-        // checksummed snapshots are not the only callers of this impl.
-        bitpack::SlotStore::validate(&frozen).map_err(serde::Error::custom)?;
-        let snap = hashkit::CounterMap::deserialize_value(serde::map_field(map, "counters")?)?;
-        let counters = ShardedCounterMap::default();
-        snap.for_each(&mut |user, est| counters.add(user, est));
-        Ok(Self {
-            store: S::thaw(&frozen),
-            hasher: EdgeHasher::deserialize_value(serde::map_field(map, "hasher")?)?,
-            q: Q::deserialize_value(serde::map_field(map, "q")?)?,
-            counters,
-            tuning: IngestTuning::deserialize_value(serde::map_field(map, "tuning")?)?,
-        })
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Serialize for SharedZeroQ {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Deserialize for SharedZeroQ {
-    fn deserialize_value(_v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Serialize for SharedZ {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Map(vec![(
-            "z_bits".to_string(),
-            // ORDERING: relaxed-ok — quiescent-only API (serialization runs
-            // with no concurrent writers); the caller's synchronisation
-            // provides the happens-before edge.
-            self.z_bits.load(Ordering::Relaxed).serialize_value(),
-        )])
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Deserialize for SharedZ {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected SharedZ map"))?;
-        Ok(Self {
-            z_bits: AtomicU64::new(u64::deserialize_value(serde::map_field(map, "z_bits")?)?),
-        })
     }
 }
 

@@ -94,8 +94,8 @@ const Z_REBUILD_INTERVAL: u64 = 1 << 20;
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncrementalZ {
     /// Incrementally maintained `Z = Σ_j 2^{-R[j]}`.
-    z: f64,
-    growths_since_rebuild: u64,
+    pub(crate) z: f64,
+    pub(crate) growths_since_rebuild: u64,
 }
 
 impl IncrementalZ {
@@ -206,6 +206,37 @@ impl<S: SlotStore, Q: QTracker<S>> SketchEngine<S, Q> {
     #[must_use]
     pub fn store(&self) -> &S {
         &self.store
+    }
+
+    /// Everything a snapshot records: store, hasher, tracker, counters and
+    /// the running total.
+    pub(crate) fn parts(&self) -> (&S, &EdgeHasher, &Q, &CounterMap, f64) {
+        (
+            &self.store,
+            &self.hasher,
+            &self.q,
+            &self.estimates,
+            self.total,
+        )
+    }
+
+    /// Reassembles an engine from restored [`SketchEngine::parts`], at
+    /// the default ingest tuning.
+    pub(crate) fn from_parts(
+        store: S,
+        hasher: EdgeHasher,
+        q: Q,
+        estimates: CounterMap,
+        total: f64,
+    ) -> Self {
+        Self {
+            store,
+            hasher,
+            q,
+            estimates,
+            total,
+            tuning: IngestTuning::default(),
+        }
     }
 
     /// Split borrow for tracker maintenance that needs the store
@@ -526,83 +557,6 @@ impl<S: SlotStore, Q: QTracker<S>> CardinalityEstimator for SketchEngine<S, Q> {
 #[inline]
 pub(crate) fn pow2_neg(v: u16) -> f64 {
     f64::from_bits((1023u64.saturating_sub(u64::from(v))) << 52)
-}
-
-// The vendored serde derive handles non-generic types only, so the engine's
-// (de)serialization is spelled out against the stand-in's `Value` tree; the
-// aliases `FreeBS`/`FreeRS` round-trip through these impls.
-#[cfg(feature = "serde")]
-impl<S: serde::Serialize, Q: serde::Serialize> serde::Serialize for SketchEngine<S, Q> {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("store".to_string(), self.store.serialize_value()),
-            ("hasher".to_string(), self.hasher.serialize_value()),
-            ("q".to_string(), self.q.serialize_value()),
-            ("estimates".to_string(), self.estimates.serialize_value()),
-            ("total".to_string(), self.total.serialize_value()),
-            ("tuning".to_string(), self.tuning.serialize_value()),
-        ])
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<S: serde::Deserialize, Q: serde::Deserialize> serde::Deserialize for SketchEngine<S, Q> {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected SketchEngine map"))?;
-        Ok(Self {
-            store: S::deserialize_value(serde::map_field(map, "store")?)?,
-            hasher: EdgeHasher::deserialize_value(serde::map_field(map, "hasher")?)?,
-            q: Q::deserialize_value(serde::map_field(map, "q")?)?,
-            estimates: CounterMap::deserialize_value(serde::map_field(map, "estimates")?)?,
-            total: f64::deserialize_value(serde::map_field(map, "total")?)?,
-            tuning: IngestTuning::deserialize_value(serde::map_field(map, "tuning")?)?,
-        })
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Serialize for ZeroQ {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Deserialize for ZeroQ {
-    fn deserialize_value(_v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Serialize for IncrementalZ {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("z".to_string(), self.z.serialize_value()),
-            (
-                "growths_since_rebuild".to_string(),
-                self.growths_since_rebuild.serialize_value(),
-            ),
-        ])
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Deserialize for IncrementalZ {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected IncrementalZ map"))?;
-        Ok(Self {
-            z: f64::deserialize_value(serde::map_field(map, "z")?)?,
-            growths_since_rebuild: u64::deserialize_value(serde::map_field(
-                map,
-                "growths_since_rebuild",
-            )?)?,
-        })
-    }
 }
 
 #[cfg(test)]

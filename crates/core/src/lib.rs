@@ -80,7 +80,6 @@ pub mod ingest;
 mod jointlpc;
 mod peruser;
 mod sharded;
-#[cfg(feature = "serde")]
 pub mod snapshot;
 mod spreader;
 pub mod theory;
@@ -147,30 +146,6 @@ impl IngestTuning {
     }
 }
 
-#[cfg(feature = "serde")]
-impl serde::Serialize for IngestTuning {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("block".to_string(), self.block.serialize_value()),
-            ("warm_ahead".to_string(), self.warm_ahead.serialize_value()),
-        ])
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Deserialize for IngestTuning {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected IngestTuning map"))?;
-        Ok(Self {
-            block: usize::deserialize_value(serde::map_field(map, "block")?)?,
-            warm_ahead: usize::deserialize_value(serde::map_field(map, "warm_ahead")?)?,
-        }
-        .clamped())
-    }
-}
-
 pub use concurrent::{
     ConcurrentEstimator, ConcurrentFreeBS, ConcurrentFreeRS, ConcurrentFusedFreeBS,
 };
@@ -186,9 +161,9 @@ pub use ingest::{
 pub use jointlpc::JointLpc;
 pub use peruser::{PerUserHllpp, PerUserLpc};
 pub use sharded::{ShardedFreeBS, ShardedFreeRS, ShardedSketch};
-#[cfg(feature = "serde")]
 pub use snapshot::{
     load_snapshot, load_with_fallback, save_snapshot, save_snapshot_file, AnySketch, Checkpointer,
+    SnapshotImage,
 };
 pub use spreader::{detect_spreaders, SpreaderReport};
 pub use vhll::VHll;

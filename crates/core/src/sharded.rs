@@ -66,6 +66,21 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ShardedSketch<S, Q> {
         }
     }
 
+    /// Reassembles a sketch from restored shards and router (snapshot
+    /// load, which has already checked that the shard count is a non-zero
+    /// power of two).
+    pub(crate) fn from_parts(engines: Vec<ConcurrentEngine<S, Q>>, router: EdgeHasher) -> Self {
+        Self {
+            shards: engines.into_boxed_slice(),
+            router,
+        }
+    }
+
+    /// The edge → shard router (recorded by snapshots).
+    pub(crate) fn router(&self) -> &EdgeHasher {
+        &self.router
+    }
+
     /// Number of shards `P`.
     #[must_use]
     pub fn shard_count(&self) -> usize {
@@ -150,17 +165,30 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ShardedSketch<S, Q> {
     /// Merged `(user, estimate)` snapshot across shards.
     #[must_use]
     pub fn merged_estimates(&self) -> CounterMap {
+        // Each shard's counters are copied out before they are merged, so
+        // its counter-map locks are held for the copy only, never while
+        // the merged map grows: a query scan must not stall ingest.
+        let mut pairs = Vec::new();
         let mut merged = CounterMap::new();
         for s in &self.shards {
-            s.for_each_estimate(&mut |u, e| merged.add(u, e));
+            pairs.clear();
+            pairs.reserve(s.user_count());
+            s.for_each_estimate(&mut |u, e| pairs.push((u, e)));
+            for &(u, e) in &pairs {
+                merged.add(u, e);
+            }
         }
         merged
     }
 
-    /// Number of distinct users tracked (merged across shards).
+    /// Number of distinct users tracked: read off the shard when `P = 1`,
+    /// merged across shards otherwise.
     #[must_use]
     pub fn user_count(&self) -> usize {
-        self.merged_estimates().len()
+        match &*self.shards {
+            [only] => only.user_count(),
+            _ => self.merged_estimates().len(),
+        }
     }
 
     /// Total shared-array memory in bits.
@@ -183,10 +211,7 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ShardedSketch<S, Q> {
     /// # Errors
     /// [`graphstream::SnapshotError::ConfigMismatch`] when the shard
     /// counts or router seeds differ, or any shard pair's config differs.
-    pub fn merge(&self, other: &Self) -> Result<(), graphstream::SnapshotError>
-    where
-        S: bitpack::FreezeStore,
-    {
+    pub fn merge(&self, other: &Self) -> Result<(), graphstream::SnapshotError> {
         if self.shards.len() != other.shards.len() {
             return Err(graphstream::SnapshotError::ConfigMismatch {
                 detail: format!(
@@ -261,60 +286,6 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEstimator for Shard
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     fn ingest_batch(&self, edges: &[(u64, u64)]) {
         ShardedSketch::process_batch(self, edges);
-    }
-}
-
-// Manual (de)serialization against the vendored stand-in's `Value` tree,
-// like the engines'. Deserialization re-validates the structural invariants
-// `from_engines` asserts (non-empty, power-of-two shard count) as typed
-// errors — snapshot bytes are untrusted input and must never panic.
-#[cfg(feature = "serde")]
-impl<S, Q> serde::Serialize for ShardedSketch<S, Q>
-where
-    ConcurrentEngine<S, Q>: serde::Serialize,
-{
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (
-                "shards".to_string(),
-                serde::Value::Seq(
-                    self.shards
-                        .iter()
-                        .map(serde::Serialize::serialize_value)
-                        .collect(),
-                ),
-            ),
-            ("router".to_string(), self.router.serialize_value()),
-        ])
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<S, Q> serde::Deserialize for ShardedSketch<S, Q>
-where
-    ConcurrentEngine<S, Q>: serde::Deserialize,
-{
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected ShardedSketch map"))?;
-        let serde::Value::Seq(items) = serde::map_field(map, "shards")? else {
-            return Err(serde::Error::custom("expected shard sequence"));
-        };
-        let shards = items
-            .iter()
-            .map(ConcurrentEngine::<S, Q>::deserialize_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        if shards.is_empty() || !shards.len().is_power_of_two() {
-            return Err(serde::Error::custom(format!(
-                "shard count {} must be a non-zero power of two",
-                shards.len()
-            )));
-        }
-        Ok(Self {
-            shards: shards.into_boxed_slice(),
-            router: EdgeHasher::deserialize_value(serde::map_field(map, "router")?)?,
-        })
     }
 }
 
@@ -482,6 +453,20 @@ mod tests {
         merged.for_each(&mut |_, e| sum += e);
         assert!((sum - s.total_estimate()).abs() < 1e-6);
         assert_eq!(merged.len(), s.user_count());
+    }
+
+    #[test]
+    fn user_count_agrees_with_merged_estimates_at_one_and_four_shards() {
+        for p in [1usize, 4] {
+            let s = ShardedFreeRS::new(1 << 12, p, 17);
+            for u in 0..40u64 {
+                for d in 0..25u64 {
+                    s.process(u, d.wrapping_mul(u + 3));
+                }
+            }
+            assert_eq!(s.user_count(), s.merged_estimates().len(), "P = {p}");
+            assert_eq!(s.user_count(), 40, "P = {p}");
+        }
     }
 
     #[test]

@@ -1,57 +1,70 @@
 //! Crash-safe sketch lifecycle: checksummed snapshots, incremental
 //! checkpointing, and restore-with-fallback.
 //!
-//! A snapshot is a [`graphstream::snapshot`] FSNP container with four
-//! sections, each independently CRC-protected so corruption is localized
-//! to a named section:
+//! A snapshot is a [`graphstream::snapshot`] FSNP container (version 2)
+//! with four typed sections, each independently CRC-protected so
+//! corruption is localized to a named section. Every field is a
+//! little-endian `u64` (`f64` fields as their bits):
 //!
 //! | tag    | contents                                                    |
 //! |--------|-------------------------------------------------------------|
-//! | `META` | sketch kind + the stream offset (edges ingested so far)     |
-//! | `CONF` | hasher seeds, `q` tracker state, totals, shard layout       |
-//! | `ARRY` | the shared bit/register array(s)                            |
-//! | `CNTR` | the per-user Horvitz–Thompson counter map(s)                |
+//! | `META` | sketch kind (1 FreeBS, 2 FreeRS, 3/4 their sharded forms), stream offset |
+//! | `CONF` | scalar: hasher seed, `M`, width, running total, `q` state; sharded: router seed, `P`, then per shard hasher seed, `M`, width, `q` state |
+//! | `ARRY` | per store: word count, then the store's raw words          |
+//! | `CNTR` | per engine: user count `n`, then `n` (user, estimate) pairs in ascending user order |
+//!
+//! The `q` state is what cannot be rebuilt from the words: FreeRS's
+//! incremental `Z` and its growths since the last exact rebuild (one
+//! sharded FreeRS shard: `Z` alone); nothing for FreeBS, whose zero count
+//! is recounted.
 //!
 //! [`AnySketch`] erases the four estimator configurations the CLI can
 //! build (FreeBS, FreeRS and their sharded variants) behind one
-//! save/load/merge surface; [`Checkpointer`] writes snapshots atomically
-//! (temp file + rename) every `N` ingested edges while keeping the last
-//! good one as a `.prev` fallback; [`load_with_fallback`] restores from
-//! the newest snapshot that still checksums.
+//! save/load/merge surface; [`SnapshotImage`] splits a save into a copy
+//! that needs the sketch quiescent and a write that does not;
+//! [`Checkpointer`] writes snapshots atomically (temp file + rename) every
+//! `N` ingested edges while keeping the last good one as a `.prev`
+//! fallback; [`load_with_fallback`] restores from the newest snapshot that
+//! still checksums.
 //!
 //! Every failure on the load path is a typed [`SnapshotError`] — corrupt
-//! or truncated bytes must never panic and never produce a silently-wrong
-//! estimator.
+//! or truncated bytes must never panic, never allocate what a count
+//! merely claims, and never produce a silently-wrong estimator.
 
-use crate::concurrent::ConcurrentEstimator;
-use crate::ingest::{ingest_slice, IngestError};
-use crate::{CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS};
-use graphstream::snapshot::{
-    decode_value, encode_value, find_section, read_sections, write_sections,
+use crate::concurrent::{
+    ConcurrentEngine, ConcurrentEstimator, SharedQTracker, SharedZ, SharedZeroQ,
 };
+use crate::engine::{IncrementalZ, QTracker, SketchEngine, ZeroQ};
+use crate::ingest::{ingest_slice, IngestError};
+use crate::{CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS, ShardedSketch};
+use bitpack::{ConcurrentSlotStore, SlotStore, WordStore};
+use graphstream::snapshot::{find_section, read_sections, write_sections, Section};
 use graphstream::{Edge, EdgeSource, SnapshotError};
-use serde::{Deserialize, Serialize};
+use hashkit::{CounterMap, EdgeHasher, ShardedCounterMap};
 use std::fs;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Section tag: sketch kind and stream offset.
 const TAG_META: [u8; 4] = *b"META";
-/// Section tag: configuration (hasher, `q` state, totals, shard layout).
+/// Section tag: configuration (seeds, geometry, `q` state, totals).
 const TAG_CONF: [u8; 4] = *b"CONF";
 /// Section tag: the shared bit/register array(s).
 const TAG_ARRY: [u8; 4] = *b"ARRY";
 /// Section tag: the per-user counter map(s).
 const TAG_CNTR: [u8; 4] = *b"CNTR";
 
+/// `META` kind codes.
+const KIND_FREEBS: u64 = 1;
+const KIND_FREERS: u64 = 2;
+const KIND_SHARDED_FREEBS: u64 = 3;
+const KIND_SHARDED_FREERS: u64 = 4;
+
 fn malformed(detail: impl Into<String>) -> SnapshotError {
     SnapshotError::Malformed {
         detail: detail.into(),
     }
-}
-
-fn serde_malformed(e: serde::Error) -> SnapshotError {
-    malformed(e.to_string())
 }
 
 /// Dispatches one expression over every [`AnySketch`] variant.
@@ -118,29 +131,12 @@ impl AnySketch {
         }
     }
 
-    fn is_sharded(&self) -> bool {
-        matches!(self, Self::ShardedFreeBS(_) | Self::ShardedFreeRS(_))
-    }
-
-    fn to_value(&self) -> serde::Value {
-        dispatch!(self, e => e.serialize_value())
-    }
-
-    fn from_value(kind: &str, v: &serde::Value) -> Result<Self, SnapshotError> {
-        match kind {
-            "freebs" => FreeBS::deserialize_value(v)
-                .map(Self::FreeBS)
-                .map_err(serde_malformed),
-            "freers" => FreeRS::deserialize_value(v)
-                .map(Self::FreeRS)
-                .map_err(serde_malformed),
-            "sharded-freebs" => ShardedFreeBS::deserialize_value(v)
-                .map(Self::ShardedFreeBS)
-                .map_err(serde_malformed),
-            "sharded-freers" => ShardedFreeRS::deserialize_value(v)
-                .map(Self::ShardedFreeRS)
-                .map_err(serde_malformed),
-            other => Err(malformed(format!("unknown sketch kind {other:?}"))),
+    fn kind_code(&self) -> u64 {
+        match self {
+            Self::FreeBS(_) => KIND_FREEBS,
+            Self::FreeRS(_) => KIND_FREERS,
+            Self::ShardedFreeBS(_) => KIND_SHARDED_FREEBS,
+            Self::ShardedFreeRS(_) => KIND_SHARDED_FREERS,
         }
     }
 
@@ -157,9 +153,8 @@ impl AnySketch {
         match self {
             Self::FreeBS(e) => e.store().validate().map_err(malformed)?,
             Self::FreeRS(e) => e.store().validate().map_err(malformed)?,
-            // Sharded stores are rebuilt at thaw from frozen arrays that
-            // were validated during deserialization, so their invariants
-            // hold by construction.
+            // Atomic stores have no sequential validator; a loaded one was
+            // checked word by word as it was rebuilt.
             Self::ShardedFreeBS(_) | Self::ShardedFreeRS(_) => {}
         }
         let mut bad: Option<(u64, f64)> = None;
@@ -241,6 +236,13 @@ impl AnySketch {
     #[must_use]
     pub fn sampling_q(&self) -> f64 {
         dispatch!(self, e => e.q())
+    }
+
+    /// Number of distinct users tracked: O(1) for the scalar kinds and a
+    /// one-shard sketch, a merged scan for more shards.
+    #[must_use]
+    pub fn user_count(&self) -> usize {
+        dispatch!(self, e => e.user_count())
     }
 
     /// Drives `src` to exhaustion, checkpointing through `ckpt` at chunk
@@ -350,101 +352,385 @@ impl CardinalityEstimator for AnySketch {
     }
 }
 
-/// Removes `key` from `entries`, returning its value.
-fn take_field(
-    entries: &mut Vec<(String, serde::Value)>,
-    key: &str,
-) -> Result<serde::Value, SnapshotError> {
-    let idx = entries
-        .iter()
-        .position(|(k, _)| k == key)
-        .ok_or_else(|| malformed(format!("missing field `{key}`")))?;
-    Ok(entries.remove(idx).1)
+/// A sketch's state copied out for one snapshot: `META`, `CONF` and
+/// `ARRY` already encoded, the counters gathered but not yet sorted.
+/// [`SnapshotImage::capture`] is the only step that needs a quiescent
+/// sketch — the serving layer holds its ingest gate for the copy alone
+/// and sorts, encodes, checksums and writes after releasing it.
+#[derive(Debug)]
+pub struct SnapshotImage {
+    edges: u64,
+    meta: Vec<u8>,
+    conf: Vec<u8>,
+    arry: Vec<u8>,
+    counters: Vec<Vec<(u64, f64)>>,
 }
 
-/// Splits a serialized sketch into `(CONF, ARRY, CNTR)` payload values so
-/// each lands in its own CRC-protected section.
-fn split_value(
-    sharded: bool,
-    value: serde::Value,
-) -> Result<(serde::Value, serde::Value, serde::Value), SnapshotError> {
-    let serde::Value::Map(mut entries) = value else {
-        return Err(malformed("serialized sketch must be a map"));
-    };
-    if !sharded {
-        let arry = take_field(&mut entries, "store")?;
-        let cntr = take_field(&mut entries, "estimates")?;
-        return Ok((serde::Value::Map(entries), arry, cntr));
-    }
-    let serde::Value::Seq(shards) = take_field(&mut entries, "shards")? else {
-        return Err(malformed("`shards` must be a sequence"));
-    };
-    let mut stores = Vec::with_capacity(shards.len());
-    let mut counters = Vec::with_capacity(shards.len());
-    let mut rests = Vec::with_capacity(shards.len());
-    for shard in shards {
-        let serde::Value::Map(mut m) = shard else {
-            return Err(malformed("each shard must be a map"));
+impl SnapshotImage {
+    /// Copies `sketch`'s state, recording that `edges` stream edges
+    /// produced it. Exact when no ingest runs concurrently.
+    #[must_use]
+    pub fn capture(sketch: &AnySketch, edges: u64) -> Self {
+        let mut image = Self {
+            edges,
+            meta: Vec::with_capacity(16),
+            conf: Vec::new(),
+            arry: Vec::new(),
+            counters: Vec::new(),
         };
-        stores.push(take_field(&mut m, "store")?);
-        counters.push(take_field(&mut m, "counters")?);
-        rests.push(serde::Value::Map(m));
+        put(&mut image.meta, sketch.kind_code());
+        put(&mut image.meta, edges);
+        match sketch {
+            AnySketch::FreeBS(e) => image.scalar(e),
+            AnySketch::FreeRS(e) => image.scalar(e),
+            AnySketch::ShardedFreeBS(s) => image.sharded(s),
+            AnySketch::ShardedFreeRS(s) => image.sharded(s),
+        }
+        image
     }
-    entries.push(("shards".to_string(), serde::Value::Seq(rests)));
-    Ok((
-        serde::Value::Map(entries),
-        serde::Value::Seq(stores),
-        serde::Value::Seq(counters),
-    ))
+
+    fn scalar<S, Q>(&mut self, engine: &SketchEngine<S, Q>)
+    where
+        S: SlotStore + WordStore,
+        Q: QTracker<S> + TrackerState,
+    {
+        let (store, hasher, q, estimates, total) = engine.parts();
+        put(&mut self.conf, hasher.seed());
+        put_geometry(&mut self.conf, store.len(), store.width());
+        put(&mut self.conf, total.to_bits());
+        q.put(&mut self.conf);
+        put_words(&mut self.arry, store);
+        let mut pairs = Vec::with_capacity(estimates.len());
+        estimates.for_each(&mut |user, est| pairs.push((user, est)));
+        self.counters.push(pairs);
+    }
+
+    fn sharded<S, Q>(&mut self, sketch: &ShardedSketch<S, Q>)
+    where
+        S: ConcurrentSlotStore + WordStore,
+        Q: SharedQTracker<S> + TrackerState,
+    {
+        put(&mut self.conf, sketch.router().seed());
+        put(&mut self.conf, sketch.shards().len() as u64);
+        for shard in sketch.shards() {
+            let (store, hasher, q, counters) = shard.parts();
+            put(&mut self.conf, hasher.seed());
+            put_geometry(&mut self.conf, store.len(), store.width());
+            q.put(&mut self.conf);
+            put_words(&mut self.arry, store);
+            let mut pairs = Vec::with_capacity(counters.len());
+            counters.for_each(&mut |user, est| pairs.push((user, est)));
+            self.counters.push(pairs);
+        }
+    }
+
+    /// The stream offset this image records.
+    #[must_use]
+    pub fn edges(&self) -> u64 {
+        self.edges
+    }
+
+    /// Sorts and encodes the counters and writes the container to `w`.
+    ///
+    /// # Errors
+    /// I/O errors from `w`.
+    pub fn write(self, w: &mut dyn Write) -> Result<(), SnapshotError> {
+        let len = self.counters.iter().map(|c| 8 + 16 * c.len()).sum();
+        let mut cntr = Vec::with_capacity(len);
+        for mut pairs in self.counters {
+            pairs.sort_unstable_by_key(|&(user, _)| user);
+            put(&mut cntr, pairs.len() as u64);
+            for (user, est) in pairs {
+                put(&mut cntr, user);
+                put(&mut cntr, est.to_bits());
+            }
+        }
+        write_sections(
+            w,
+            &[
+                (TAG_META, &self.meta),
+                (TAG_CONF, &self.conf),
+                (TAG_ARRY, &self.arry),
+                (TAG_CNTR, &cntr),
+            ],
+        )
+    }
+
+    /// Writes the image to `path` atomically: the bytes are staged at
+    /// [`staging_path`], fsynced, and renamed over `path`, so a crash at
+    /// any byte offset leaves either the old file or the new one — never
+    /// a torn snapshot under the final name.
+    ///
+    /// # Errors
+    /// I/O errors; on error the staging file is removed.
+    pub fn write_file(self, path: &Path) -> Result<(), SnapshotError> {
+        let part = staging_path(path);
+        let result = self
+            .write_staged(&part)
+            .and_then(|()| fs::rename(&part, path).map_err(SnapshotError::Io));
+        if result.is_err() {
+            let _ = fs::remove_file(&part);
+        }
+        result
+    }
+
+    fn write_staged(self, part: &Path) -> Result<(), SnapshotError> {
+        let mut w = BufWriter::new(fs::File::create(part)?);
+        self.write(&mut w)?;
+        let file = w
+            .into_inner()
+            .map_err(|e| SnapshotError::Io(e.into_error()))?;
+        file.sync_all()?;
+        Ok(())
+    }
 }
 
-/// Reassembles the serialized sketch from its three section payloads —
-/// the inverse of [`split_value`].
-fn join_value(
-    sharded: bool,
-    conf: serde::Value,
-    arry: serde::Value,
-    cntr: serde::Value,
-) -> Result<serde::Value, SnapshotError> {
-    let serde::Value::Map(mut entries) = conf else {
-        return Err(malformed("CONF section must decode to a map"));
-    };
-    if !sharded {
-        entries.push(("store".to_string(), arry));
-        entries.push(("estimates".to_string(), cntr));
-        return Ok(serde::Value::Map(entries));
+fn put(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_geometry(conf: &mut Vec<u8>, len: usize, width: u8) {
+    put(conf, len as u64);
+    put(conf, u64::from(width));
+}
+
+fn put_words<S: WordStore>(arry: &mut Vec<u8>, store: &S) {
+    let n = store.word_count();
+    arry.reserve(8 * (n + 1));
+    put(arry, n as u64);
+    for i in 0..n {
+        put(arry, store.word(i));
     }
-    let serde::Value::Seq(rests) = take_field(&mut entries, "shards")? else {
-        return Err(malformed("`shards` must be a sequence"));
-    };
-    let (serde::Value::Seq(stores), serde::Value::Seq(counters)) = (arry, cntr) else {
-        return Err(malformed(
-            "ARRY and CNTR sections of a sharded sketch must be sequences",
-        ));
-    };
-    if rests.len() != stores.len() || rests.len() != counters.len() {
+}
+
+/// A cursor over one section's fixed little-endian fields. Reading past
+/// the end, a count the remaining bytes cannot hold, and bytes left over
+/// are all [`SnapshotError::Malformed`] naming the section.
+struct Fields<'a> {
+    tag: [u8; 4],
+    bytes: &'a [u8],
+}
+
+impl<'a> Fields<'a> {
+    fn of(sections: &'a [Section], tag: [u8; 4]) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            tag,
+            bytes: find_section(sections, &tag)?,
+        })
+    }
+
+    fn malformed(&self, what: std::fmt::Arguments<'_>) -> SnapshotError {
+        malformed(format!("{} {what}", String::from_utf8_lossy(&self.tag)))
+    }
+
+    fn u64(&mut self) -> Result<u64, SnapshotError> {
+        let Some((head, rest)) = self.bytes.split_first_chunk::<8>() else {
+            return Err(self.malformed(format_args!("section ends mid-field")));
+        };
+        self.bytes = rest;
+        Ok(u64::from_le_bytes(*head))
+    }
+
+    fn f64(&mut self) -> Result<f64, SnapshotError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// A count of `size`-byte records, checked against the bytes left
+    /// before anything is allocated for it.
+    fn count(&mut self, size: usize) -> Result<usize, SnapshotError> {
+        let n = self.u64()?;
+        let room = self.bytes.len() / size;
+        if n > room as u64 {
+            return Err(self.malformed(format_args!(
+                "count {n} disagrees with the section length ({} bytes left)",
+                self.bytes.len()
+            )));
+        }
+        Ok(n as usize)
+    }
+
+    fn words(&mut self) -> Result<Vec<u64>, SnapshotError> {
+        let n = self.count(8)?;
+        let (head, rest) = self.bytes.split_at(8 * n);
+        self.bytes = rest;
+        Ok(head
+            .chunks_exact(8)
+            .map(|c| {
+                let mut b = [0u8; 8];
+                b.copy_from_slice(c);
+                u64::from_le_bytes(b)
+            })
+            .collect())
+    }
+
+    fn finish(self) -> Result<(), SnapshotError> {
+        if self.bytes.is_empty() {
+            Ok(())
+        } else {
+            Err(self.malformed(format_args!(
+                "section has {} trailing bytes",
+                self.bytes.len()
+            )))
+        }
+    }
+}
+
+/// The `q` tracker state `CONF` carries: what the tracker cannot rebuild
+/// from the store.
+trait TrackerState: Sized {
+    fn put(&self, conf: &mut Vec<u8>);
+    fn take(conf: &mut Fields<'_>) -> Result<Self, SnapshotError>;
+}
+
+impl TrackerState for ZeroQ {
+    fn put(&self, _conf: &mut Vec<u8>) {}
+
+    fn take(_conf: &mut Fields<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self)
+    }
+}
+
+impl TrackerState for SharedZeroQ {
+    fn put(&self, _conf: &mut Vec<u8>) {}
+
+    fn take(_conf: &mut Fields<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self)
+    }
+}
+
+impl TrackerState for IncrementalZ {
+    fn put(&self, conf: &mut Vec<u8>) {
+        put(conf, self.z.to_bits());
+        put(conf, self.growths_since_rebuild);
+    }
+
+    fn take(conf: &mut Fields<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            z: take_z(conf)?,
+            growths_since_rebuild: conf.u64()?,
+        })
+    }
+}
+
+impl TrackerState for SharedZ {
+    fn put(&self, conf: &mut Vec<u8>) {
+        // ORDERING: relaxed-ok — captured at quiescence (the caller holds
+        // the ingest gate or owns the sketch); the lock handoff or thread
+        // join provides the happens-before edge.
+        put(conf, self.z_bits.load(Ordering::Relaxed));
+    }
+
+    fn take(conf: &mut Fields<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            z_bits: AtomicU64::new(take_z(conf)?.to_bits()),
+        })
+    }
+}
+
+// `Z` must be a finite non-negative sum; [`AnySketch::validate`] then
+// bounds `q = Z/M` by 1.
+fn take_z(conf: &mut Fields<'_>) -> Result<f64, SnapshotError> {
+    let z = conf.f64()?;
+    if z.is_finite() && z >= 0.0 {
+        Ok(z)
+    } else {
+        Err(malformed(format!(
+            "register sum Z = {z} is not a finite non-negative value"
+        )))
+    }
+}
+
+fn take_store<S: WordStore>(
+    conf: &mut Fields<'_>,
+    arry: &mut Fields<'_>,
+) -> Result<S, SnapshotError> {
+    let len = conf.u64()?;
+    let width = conf.u64()?;
+    let len =
+        usize::try_from(len).map_err(|_| malformed(format!("array length {len} overflows")))?;
+    let width =
+        u8::try_from(width).map_err(|_| malformed(format!("slot width {width} out of range")))?;
+    S::from_words(len, width, arry.words()?).map_err(malformed)
+}
+
+/// One engine's counters: `add` sees each pair of a list that must be
+/// ascending by user, without duplicates, every estimate finite and
+/// non-negative.
+fn take_counters(
+    cntr: &mut Fields<'_>,
+    n: usize,
+    add: &mut dyn FnMut(u64, f64),
+) -> Result<(), SnapshotError> {
+    let mut prev: Option<u64> = None;
+    for _ in 0..n {
+        let user = cntr.u64()?;
+        let est = cntr.f64()?;
+        if let Some(p) = prev.filter(|&p| user <= p) {
+            return Err(malformed(format!(
+                "CNTR users out of order: {user} after {p}"
+            )));
+        }
+        if !(est.is_finite() && est >= 0.0) {
+            return Err(malformed(format!("user {user} has invalid estimate {est}")));
+        }
+        add(user, est);
+        prev = Some(user);
+    }
+    Ok(())
+}
+
+fn take_scalar<S, Q>(
+    conf: &mut Fields<'_>,
+    arry: &mut Fields<'_>,
+    cntr: &mut Fields<'_>,
+) -> Result<SketchEngine<S, Q>, SnapshotError>
+where
+    S: SlotStore + WordStore,
+    Q: QTracker<S> + TrackerState,
+{
+    let hasher = EdgeHasher::from_mixed_seed(conf.u64()?);
+    let store = take_store(conf, arry)?;
+    let total = conf.f64()?;
+    let q = Q::take(conf)?;
+    let n = cntr.count(16)?;
+    let mut estimates = CounterMap::new();
+    take_counters(cntr, n, &mut |user, est| estimates.add(user, est))?;
+    Ok(SketchEngine::from_parts(store, hasher, q, estimates, total))
+}
+
+fn take_sharded<S, Q>(
+    conf: &mut Fields<'_>,
+    arry: &mut Fields<'_>,
+    cntr: &mut Fields<'_>,
+) -> Result<ShardedSketch<S, Q>, SnapshotError>
+where
+    S: ConcurrentSlotStore + WordStore,
+    Q: SharedQTracker<S> + TrackerState,
+{
+    let router = EdgeHasher::from_mixed_seed(conf.u64()?);
+    // Each shard takes at least three CONF fields (seed, length, width).
+    let p = conf.count(24)?;
+    if p == 0 || !p.is_power_of_two() {
         return Err(malformed(format!(
-            "shard count disagrees across sections: {} config, {} arrays, {} counter maps",
-            rests.len(),
-            stores.len(),
-            counters.len()
+            "shard count {p} must be a non-zero power of two"
         )));
     }
-    let mut shards = Vec::with_capacity(rests.len());
-    for ((rest, store), counter) in rests.into_iter().zip(stores).zip(counters) {
-        let serde::Value::Map(mut m) = rest else {
-            return Err(malformed("each shard config must be a map"));
-        };
-        m.push(("store".to_string(), store));
-        m.push(("counters".to_string(), counter));
-        shards.push(serde::Value::Map(m));
+    let mut engines = Vec::with_capacity(p);
+    for _ in 0..p {
+        let hasher = EdgeHasher::from_mixed_seed(conf.u64()?);
+        let store = take_store(conf, arry)?;
+        let q = Q::take(conf)?;
+        let n = cntr.count(16)?;
+        let counters = ShardedCounterMap::default();
+        take_counters(cntr, n, &mut |user, est| counters.add(user, est))?;
+        engines.push(ConcurrentEngine::from_parts(store, hasher, q, counters));
     }
-    entries.push(("shards".to_string(), serde::Value::Seq(shards)));
-    Ok(serde::Value::Map(entries))
+    Ok(ShardedSketch::from_parts(engines, router))
 }
 
 /// Writes `sketch` as an FSNP snapshot recording that `edges` stream
-/// edges produced it.
+/// edges produced it ([`SnapshotImage::capture`] then
+/// [`SnapshotImage::write`]).
 ///
 /// # Errors
 /// I/O errors from `w`.
@@ -453,56 +739,37 @@ pub fn save_snapshot(
     sketch: &AnySketch,
     edges: u64,
 ) -> Result<(), SnapshotError> {
-    let meta = serde::Value::Map(vec![
-        (
-            "kind".to_string(),
-            serde::Value::Str(sketch.kind().to_string()),
-        ),
-        ("edges".to_string(), serde::Value::U64(edges)),
-    ]);
-    let (conf, arry, cntr) = split_value(sketch.is_sharded(), sketch.to_value())?;
-    let meta_b = encode_value(&meta);
-    let conf_b = encode_value(&conf);
-    let arry_b = encode_value(&arry);
-    let cntr_b = encode_value(&cntr);
-    write_sections(
-        w,
-        &[
-            (TAG_META, &meta_b),
-            (TAG_CONF, &conf_b),
-            (TAG_ARRY, &arry_b),
-            (TAG_CNTR, &cntr_b),
-        ],
-    )
+    SnapshotImage::capture(sketch, edges).write(w)
 }
 
 /// Reads an FSNP snapshot back into a sketch and the stream offset it was
 /// taken at. The result has passed [`AnySketch::validate`].
 ///
 /// # Errors
-/// Any [`SnapshotError`]: bad magic, version skew, truncation, CRC
-/// mismatch, missing section, or a payload that checksums but decodes to
-/// an inconsistent sketch. Never panics on corrupt input.
+/// Any [`SnapshotError`]: bad magic, version skew (version 1 files
+/// included), truncation, CRC mismatch, missing section, or a payload
+/// that checksums but decodes to an inconsistent sketch. Never panics on
+/// corrupt input.
 pub fn load_snapshot(r: &mut dyn Read) -> Result<(AnySketch, u64), SnapshotError> {
     let sections = read_sections(r)?;
-    let meta = decode_value(find_section(&sections, &TAG_META)?)?;
-    let meta_map = meta
-        .as_map()
-        .ok_or_else(|| malformed("META section must decode to a map"))?;
-    let kind = match serde::map_field(meta_map, "kind").map_err(serde_malformed)? {
-        serde::Value::Str(s) => s.clone(),
-        _ => return Err(malformed("META `kind` must be a string")),
+    let mut meta = Fields::of(&sections, TAG_META)?;
+    let kind = meta.u64()?;
+    let edges = meta.u64()?;
+    meta.finish()?;
+    let mut conf = Fields::of(&sections, TAG_CONF)?;
+    let mut arry = Fields::of(&sections, TAG_ARRY)?;
+    let mut cntr = Fields::of(&sections, TAG_CNTR)?;
+    let (c, a, n) = (&mut conf, &mut arry, &mut cntr);
+    let sketch = match kind {
+        KIND_FREEBS => AnySketch::FreeBS(take_scalar(c, a, n)?),
+        KIND_FREERS => AnySketch::FreeRS(take_scalar(c, a, n)?),
+        KIND_SHARDED_FREEBS => AnySketch::ShardedFreeBS(take_sharded(c, a, n)?),
+        KIND_SHARDED_FREERS => AnySketch::ShardedFreeRS(take_sharded(c, a, n)?),
+        other => return Err(malformed(format!("unknown sketch kind {other}"))),
     };
-    let edges = match serde::map_field(meta_map, "edges").map_err(serde_malformed)? {
-        serde::Value::U64(n) => *n,
-        _ => return Err(malformed("META `edges` must be a u64")),
-    };
-    let conf = decode_value(find_section(&sections, &TAG_CONF)?)?;
-    let arry = decode_value(find_section(&sections, &TAG_ARRY)?)?;
-    let cntr = decode_value(find_section(&sections, &TAG_CNTR)?)?;
-    let sharded = kind.starts_with("sharded");
-    let value = join_value(sharded, conf, arry, cntr)?;
-    let sketch = AnySketch::from_value(&kind, &value)?;
+    conf.finish()?;
+    arry.finish()?;
+    cntr.finish()?;
     sketch.validate()?;
     Ok((sketch, edges))
 }
@@ -527,37 +794,17 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Writes a snapshot to `path` atomically: the bytes are staged at
-/// [`staging_path`], fsynced, and renamed over `path`, so a crash at any
-/// byte offset leaves either the old file or the new one — never a torn
-/// snapshot under the final name.
+/// Writes a snapshot to `path` atomically (see
+/// [`SnapshotImage::write_file`]).
 ///
 /// # Errors
-/// I/O or serialization errors; on error the staging file is removed.
+/// I/O errors; on error the staging file is removed.
 pub fn save_snapshot_file(
     path: &Path,
     sketch: &AnySketch,
     edges: u64,
 ) -> Result<(), SnapshotError> {
-    let part = staging_path(path);
-    let result = write_staged(&part, sketch, edges)
-        .and_then(|()| fs::rename(&part, path).map_err(SnapshotError::Io));
-    if result.is_err() {
-        let _ = fs::remove_file(&part);
-    }
-    result
-}
-
-fn write_staged(part: &Path, sketch: &AnySketch, edges: u64) -> Result<(), SnapshotError> {
-    let file = fs::File::create(part)?;
-    let mut w = BufWriter::new(file);
-    save_snapshot(&mut w, sketch, edges)?;
-    w.flush()?;
-    let file = w
-        .into_inner()
-        .map_err(|e| SnapshotError::Io(e.into_error()))?;
-    file.sync_all()?;
-    Ok(())
+    SnapshotImage::capture(sketch, edges).write_file(path)
 }
 
 /// Periodic atomic checkpoint writer with last-good rotation.
@@ -622,37 +869,55 @@ impl Checkpointer {
         self.written
     }
 
-    /// Writes a checkpoint if at least one interval of edges has passed
-    /// since the last one; returns whether it did.
+    /// Whether at least one interval of edges has passed since the last
+    /// checkpoint.
+    #[must_use]
+    pub fn due(&self, edges: u64) -> bool {
+        edges.saturating_sub(self.last_at) >= self.every
+    }
+
+    /// Writes a checkpoint if it is [`Checkpointer::due`]; returns whether
+    /// it did.
     ///
     /// # Errors
-    /// See [`Checkpointer::checkpoint_now`].
+    /// See [`Checkpointer::publish`].
     pub fn maybe_checkpoint(
         &mut self,
         sketch: &AnySketch,
         edges: u64,
     ) -> Result<bool, SnapshotError> {
-        if edges.saturating_sub(self.last_at) < self.every {
+        if !self.due(edges) {
             return Ok(false);
         }
         self.checkpoint_now(sketch, edges)?;
         Ok(true)
     }
 
-    /// Writes a checkpoint unconditionally (stage → rotate → rename).
+    /// Writes a checkpoint unconditionally.
+    ///
+    /// # Errors
+    /// See [`Checkpointer::publish`].
+    pub fn checkpoint_now(&mut self, sketch: &AnySketch, edges: u64) -> Result<(), SnapshotError> {
+        self.publish(SnapshotImage::capture(sketch, edges))
+    }
+
+    /// Writes a captured image as the next checkpoint (stage → rotate →
+    /// rename) — the write half of [`Checkpointer::checkpoint_now`], for
+    /// callers that capture under a lock and write after releasing it.
     ///
     /// # Errors
     /// I/O errors; the previously completed checkpoint files are never
     /// left torn (only the staging file can be).
-    pub fn checkpoint_now(&mut self, sketch: &AnySketch, edges: u64) -> Result<(), SnapshotError> {
+    pub fn publish(&mut self, image: SnapshotImage) -> Result<(), SnapshotError> {
         if self.crash_after == Some(self.written) {
             return Err(SnapshotError::Io(std::io::Error::other(format!(
                 "simulated crash before checkpoint {} (fault injection)",
                 self.written
             ))));
         }
+        let edges = image.edges();
         let part = staging_path(&self.path);
-        if let Err(e) = write_staged(&part, sketch, edges) {
+        if let Err(e) = image.write_staged(&part) {
             let _ = fs::remove_file(&part);
             return Err(e);
         }
@@ -900,33 +1165,170 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn unknown_kind_and_section_shape_drift_are_malformed() {
-        let sketch = AnySketch::FreeBS(FreeBS::new(1 << 8, 1));
-        let bytes = snapshot_bytes(&sketch, 0);
-        let sections = read_sections(&mut bytes.as_slice()).expect("sections");
-        // Re-encode META with an unknown kind, keep the other sections.
-        let meta = serde::Value::Map(vec![
-            ("kind".to_string(), serde::Value::Str("freeqs".to_string())),
-            ("edges".to_string(), serde::Value::U64(0)),
-        ]);
-        let meta_b = encode_value(&meta);
-        let rebuilt: Vec<([u8; 4], &[u8])> = sections
-            .iter()
-            .map(|(tag, payload)| {
-                if *tag == TAG_META {
-                    (*tag, meta_b.as_slice())
-                } else {
-                    (*tag, payload.as_slice())
-                }
-            })
-            .collect();
+    /// Rewrites one section's payload and re-checksums the container, so
+    /// only the typed parse can object to the edit.
+    fn with_section(bytes: &[u8], tag: [u8; 4], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut sections = read_sections(&mut &bytes[..]).expect("sections");
+        let (_, payload) = sections
+            .iter_mut()
+            .find(|(t, _)| *t == tag)
+            .expect("section present");
+        edit(payload);
+        let refs: Vec<([u8; 4], &[u8])> =
+            sections.iter().map(|(t, p)| (*t, p.as_slice())).collect();
         let mut out = Vec::new();
-        write_sections(&mut out, &rebuilt).expect("rewrite");
-        let err = load_snapshot(&mut out.as_slice()).expect_err("unknown kind");
+        write_sections(&mut out, &refs).expect("rewrite");
+        out
+    }
+
+    fn set_u64(payload: &mut [u8], field: usize, v: u64) {
+        payload[8 * field..8 * field + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn malformed_detail(bytes: &[u8]) -> String {
+        match load_snapshot(&mut &bytes[..]) {
+            Err(SnapshotError::Malformed { detail }) => detail,
+            other => panic!("expected a malformed snapshot, got {other:?}"),
+        }
+    }
+
+    fn freebs_bytes(m: usize) -> Vec<u8> {
+        let mut sketch = AnySketch::FreeBS(FreeBS::new(m, 3));
+        ingest(&mut sketch, &edges(300, 9));
+        snapshot_bytes(&sketch, 300)
+    }
+
+    #[test]
+    fn version_one_files_are_rejected() {
+        let mut bytes = freebs_bytes(1 << 8);
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let err = load_snapshot(&mut bytes.as_slice()).expect_err("v1");
         assert!(
-            matches!(&err, SnapshotError::Malformed { detail } if detail.contains("freeqs")),
+            matches!(err, SnapshotError::UnsupportedVersion { found: 1 }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn unknown_kind_is_malformed() {
+        let bytes = with_section(&freebs_bytes(1 << 8), TAG_META, |m| set_u64(m, 0, 9));
+        assert!(malformed_detail(&bytes).contains("unknown sketch kind 9"));
+    }
+
+    #[test]
+    fn counter_counts_that_disagree_with_the_section_are_malformed() {
+        let bytes = freebs_bytes(1 << 8);
+        for n in [u64::MAX, 1 << 40, 24] {
+            let bad = with_section(&bytes, TAG_CNTR, |c| set_u64(c, 0, n));
+            let detail = malformed_detail(&bad);
+            assert!(
+                detail.contains("count") || detail.contains("trailing"),
+                "{n}: {detail}"
+            );
+        }
+    }
+
+    #[test]
+    fn unsorted_or_duplicate_users_are_malformed() {
+        let bytes = freebs_bytes(1 << 8);
+        // Pairs start after the count: user i at field 1 + 2i.
+        let swapped = with_section(&bytes, TAG_CNTR, |c| {
+            let (a, b) = (c[8..16].to_vec(), c[24..32].to_vec());
+            c[8..16].copy_from_slice(&b);
+            c[24..32].copy_from_slice(&a);
+        });
+        assert!(malformed_detail(&swapped).contains("out of order"));
+        let duplicate = with_section(&bytes, TAG_CNTR, |c| {
+            let first = c[8..16].to_vec();
+            c[24..32].copy_from_slice(&first);
+        });
+        assert!(malformed_detail(&duplicate).contains("out of order"));
+    }
+
+    #[test]
+    fn non_finite_or_negative_counters_are_malformed() {
+        let bytes = freebs_bytes(1 << 8);
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let edited = with_section(&bytes, TAG_CNTR, |c| set_u64(c, 2, bad.to_bits()));
+            assert!(
+                malformed_detail(&edited).contains("invalid estimate"),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn array_word_counts_must_match_the_geometry() {
+        // 256 bits are four words; claim three (and drop one), or five.
+        let bytes = freebs_bytes(1 << 8);
+        let short = with_section(&bytes, TAG_ARRY, |a| {
+            set_u64(a, 0, 3);
+            a.truncate(a.len() - 8);
+        });
+        assert!(malformed_detail(&short).contains("expected 4"));
+        let long = with_section(&bytes, TAG_ARRY, |a| set_u64(a, 0, 5));
+        assert!(malformed_detail(&long).contains("count 5"));
+        let huge = with_section(&bytes, TAG_ARRY, |a| set_u64(a, 0, u64::MAX));
+        assert!(malformed_detail(&huge).contains("count"));
+        // A width a bit array cannot have.
+        let wide = with_section(&bytes, TAG_CONF, |c| set_u64(c, 2, 5));
+        assert!(malformed_detail(&wide).contains("width"));
+    }
+
+    #[test]
+    fn stray_bits_past_the_array_length_are_malformed() {
+        // 100 bits in two words: bit 104 lies past the end.
+        let bytes = freebs_bytes(100);
+        let edited = with_section(&bytes, TAG_ARRY, |a| {
+            let w = u64::from_le_bytes(a[16..24].try_into().expect("word")) | 1 << 40;
+            set_u64(a, 2, w);
+        });
+        assert!(malformed_detail(&edited).contains("stray"));
+        let mut sketch = AnySketch::ShardedFreeRS(ShardedFreeRS::new(100, 2, 4));
+        ingest(&mut sketch, &edges(200, 3));
+        // Shard 0 holds 50 five-bit registers in five words (12 per word):
+        // its last word has only two cells.
+        let bytes = snapshot_bytes(&sketch, 200);
+        let edited = with_section(&bytes, TAG_ARRY, |a| {
+            let w = u64::from_le_bytes(a[40..48].try_into().expect("word")) | 1 << 20;
+            set_u64(a, 5, w);
+        });
+        assert!(malformed_detail(&edited).contains("stray"));
+    }
+
+    #[test]
+    fn shard_counts_must_be_non_zero_powers_of_two() {
+        let mut sketch = AnySketch::ShardedFreeBS(ShardedFreeBS::new(1 << 12, 4, 7));
+        ingest(&mut sketch, &edges(500, 1));
+        let bytes = snapshot_bytes(&sketch, 500);
+        for p in [0u64, 3] {
+            let edited = with_section(&bytes, TAG_CONF, |c| set_u64(c, 1, p));
+            assert!(
+                malformed_detail(&edited).contains("power of two"),
+                "P = {p}"
+            );
+        }
+        let huge = with_section(&bytes, TAG_CONF, |c| set_u64(c, 1, 1 << 62));
+        assert!(malformed_detail(&huge).contains("count"));
+    }
+
+    #[test]
+    fn bad_register_sums_and_trailing_bytes_are_malformed() {
+        let mut sketch = AnySketch::FreeRS(FreeRS::new(1 << 10, 2));
+        ingest(&mut sketch, &edges(500, 4));
+        let bytes = snapshot_bytes(&sketch, 500);
+        // FreeRS CONF: seed, M, width, total, Z, growths.
+        for z in [f64::NAN, -1.0, 1e9] {
+            let edited = with_section(&bytes, TAG_CONF, |c| set_u64(c, 4, z.to_bits()));
+            let detail = malformed_detail(&edited);
+            assert!(
+                detail.contains('Z') || detail.contains("sampling"),
+                "{z}: {detail}"
+            );
+        }
+        for tag in [TAG_META, TAG_CONF, TAG_ARRY, TAG_CNTR] {
+            let edited = with_section(&bytes, tag, |p| p.push(0));
+            assert!(malformed_detail(&edited).contains("trailing"));
+        }
     }
 }

@@ -15,20 +15,16 @@
 //! must never panic, allocate unboundedly, or round-trip silently wrong
 //! (the per-section CRC32 catches torn writes, truncation and bit flips
 //! that the fixed-layout parse alone would miss).
-//!
-//! The [`encode_value`]/[`decode_value`] pair (feature `serde`) is the
-//! section payload codec: a compact tagged binary encoding of the vendored
-//! serde stand-in's `Value` tree, with a fast path packing homogeneous
-//! `u64` sequences (bit-array words, register words) at 8 bytes per
-//! element.
 
 use std::io::{Read, Write};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FSNP";
 
-/// Current container version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// Current container version. Version 1 wrapped each section in a
+/// generic tagged value encoding; version 2 sections are typed
+/// fixed-layout payloads. A reader accepts only its own version.
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// Container header length in bytes: magic + version + section count.
 pub const SNAPSHOT_HEADER_LEN: usize = 8;
@@ -53,7 +49,8 @@ pub enum SnapshotError {
         /// The bytes found where the magic should be.
         found: [u8; 4],
     },
-    /// The container version is newer than this build understands.
+    /// The container version is not the one this build reads (older
+    /// snapshots are rebuilt by re-running `checkpoint` on the trace).
     UnsupportedVersion {
         /// The version found in the header.
         found: u16,
@@ -84,7 +81,7 @@ pub enum SnapshotError {
         tag: [u8; 4],
     },
     /// The bytes checksum correctly but do not decode to a valid value
-    /// (shape drift, out-of-range field, nesting bomb).
+    /// (shape drift, out-of-range field, a count the payload cannot hold).
     Malformed {
         /// What failed to decode.
         detail: String,
@@ -157,19 +154,36 @@ impl From<std::io::Error> for SnapshotError {
 }
 
 /// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the checksum
-/// guarding every section payload. Table-driven, table built at compile
-/// time; matches zlib's `crc32()`.
+/// guarding every section payload. Slicing-by-8 over tables built at
+/// compile time; matches zlib's `crc32()`.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_raw(!0u32, bytes)
 }
 
+/// `TABLES[0]` is the classic byte table; `TABLES[k][b]` advances the CRC
+/// of byte `b` through `k` further zero bytes, so eight lookups fold one
+/// 8-byte word.
+const TABLES: [[u32; 256]; 8] = crc32_tables();
+
 // Streaming form (pre/post inversion left to the caller) so a section's
 // checksum can cover its tag and payload without concatenating them.
 fn crc32_raw(mut crc: u32, bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     crc
 }
@@ -180,8 +194,8 @@ fn section_crc(tag: &[u8; 4], payload: &[u8]) -> u32 {
     !crc32_raw(crc32_raw(!0u32, tag), payload)
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -194,10 +208,20 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut t = 1;
+        while t < 8 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            t += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
 /// Writes a complete snapshot container: header, then each `(tag,
@@ -332,236 +356,6 @@ fn read_up_to(reader: &mut dyn Read, buf: &mut [u8]) -> std::io::Result<usize> {
     Ok(filled)
 }
 
-// ---------------------------------------------------------------------------
-// Binary Value codec (the section payload encoding).
-// ---------------------------------------------------------------------------
-
-/// One-byte type tags of the binary `Value` encoding.
-#[cfg(feature = "serde")]
-mod tag {
-    pub const NULL: u8 = 0x00;
-    pub const BOOL: u8 = 0x01;
-    pub const U64: u8 = 0x02;
-    pub const I64: u8 = 0x03;
-    pub const F64: u8 = 0x04;
-    pub const STR: u8 = 0x05;
-    pub const SEQ: u8 = 0x06;
-    pub const MAP: u8 = 0x07;
-    /// Fast path: a sequence whose elements are all `Value::U64`, packed
-    /// as raw LE words — bit-array and register words encode at 8 B each
-    /// instead of 9.
-    pub const SEQ_U64: u8 = 0x08;
-}
-
-/// Deepest `Seq`/`Map` nesting the decoder accepts. Real sketch values
-/// nest 4–5 levels; the cap turns a crafted nesting bomb into a typed
-/// error instead of a stack overflow.
-#[cfg(feature = "serde")]
-const MAX_DEPTH: usize = 64;
-
-/// Encodes a `Value` tree into the compact tagged binary form
-/// [`decode_value`] reads.
-#[cfg(feature = "serde")]
-#[must_use]
-pub fn encode_value(v: &serde::Value) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_into(v, &mut out);
-    out
-}
-
-#[cfg(feature = "serde")]
-fn encode_into(v: &serde::Value, out: &mut Vec<u8>) {
-    use serde::Value;
-    match v {
-        Value::Null => out.push(tag::NULL),
-        Value::Bool(b) => {
-            out.push(tag::BOOL);
-            out.push(u8::from(*b));
-        }
-        Value::U64(n) => {
-            out.push(tag::U64);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Value::I64(n) => {
-            out.push(tag::I64);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Value::F64(x) => {
-            out.push(tag::F64);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(tag::STR);
-            encode_str(s, out);
-        }
-        Value::Seq(items) => {
-            if items.iter().all(|i| matches!(i, Value::U64(_))) && !items.is_empty() {
-                out.push(tag::SEQ_U64);
-                out.extend_from_slice(&(items.len() as u64).to_le_bytes());
-                for i in items {
-                    if let Value::U64(n) = i {
-                        out.extend_from_slice(&n.to_le_bytes());
-                    }
-                }
-            } else {
-                out.push(tag::SEQ);
-                out.extend_from_slice(&(items.len() as u64).to_le_bytes());
-                for i in items {
-                    encode_into(i, out);
-                }
-            }
-        }
-        Value::Map(entries) => {
-            out.push(tag::MAP);
-            out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-            for (k, val) in entries {
-                encode_str(k, out);
-                encode_into(val, out);
-            }
-        }
-    }
-}
-
-#[cfg(feature = "serde")]
-fn encode_str(s: &str, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Decodes a binary payload produced by [`encode_value`] back into a
-/// `Value` tree. Rejects trailing garbage.
-///
-/// # Errors
-/// [`SnapshotError::Malformed`] on any shape violation: unknown tag,
-/// element counts exceeding the remaining bytes (so corrupt counts cannot
-/// trigger huge allocations), over-deep nesting, invalid UTF-8, or bytes
-/// left over after the root value.
-#[cfg(feature = "serde")]
-pub fn decode_value(bytes: &[u8]) -> Result<serde::Value, SnapshotError> {
-    let mut cur = Cursor { b: bytes, pos: 0 };
-    let v = decode_at(&mut cur, 0)?;
-    if cur.pos != bytes.len() {
-        return Err(malformed(format!(
-            "{} trailing bytes after value at offset {}",
-            bytes.len() - cur.pos,
-            cur.pos
-        )));
-    }
-    Ok(v)
-}
-
-#[cfg(feature = "serde")]
-struct Cursor<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-#[cfg(feature = "serde")]
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let remaining = self.b.len() - self.pos;
-        if n > remaining {
-            return Err(malformed(format!(
-                "need {n} bytes at offset {}, only {remaining} remain",
-                self.pos
-            )));
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// A declared element count, sanity-checked against the bytes left:
-    /// each element occupies at least `min_bytes`, so a count the payload
-    /// cannot possibly hold is malformed — not a `Vec::with_capacity`
-    /// bomb.
-    fn count(&mut self, min_bytes: usize) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        let remaining = (self.b.len() - self.pos) as u64;
-        let min = min_bytes.max(1) as u64;
-        if n > remaining / min + 1 {
-            return Err(malformed(format!(
-                "element count {n} exceeds what {remaining} remaining bytes can hold"
-            )));
-        }
-        usize::try_from(n).map_err(|_| malformed(format!("element count {n} overflows usize")))
-    }
-
-    fn str(&mut self) -> Result<String, SnapshotError> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| malformed(format!("invalid UTF-8 in string at offset {}", self.pos)))
-    }
-}
-
-#[cfg(feature = "serde")]
-fn malformed(detail: String) -> SnapshotError {
-    SnapshotError::Malformed { detail }
-}
-
-#[cfg(feature = "serde")]
-fn decode_at(cur: &mut Cursor<'_>, depth: usize) -> Result<serde::Value, SnapshotError> {
-    use serde::Value;
-    if depth > MAX_DEPTH {
-        return Err(malformed(format!("nesting deeper than {MAX_DEPTH} levels")));
-    }
-    let t = cur.u8()?;
-    match t {
-        tag::NULL => Ok(Value::Null),
-        tag::BOOL => match cur.u8()? {
-            0 => Ok(Value::Bool(false)),
-            1 => Ok(Value::Bool(true)),
-            other => Err(malformed(format!("invalid bool byte {other:#04x}"))),
-        },
-        tag::U64 => Ok(Value::U64(cur.u64()?)),
-        tag::I64 => Ok(Value::I64(cur.u64()? as i64)),
-        tag::F64 => Ok(Value::F64(f64::from_bits(cur.u64()?))),
-        tag::STR => Ok(Value::Str(cur.str()?)),
-        tag::SEQ => {
-            let n = cur.count(1)?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(decode_at(cur, depth + 1)?);
-            }
-            Ok(Value::Seq(items))
-        }
-        tag::SEQ_U64 => {
-            let n = cur.count(8)?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(Value::U64(cur.u64()?));
-            }
-            Ok(Value::Seq(items))
-        }
-        tag::MAP => {
-            let n = cur.count(2)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = cur.str()?;
-                let v = decode_at(cur, depth + 1)?;
-                entries.push((k, v));
-            }
-            Ok(Value::Map(entries))
-        }
-        other => Err(malformed(format!(
-            "unknown value tag {other:#04x} at offset {}",
-            cur.pos - 1
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,6 +375,23 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_crc() {
+        let bytewise = |bytes: &[u8]| {
+            let mut crc = !0u32;
+            for &b in bytes {
+                crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+            }
+            !crc
+        };
+        let data: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in 0..data.len() {
+            assert_eq!(crc32(&data[..len]), bytewise(&data[..len]), "length {len}");
+        }
     }
 
     #[test]
@@ -617,6 +428,12 @@ mod tests {
         assert!(matches!(
             err,
             SnapshotError::UnsupportedVersion { found: 9 }
+        ));
+        bytes[4] = 1; // the retired value-tree format
+        let err = read_sections(&mut bytes.as_slice()).expect_err("old version");
+        assert!(matches!(
+            err,
+            SnapshotError::UnsupportedVersion { found: 1 }
         ));
     }
 
@@ -697,104 +514,5 @@ mod tests {
         assert!(is_snapshot_prefix(b"FSNP\x01\x00"));
         assert!(!is_snapshot_prefix(b"FSN"));
         assert!(!is_snapshot_prefix(b"FEDG\x01\x00"));
-    }
-
-    #[cfg(feature = "serde")]
-    mod codec {
-        use super::super::*;
-        use serde::Value;
-
-        fn sample() -> Value {
-            Value::Map(vec![
-                ("kind".to_string(), Value::Str("freebs".to_string())),
-                ("edges".to_string(), Value::U64(123_456)),
-                ("none".to_string(), Value::Null),
-                ("neg".to_string(), Value::I64(-42)),
-                ("ratio".to_string(), Value::F64(0.125)),
-                ("flag".to_string(), Value::Bool(true)),
-                (
-                    "words".to_string(),
-                    Value::Seq((0..100u64).map(Value::U64).collect()),
-                ),
-                (
-                    "mixed".to_string(),
-                    Value::Seq(vec![Value::Str("a".into()), Value::U64(1), Value::Null]),
-                ),
-                ("empty".to_string(), Value::Seq(Vec::new())),
-            ])
-        }
-
-        #[test]
-        fn round_trip_is_identity() {
-            let v = sample();
-            let bytes = encode_value(&v);
-            assert_eq!(decode_value(&bytes).expect("clean decode"), v);
-        }
-
-        #[test]
-        fn u64_seq_fast_path_is_compact() {
-            let words = Value::Seq((0..1000u64).map(Value::U64).collect());
-            let bytes = encode_value(&words);
-            // 1 tag + 8 count + 1000×8 payload.
-            assert_eq!(bytes.len(), 9 + 8000);
-            assert_eq!(decode_value(&bytes).expect("decode"), words);
-        }
-
-        #[test]
-        fn truncation_at_every_offset_is_malformed() {
-            let bytes = encode_value(&sample());
-            for cut in 0..bytes.len() {
-                assert!(
-                    matches!(
-                        decode_value(&bytes[..cut]),
-                        Err(SnapshotError::Malformed { .. })
-                    ),
-                    "cut at {cut} must be malformed"
-                );
-            }
-        }
-
-        #[test]
-        fn corrupt_counts_do_not_allocate() {
-            // A Seq claiming u64::MAX elements over a 9-byte payload.
-            let mut bytes = vec![tag::SEQ];
-            bytes.extend_from_slice(&u64::MAX.to_le_bytes());
-            let err = decode_value(&bytes).expect_err("bogus count");
-            assert!(err.to_string().contains("element count"), "{err}");
-        }
-
-        #[test]
-        fn nesting_bomb_is_rejected() {
-            // 10_000 nested single-element seqs.
-            let mut bytes = Vec::new();
-            for _ in 0..10_000 {
-                bytes.push(tag::SEQ);
-                bytes.extend_from_slice(&1u64.to_le_bytes());
-            }
-            bytes.push(tag::NULL);
-            let err = decode_value(&bytes).expect_err("too deep");
-            assert!(err.to_string().contains("nesting"), "{err}");
-        }
-
-        #[test]
-        fn unknown_tag_and_trailing_garbage_are_malformed() {
-            assert!(matches!(
-                decode_value(&[0xFF]),
-                Err(SnapshotError::Malformed { .. })
-            ));
-            let mut bytes = encode_value(&Value::Null);
-            bytes.push(0x00);
-            let err = decode_value(&bytes).expect_err("trailing");
-            assert!(err.to_string().contains("trailing"), "{err}");
-        }
-
-        #[test]
-        fn bool_bytes_other_than_0_and_1_are_malformed() {
-            assert!(decode_value(&[tag::BOOL, 2]).is_err());
-            assert_eq!(
-                decode_value(&[tag::BOOL, 1]).expect("true"),
-                Value::Bool(true)
-            );
-        }
     }
 }

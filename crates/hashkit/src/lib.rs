@@ -110,6 +110,13 @@ impl EdgeHasher {
         self.seed
     }
 
+    /// The hasher whose [`EdgeHasher::seed`] is `seed` — the inverse of
+    /// that accessor, for restoring persisted sketches.
+    #[must_use]
+    pub fn from_mixed_seed(seed: u64) -> Self {
+        Self { seed }
+    }
+
     /// Hashes a block of edges into `out[..edges.len()]` — the block form of
     /// [`EdgeHasher::hash_edge`] used by the batched ingest fast path.
     ///

@@ -103,14 +103,6 @@ impl ShardedCounterMap {
             s.lock().for_each(f);
         }
     }
-
-    /// Collapses into a single sequential [`CounterMap`] snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> CounterMap {
-        let mut out = CounterMap::new();
-        self.for_each(&mut |k, v| out.add(k, v));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -161,16 +153,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_for_each_agree() {
+    fn for_each_visits_the_sentinel_key() {
         let m = ShardedCounterMap::new(4);
         m.add(u64::MAX, 2.0); // sentinel key must survive sharding
         m.add(1, 3.0);
-        let snap = m.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap.get(u64::MAX), Some(2.0));
-        let mut n = 0;
-        m.for_each(&mut |_, _| n += 1);
-        assert_eq!(n, 2);
+        let mut seen = Vec::new();
+        m.for_each(&mut |k, v| seen.push((k, v)));
+        seen.sort_by_key(|&(k, _)| k);
+        assert_eq!(seen, [(1, 3.0), (u64::MAX, 2.0)]);
+        assert_eq!(m.len(), 2);
         assert!(!m.is_empty());
     }
 }

@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> perfbench smoke (every workload and the per-layer run on tiny traces)"
+# perfbench-layers calls library APIs (save_snapshot, ShardedSketch::{shards,
+# route, merged_estimates}); building and running it here makes a change to
+# one of them fail the gate instead of silently breaking `--trace 1`.
+CARGO_TARGET_DIR=target python3 perfbench/run.py --smoke
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 
@@ -16,7 +22,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> freesketch-analyzer (ordering-audit, unsafe-gate, lock-discipline, serde-sync, atomic-protocol, lock-order, hot-path-hygiene)"
+echo "==> freesketch-analyzer (ordering-audit, unsafe-gate, lock-discipline, atomic-protocol, lock-order, hot-path-hygiene)"
 # Hard gate: any finding (including stale allowlist entries) fails the build.
 ./target/release/freesketch-analyzer
 # CLI contract: pass listing, single-pass selection, unknown pass = usage error.

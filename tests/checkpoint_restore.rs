@@ -1,14 +1,25 @@
-//! Checkpoint/restore integration: serialize estimators mid-stream,
+//! Checkpoint/restore integration: snapshot estimators mid-stream,
 //! restore, continue — the estimates must be indistinguishable from an
 //! uninterrupted run. This is the operational feature a monitoring daemon
 //! needs for restarts.
 
-use freesketch::{CardinalityEstimator, Cse, FreeBS, FreeRS, VHll};
+use freesketch::{
+    load_snapshot, save_snapshot, AnySketch, CardinalityEstimator, Cse, FreeBS, FreeRS, VHll,
+};
 use graphstream::SynthConfig;
 
 fn round_trip<T: serde::Serialize + serde::de::DeserializeOwned>(v: &T) -> T {
     let bytes = serde_json::to_vec(v).expect("serialize");
     serde_json::from_slice(&bytes).expect("deserialize")
+}
+
+/// Writes `sketch` as an FSNP snapshot and reads it back.
+fn snapshot_round_trip(sketch: &AnySketch, edges: u64) -> AnySketch {
+    let mut bytes = Vec::new();
+    save_snapshot(&mut bytes, sketch, edges).expect("snapshot write");
+    let (restored, offset) = load_snapshot(&mut bytes.as_slice()).expect("snapshot load");
+    assert_eq!(offset, edges);
+    restored
 }
 
 #[test]
@@ -17,17 +28,17 @@ fn freebs_checkpoint_restore_continue() {
     let (first, second) = stream.edges().split_at(stream.len() / 2);
 
     let mut uninterrupted = FreeBS::new(1 << 16, 12);
-    let mut before = FreeBS::new(1 << 16, 12);
+    let mut before = AnySketch::FreeBS(FreeBS::new(1 << 16, 12));
     for e in first {
         uninterrupted.process(e.user, e.item);
         before.process(e.user, e.item);
     }
-    let mut restored: FreeBS = round_trip(&before);
+    let mut restored = snapshot_round_trip(&before, first.len() as u64);
     for e in second {
         uninterrupted.process(e.user, e.item);
         restored.process(e.user, e.item);
     }
-    assert_eq!(uninterrupted.q(), restored.q());
+    assert_eq!(uninterrupted.q(), restored.sampling_q());
     let mut checked = 0;
     uninterrupted.for_each_estimate(&mut |u, e| {
         assert_eq!(e, restored.estimate(u), "user {u}");
@@ -42,17 +53,17 @@ fn freers_checkpoint_restore_continue() {
     let (first, second) = stream.edges().split_at(stream.len() / 3);
 
     let mut uninterrupted = FreeRS::new(1 << 13, 13);
-    let mut before = FreeRS::new(1 << 13, 13);
+    let mut before = AnySketch::FreeRS(FreeRS::new(1 << 13, 13));
     for e in first {
         uninterrupted.process(e.user, e.item);
         before.process(e.user, e.item);
     }
-    let mut restored: FreeRS = round_trip(&before);
+    let mut restored = snapshot_round_trip(&before, first.len() as u64);
     for e in second {
         uninterrupted.process(e.user, e.item);
         restored.process(e.user, e.item);
     }
-    assert_eq!(uninterrupted.q(), restored.q());
+    assert_eq!(uninterrupted.q(), restored.sampling_q());
     assert_eq!(uninterrupted.total_estimate(), restored.total_estimate());
 }
 
