@@ -186,7 +186,7 @@ pub fn is_analyzer_fixture_dir(rel_dir: &str) -> bool {
         || rel_dir.ends_with("/crates/analyzer/tests/fixtures")
 }
 
-/// Recursively collects workspace `.rs` files (skipping [`SKIP_DIRS`] and
+/// Recursively collects workspace `.rs` files (skipping `SKIP_DIRS` and
 /// the analyzer's fixture corpus), sorted by path for deterministic
 /// output.
 ///

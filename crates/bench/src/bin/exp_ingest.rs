@@ -16,7 +16,7 @@
 //! ```text
 //! cargo run -p freesketch-bench --release --bin exp_ingest [--quick] \
 //!     [--edges N] [--no-file] [--json] [--out PATH] [--threads T] \
-//!     [--scaling-out PATH] [--sweep] [--sweep-out PATH]
+//!     [--scaling-out PATH]
 //! ```
 //!
 //! `--json` additionally writes the machine-readable `BENCH_ingest.json`
@@ -25,22 +25,14 @@
 //! `--threads T` (T ≥ 2) adds a sharded thread-scaling section —
 //! aggregate edges/s of `ShardedFreeBS`/`ShardedFreeRS` at 1 and T ingest
 //! threads — and, with `--json`, records it in `BENCH_scaling.json`
-//! (override with `--scaling-out`). `--sweep` replaces the standard
-//! sections with a FreeBS batch-tuning sweep over
-//! (layout × block × warm-ahead), printing every point and the frontier
-//! (best rate per layout); with `--json` it lands in `BENCH_sweep.json`
-//! (override with `--sweep-out`).
+//! (override with `--scaling-out`).
 //!
 //! Every JSON file records the host context it was measured under
-//! (`available_parallelism`, the 64-byte cache-line assumption the fused
-//! layout is built around, and the git commit) — throughput numbers are
-//! meaningless across PRs without it.
+//! (`available_parallelism` and the git commit) — throughput numbers are
+//! meaningless across commits without it.
 
 use freesketch::ingest::stream_into;
-use freesketch::{
-    CardinalityEstimator, ConcurrentEstimator, FreeBS, FreeRS, FusedFreeBS, FusedFreeRS,
-    IngestTuning,
-};
+use freesketch::{CardinalityEstimator, ConcurrentEstimator, FreeBS, FreeRS};
 use graphstream::{EdgeSource, FedgeReader, FedgeWriter, SynthConfig, SynthStream, TsvEdgeSource};
 use metrics::Table;
 
@@ -59,9 +51,9 @@ fn available_cores() -> usize {
     std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get)
 }
 
-/// The host context every JSON artifact embeds: core count, the cache-line
-/// size the fused layout assumes, and the commit the binary was built from
-/// (`git rev-parse`, "unknown" outside a work tree).
+/// The host context every JSON artifact embeds: core count and the commit
+/// the binary was built from (`git rev-parse`, "unknown" outside a work
+/// tree).
 fn host_context_json() -> String {
     let commit = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
@@ -73,7 +65,7 @@ fn host_context_json() -> String {
             |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
         );
     format!(
-        "  \"host\": {{\"available_parallelism\": {}, \"cache_line_bytes\": 64, \"git_commit\": \"{commit}\"}},\n",
+        "  \"host\": {{\"available_parallelism\": {}, \"git_commit\": \"{commit}\"}},\n",
         available_cores()
     )
 }
@@ -83,11 +75,9 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
     let no_file = args.iter().any(|a| a == "--no-file");
-    let sweep = args.iter().any(|a| a == "--sweep");
     let mut edges_target: usize = if quick { 1_000_000 } else { 10_000_000 };
     let mut out_path = "BENCH_ingest.json".to_string();
     let mut scaling_out_path = "BENCH_scaling.json".to_string();
-    let mut sweep_out_path = "BENCH_sweep.json".to_string();
     let mut threads = 1usize;
     let mut i = 1;
     while i < args.len() {
@@ -126,12 +116,6 @@ fn main() {
                     i += 1;
                 }
             }
-            "--sweep-out" => {
-                if let Some(v) = args.get(i + 1) {
-                    sweep_out_path.clone_from(v);
-                    i += 1;
-                }
-            }
             _ => {}
         }
         i += 1;
@@ -161,49 +145,13 @@ fn main() {
 
     let m_bits = 1usize << 24; // 16.8M shared bits / 3.4M five-bit registers
 
-    if sweep {
-        let runs = measure_sweep(&pairs, m_bits);
-        let mut table = Table::new(["layout", "block", "warm", "seconds", "edges/s"]);
-        for r in &runs {
-            table.row(vec![
-                r.layout.to_string(),
-                r.block.to_string(),
-                r.warm_ahead.to_string(),
-                format!("{:.3}", r.seconds),
-                format!("{:.2e}", r.edges_per_sec),
-            ]);
-        }
-        println!("FreeBS batch tuning sweep (layout x block x warm-ahead):");
-        print!("{}", table.render());
-        for layout in ["split", "fused"] {
-            if let Some(best) = runs
-                .iter()
-                .filter(|r| r.layout == layout)
-                .max_by(|a, b| a.edges_per_sec.total_cmp(&b.edges_per_sec))
-            {
-                println!(
-                    "frontier[{layout}]: block={} warm={} -> {:.2e} edges/s",
-                    best.block, best.warm_ahead, best.edges_per_sec
-                );
-            }
-        }
-        if json {
-            let body = render_sweep_json(pairs.len(), &runs);
-            std::fs::write(&sweep_out_path, body).expect("write sweep JSON");
-            println!("\nwrote {sweep_out_path}");
-        }
-        return;
-    }
-
     let mut runs: Vec<Run> = Vec::new();
     for method in ["FreeBS", "FreeRS"] {
-        for mode in ["scalar", "batch", "batch-fused"] {
+        for mode in ["scalar", "batch"] {
             let mut best = f64::INFINITY;
             for _ in 0..REPS {
-                let mut est: Box<dyn CardinalityEstimator> = match (method, mode) {
-                    ("FreeBS", "batch-fused") => Box::new(FusedFreeBS::new(m_bits, 1)),
-                    ("FreeBS", _) => Box::new(FreeBS::new(m_bits, 1)),
-                    (_, "batch-fused") => Box::new(FusedFreeRS::new(m_bits / 5, 1)),
+                let mut est: Box<dyn CardinalityEstimator> = match method {
+                    "FreeBS" => Box::new(FreeBS::new(m_bits, 1)),
                     _ => Box::new(FreeRS::new(m_bits / 5, 1)),
                 };
                 let secs = match mode {
@@ -441,89 +389,6 @@ fn render_scaling_json(edges: usize, threads: usize, runs: &[ScalingRun]) -> Str
             s.push_str(&format!(
                 "\"{method}\": {:.3}",
                 m.edges_per_sec / b.edges_per_sec
-            ));
-            first = false;
-        }
-    }
-    s.push_str("}\n}\n");
-    s
-}
-
-/// One point of the batch-tuning sweep.
-struct SweepRun {
-    layout: &'static str,
-    block: usize,
-    warm_ahead: usize,
-    seconds: f64,
-    edges_per_sec: f64,
-}
-
-/// FreeBS batch rate across the (layout × block × warm-ahead) tuning grid —
-/// the search the `--warm-ahead`/`--layout`/`--batch` CLI knobs are chosen
-/// from. Every point is estimate-preserving (the warm distance is load-only
-/// and the fused layout is slot-numbering-identical), so the frontier is a
-/// pure throughput decision. Best of [`REPS`] runs per point.
-fn measure_sweep(pairs: &[(u64, u64)], m_bits: usize) -> Vec<SweepRun> {
-    let mut out = Vec::new();
-    for layout in ["split", "fused"] {
-        for block in [256usize, 512, 1024, 2048] {
-            for warm_ahead in [0usize, 1, 2, 4] {
-                let mut best = f64::INFINITY;
-                for _ in 0..REPS {
-                    let mut est: Box<dyn CardinalityEstimator> = match layout {
-                        "split" => Box::new(FreeBS::new(m_bits, 1)),
-                        _ => Box::new(FusedFreeBS::new(m_bits, 1)),
-                    };
-                    est.configure_ingest(IngestTuning { block, warm_ahead });
-                    best = best.min(bench::run_stream_batched(est.as_mut(), pairs));
-                }
-                out.push(SweepRun {
-                    layout,
-                    block,
-                    warm_ahead,
-                    seconds: best,
-                    edges_per_sec: pairs.len() as f64 / best,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Hand-rendered sweep JSON: every grid point plus the per-layout frontier.
-fn render_sweep_json(edges: usize, runs: &[SweepRun]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!(
-        "  \"experiment\": \"exp_ingest_sweep\",\n  \"edges\": {edges},\n"
-    ));
-    s.push_str(&host_context_json());
-    s.push_str("  \"results\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"layout\": \"{}\", \"block\": {}, \"warm_ahead\": {}, \"seconds\": {:.6}, \"edges_per_sec\": {:.1}}}{}\n",
-            r.layout,
-            r.block,
-            r.warm_ahead,
-            r.seconds,
-            r.edges_per_sec,
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"frontier\": {");
-    let mut first = true;
-    for layout in ["split", "fused"] {
-        if let Some(best) = runs
-            .iter()
-            .filter(|r| r.layout == layout)
-            .max_by(|a, b| a.edges_per_sec.total_cmp(&b.edges_per_sec))
-        {
-            if !first {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "\"{layout}\": {{\"block\": {}, \"warm_ahead\": {}, \"edges_per_sec\": {:.1}}}",
-                best.block, best.warm_ahead, best.edges_per_sec
             ));
             first = false;
         }

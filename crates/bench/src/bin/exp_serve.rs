@@ -144,7 +144,7 @@ fn host_context_json() -> String {
             |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
         );
     format!(
-        "  \"host\": {{\"available_parallelism\": {}, \"cache_line_bytes\": 64, \"git_commit\": \"{commit}\"}},\n",
+        "  \"host\": {{\"available_parallelism\": {}, \"git_commit\": \"{commit}\"}},\n",
         available_cores()
     )
 }

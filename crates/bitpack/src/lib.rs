@@ -13,12 +13,6 @@
 //! [`AtomicBitArray`] and [`AtomicPackedArray`] are the lock-free variants
 //! used by the concurrent extensions in `freesketch::concurrent`.
 //!
-//! [`FusedBitArray`], [`AtomicFusedBitArray`], and [`FusedPackedArray`]
-//! rearrange the same logical slots into cache-line **fused groups** that
-//! colocate payload words with their `q` bookkeeping — slot numbering is
-//! layout-independent, so estimates are bit-identical to the split layouts
-//! while updates touch one line instead of two.
-//!
 //! The [`SlotStore`] / [`ConcurrentSlotStore`] traits make the arrays
 //! interchangeable behind one slot-update API — the storage seam the
 //! generic `freesketch` estimator core is built on.
@@ -43,13 +37,11 @@
 mod atomic;
 mod atomic_packed;
 mod bitarray;
-mod fused;
 mod packed;
 mod slotstore;
 
 pub use atomic::AtomicBitArray;
 pub use atomic_packed::AtomicPackedArray;
 pub use bitarray::BitArray;
-pub use fused::{AtomicFusedBitArray, FusedBitArray, FusedPackedArray};
 pub use packed::PackedArray;
 pub use slotstore::{ConcurrentSlotStore, SlotStore, WordStore};

@@ -16,8 +16,6 @@
 //! | [`PackedArray`]       | w-bit register | max | ✓ | |
 //! | [`AtomicBitArray`]    | 1 bit        | `fetch_or` | | ✓ |
 //! | [`AtomicPackedArray`] | w-bit register | CAS max | | ✓ |
-//! | [`crate::FusedBitArray`] / [`crate::AtomicFusedBitArray`] | 1 bit, line-fused count | set / `fetch_or` | ✓ | ✓ |
-//! | [`crate::FusedPackedArray`] | w-bit register, line-fused count | max | ✓ | |
 //!
 //! The value handed to an update is a saturated geometric rank for
 //! register stores and ignored by bit stores ([`SlotStore::RANKED`] tells
@@ -142,10 +140,9 @@ pub trait ConcurrentSlotStore: Send + Sync {
     /// previous value in `old[i]` (`old` entries for unchanged slots are
     /// unspecified; bit stores never write `old`).
     ///
-    /// The default is the per-edge loop; stores with block-amortizable
-    /// bookkeeping (e.g. the fused layout's global zero counter) override
-    /// it to settle shared counters once per block instead of once per
-    /// growth.
+    /// The default is the per-edge loop; a store with block-amortizable
+    /// bookkeeping may override it to settle shared counters once per
+    /// block instead of once per growth.
     ///
     /// # Panics
     /// Panics if the buffer lengths disagree or any slot is out of range.
@@ -188,7 +185,7 @@ pub trait ConcurrentSlotStore: Send + Sync {
     fn merge_from(&self, other: &Self);
 }
 
-/// Raw-word persistence for the four split-layout stores: the backing
+/// Raw-word persistence for the four stores: the backing
 /// `u64` words out, one at a time, and a validated store back in.
 /// Engine snapshots write each store as its raw words and rebuild it
 /// through [`WordStore::from_words`], so a restore never trusts the bytes

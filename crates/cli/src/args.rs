@@ -29,31 +29,6 @@ impl Method {
     }
 }
 
-/// Which slot-store memory layout to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    /// Separate payload array and `q` bookkeeping (default; the layout
-    /// snapshots use).
-    Split,
-    /// Cache-line fused groups colocating payload and bookkeeping —
-    /// bit-identical estimates, fewer missed lines per edge.
-    Fused,
-}
-
-impl Layout {
-    fn parse(s: &str) -> Result<Self, ParseError> {
-        match s.to_ascii_lowercase().as_str() {
-            "split" => Ok(Self::Split),
-            "fused" => Ok(Self::Fused),
-            other => Err(ParseError::BadValue {
-                flag: "--layout",
-                value: other.to_string(),
-                expected: "split|fused",
-            }),
-        }
-    }
-}
-
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cli {
@@ -65,16 +40,9 @@ pub struct Cli {
     pub memory_bits: usize,
     /// Hash seed (replayable runs).
     pub seed: u64,
-    /// Ingest batch size: edges handed to `process_batch` per call (and
-    /// the engines' pipelined block size). `0` forces the scalar per-edge
-    /// path.
+    /// Ingest batch size: edges handed to `process_batch` per call. `0`
+    /// forces the scalar per-edge path.
     pub batch: usize,
-    /// Warm-ahead distance of the engines' pipelined batch path: how many
-    /// blocks ahead the load-only warm pass runs. `0` = strict
-    /// warm-then-write phasing; results are identical for any value.
-    pub warm_ahead: usize,
-    /// Slot-store memory layout (`--layout split|fused`).
-    pub layout: Layout,
     /// Parallel ingest threads. `1` (default) runs the exclusive scalar
     /// estimators; `> 1` switches to the sharded concurrent estimators
     /// with one ingest thread per chunk of the stream.
@@ -247,13 +215,6 @@ COMMON FLAGS:
   --batch N                ingest batch size in edges; sets the engines'
                            pipelined block size too when below 512; 0 =
                            scalar per-edge path (default 8192)
-  --warm-ahead N           pipelined ingest warm distance in blocks; 0 =
-                           strict warm-then-write phasing; never changes
-                           results (default 0)
-  --layout split|fused     slot-store memory layout; fused colocates
-                           payload and q bookkeeping per cache line with
-                           bit-identical estimates (default split;
-                           snapshots require split)
   --threads N              parallel ingest threads; >1 uses the sharded
                            concurrent estimator (default 1)
   --chunk N                edges read from the file per streaming chunk —
@@ -289,8 +250,6 @@ impl Cli {
         let mut memory_bits = 1usize << 23;
         let mut seed = 42u64;
         let mut batch = 8192usize;
-        let mut warm_ahead = 0usize;
-        let mut layout = Layout::Split;
         let mut threads = 1usize;
         let mut chunk = 1usize << 16;
         let mut format: Option<InputFormat> = None;
@@ -314,10 +273,6 @@ impl Cli {
                 }
                 "--seed" => seed = parse_num(value(args, &mut i, "--seed")?, "--seed")?,
                 "--batch" => batch = parse_num(value(args, &mut i, "--batch")?, "--batch")?,
-                "--warm-ahead" => {
-                    warm_ahead = parse_num(value(args, &mut i, "--warm-ahead")?, "--warm-ahead")?
-                }
-                "--layout" => layout = Layout::parse(value(args, &mut i, "--layout")?)?,
                 "--threads" => {
                     threads = parse_num(value(args, &mut i, "--threads")?, "--threads")?;
                     if threads == 0 {
@@ -488,8 +443,6 @@ impl Cli {
             memory_bits,
             seed,
             batch,
-            warm_ahead,
-            layout,
             threads,
             chunk,
             format,
@@ -539,38 +492,6 @@ mod tests {
         assert_eq!(cli.memory_bits, 1 << 23);
         assert_eq!(cli.seed, 42);
         assert_eq!(cli.batch, 8192);
-        assert_eq!(cli.warm_ahead, 0);
-        assert_eq!(cli.layout, Layout::Split);
-    }
-
-    #[test]
-    fn warm_ahead_flag_parses() {
-        let cli = Cli::parse(&["estimate", "x.tsv", "--warm-ahead", "4"]).expect("parse");
-        assert_eq!(cli.warm_ahead, 4);
-        let cli = Cli::parse(&["estimate", "x.tsv", "--warm-ahead", "0"]).expect("parse");
-        assert_eq!(cli.warm_ahead, 0);
-        assert!(matches!(
-            Cli::parse(&["estimate", "x.tsv", "--warm-ahead", "deep"]).unwrap_err(),
-            ParseError::BadValue {
-                flag: "--warm-ahead",
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn layout_flag_parses_and_rejects_junk() {
-        let cli = Cli::parse(&["estimate", "x.tsv", "--layout", "fused"]).expect("parse");
-        assert_eq!(cli.layout, Layout::Fused);
-        let cli = Cli::parse(&["estimate", "x.tsv", "--layout", "Split"]).expect("parse");
-        assert_eq!(cli.layout, Layout::Split);
-        assert!(matches!(
-            Cli::parse(&["estimate", "x.tsv", "--layout", "interleaved"]).unwrap_err(),
-            ParseError::BadValue {
-                flag: "--layout",
-                ..
-            }
-        ));
     }
 
     #[test]

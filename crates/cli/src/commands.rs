@@ -5,17 +5,14 @@
 //! [`open_source`] — chunk-at-a-time, bounded memory — so traces far
 //! larger than RAM replay with a resident edge buffer of `--chunk` edges.
 
-use crate::args::{Cli, Command, Layout, MethodChoice};
+use crate::args::{Cli, Command, MethodChoice};
 use crate::input::{hash_id, open_source, InputFormat};
-use freesketch::ingest::{ingest_slice, skip_edges, stream_into, stream_into_parallel};
+use freesketch::ingest::skip_edges;
 use freesketch::snapshot::{
     fallback_path, load_snapshot, load_with_fallback, save_snapshot_file, AnySketch, Checkpointer,
 };
-use freesketch::{
-    CardinalityEstimator, ConcurrentEstimator, ConcurrentFusedFreeBS, FreeBS, FreeRS, FusedFreeBS,
-    FusedFreeRS, IngestTuning, ShardedFreeBS, ShardedFreeRS, ShardedSketch,
-};
-use graphstream::{Edge, FedgeWriter, SnapshotError};
+use freesketch::{CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS};
+use graphstream::{Edge, EdgeSource, FedgeWriter, SnapshotError};
 use std::io::Write;
 use std::path::Path;
 
@@ -29,7 +26,7 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
         Command::Estimate { path, top } => {
             let mut runner = Runner::build(cli, out)?;
             let total = runner.ingest_source(cli, path)?;
-            let est = runner.estimator();
+            let est = &runner.sketch;
             writeln!(
                 out,
                 "{} edges processed with {} ({} bits); total cardinality ≈ {:.0}",
@@ -47,7 +44,7 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
         Command::Spreaders { path, delta } => {
             let mut runner = Runner::build(cli, out)?;
             runner.ingest_source(cli, path)?;
-            let est = runner.estimator();
+            let est = &runner.sketch;
             let report = freesketch::detect_spreaders(est, *delta);
             writeln!(
                 out,
@@ -142,24 +139,14 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
             writeln!(out, "{:>12}  {:>12}", "edges seen", "estimate")?;
             // Second pass: ingest one checkpoint interval at a time so each
             // printed row reflects exactly `step` more edges (final partial
-            // interval included), regardless of chunk boundaries.
-            let (mut src, _) = open_source(path, cli.format)?;
+            // interval included), regardless of chunk boundaries. Resuming
+            // from a restored checkpoint continues the table past the edges
+            // the sketch already holds (earlier rows belong to the
+            // interrupted run).
+            let mut src = open_at(cli, path, runner.base)?;
             let mut buf: Vec<Edge> = Vec::with_capacity(cli.chunk);
             let mut pairs: Vec<(u64, u64)> = Vec::new();
-            // Resuming from a restored checkpoint: fast-forward past the
-            // edges the sketch already holds; the table continues from
-            // there (earlier rows belong to the interrupted run).
-            let mut seen = runner.base();
-            if seen > 0 {
-                let skipped = skip_edges(src.as_mut(), seen, cli.chunk)?;
-                if skipped < seen {
-                    return Err(format!(
-                        "`{path}` holds {skipped} edges but the checkpoint records \
-                         {seen} — wrong trace for this checkpoint?"
-                    )
-                    .into());
-                }
-            }
+            let mut seen = runner.base;
             let mut next_cp = (seen / step + 1) * step;
             let mut printed_at = seen;
             loop {
@@ -172,29 +159,24 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
                     let take = usize::try_from(next_cp - seen)
                         .unwrap_or(usize::MAX)
                         .min(n - off);
-                    runner.ingest(cli, &buf[off..off + take], &mut pairs);
+                    runner.sketch.apply_chunk(
+                        &buf[off..off + take],
+                        &mut pairs,
+                        cli.batch,
+                        cli.threads,
+                    );
                     seen += take as u64;
                     off += take;
                     runner.maybe_checkpoint(seen)?;
                     if seen == next_cp {
-                        writeln!(
-                            out,
-                            "{:>12}  {:>12.1}",
-                            seen,
-                            runner.estimator().estimate(uid)
-                        )?;
+                        writeln!(out, "{:>12}  {:>12.1}", seen, runner.sketch.estimate(uid))?;
                         printed_at = seen;
                         next_cp += step;
                     }
                 }
             }
             if seen > printed_at {
-                writeln!(
-                    out,
-                    "{:>12}  {:>12.1}",
-                    seen,
-                    runner.estimator().estimate(uid)
-                )?;
+                writeln!(out, "{:>12}  {:>12.1}", seen, runner.sketch.estimate(uid))?;
             }
             runner.final_checkpoint(seen)?;
         }
@@ -202,21 +184,16 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
             input,
             out: snap_out,
         } => {
-            if cli.layout == Layout::Fused {
-                return Err("--layout fused does not support the checkpoint subcommand \
-                     (snapshots use the split layout)"
-                    .into());
-            }
-            let mut sketch = build_any(cli);
+            let mut sketch = build_sketch(cli, false);
             let (mut src, _) = open_source(input, cli.format)?;
             let mut ckpt = Checkpointer::new(Path::new(snap_out.as_str()), cli.checkpoint_every)
                 .with_crash_after(crash_after_env());
-            let total = sketch.ingest_checkpointed(
+            let total = sketch.ingest_stream(
                 src.as_mut(),
                 cli.chunk,
                 cli.batch,
                 cli.threads,
-                &mut ckpt,
+                Some(&mut ckpt),
                 0,
             )?;
             writeln!(
@@ -241,17 +218,15 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
             }
             let mut total = offset;
             if let Some(trace) = resume {
-                sketch.configure_ingest(tuning_of(cli));
-                let (mut src, _) = open_source(trace, cli.format)?;
-                let skipped = skip_edges(src.as_mut(), offset, cli.chunk)?;
-                if skipped < offset {
-                    return Err(format!(
-                        "`{trace}` holds {skipped} edges but the snapshot records \
-                         {offset} — wrong trace for this snapshot?"
-                    )
-                    .into());
-                }
-                total += stream_into(&mut sketch, src.as_mut(), cli.chunk, cli.batch)?;
+                let mut src = open_at(cli, trace, offset)?;
+                total += sketch.ingest_stream(
+                    src.as_mut(),
+                    cli.chunk,
+                    cli.batch,
+                    cli.threads,
+                    None,
+                    0,
+                )?;
             }
             writeln!(
                 out,
@@ -298,59 +273,11 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
             )?;
         }
         Command::Serve { path, port } => {
-            if cli.layout == Layout::Fused {
-                return Err("--layout fused does not support serve \
-                     (checkpoints use the split layout)"
-                    .into());
-            }
             // Serve always runs a sharded kind — queries arrive while
             // writers ingest, so the `&self` concurrent path is mandatory
             // even at --threads 1 (one shard).
-            let shards = cli.threads.next_power_of_two();
-            let (sketch, base) = match &cli.checkpoint {
-                Some(snap) => match load_with_fallback(Path::new(snap.as_str()))? {
-                    Some((sketch, offset, used_fallback)) => {
-                        if sketch.as_concurrent().is_none() {
-                            return Err(format!(
-                                "checkpoint `{snap}` holds a `{}` sketch — serve needs a \
-                                 sharded kind (re-checkpoint with --threads > 1)",
-                                sketch.kind()
-                            )
-                            .into());
-                        }
-                        if used_fallback {
-                            writeln!(
-                                out,
-                                "note: `{snap}` is corrupt — restored last good checkpoint \
-                                 `{}` ({offset} edges)",
-                                fallback_path(Path::new(snap.as_str())).display()
-                            )?;
-                        } else {
-                            writeln!(
-                                out,
-                                "restored checkpoint `{snap}` ({offset} edges, {})",
-                                sketch.kind()
-                            )?;
-                        }
-                        (sketch, offset)
-                    }
-                    None => (build_serve_sketch(cli, shards), 0),
-                },
-                None => (build_serve_sketch(cli, shards), 0),
-            };
-            let mut sketch = sketch;
-            sketch.configure_ingest(tuning_of(cli));
-            let (mut src, _) = open_source(path, cli.format)?;
-            if base > 0 {
-                let skipped = skip_edges(src.as_mut(), base, cli.chunk)?;
-                if skipped < base {
-                    return Err(format!(
-                        "`{path}` holds {skipped} edges but the checkpoint records \
-                         {base} — wrong trace for this checkpoint?"
-                    )
-                    .into());
-                }
-            }
+            let (sketch, base) = restore_or_build(cli, out, true)?;
+            let src = open_at(cli, path, base)?;
             let config = crate::serve::ServeConfig {
                 port: *port,
                 writers: cli.threads,
@@ -386,23 +313,6 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
         }
     }
     Ok(())
-}
-
-/// The sharded sketch a cold-start `serve` runs: same sizing rules as
-/// [`build_any`]'s threaded arm, but sharded even at `--threads 1`.
-fn build_serve_sketch(cli: &Cli, shards: usize) -> AnySketch {
-    match cli.method {
-        MethodChoice::FreeBS => AnySketch::ShardedFreeBS(ShardedFreeBS::new(
-            cli.memory_bits.max(64 * shards),
-            shards,
-            cli.seed,
-        )),
-        MethodChoice::FreeRS => AnySketch::ShardedFreeRS(ShardedFreeRS::new(
-            (cli.memory_bits / 5).max(64 * shards),
-            shards,
-            cli.seed,
-        )),
-    }
 }
 
 /// The `n` heaviest tracked users, heaviest first (`--top` and `TOPK`).
@@ -469,23 +379,103 @@ fn scan_total_and_user(
     Ok((total, uid))
 }
 
-/// The estimator an ingesting subcommand runs: the exclusive scalar
-/// estimators at `--threads 1`, the sharded concurrent ones above — so
-/// `--threads` behaves identically for `estimate`, `spreaders` and
-/// `track` — and the crash-safe [`AnySketch`] lifecycle when
-/// `--checkpoint` is given.
-enum Runner {
-    Scalar(Box<dyn CardinalityEstimator>),
-    Sharded(Box<dyn ConcurrentEstimator>),
-    Checkpointed(Box<CheckpointedRunner>),
+/// The sketch the CLI runs: FreeBS (`--memory` bits) or FreeRS
+/// (`--memory / 5` five-bit registers), seeded by `--seed`. Scalar at
+/// `--threads 1`; sharded above that, or whenever `sharded` is set (serve
+/// ingests through the `&self` path even at one thread), with one shard
+/// per thread rounded up to a power of two and at least 64 slots each.
+fn build_sketch(cli: &Cli, sharded: bool) -> AnySketch {
+    let slots = match cli.method {
+        MethodChoice::FreeBS => cli.memory_bits,
+        MethodChoice::FreeRS => cli.memory_bits / 5,
+    };
+    let shards = cli.threads.next_power_of_two();
+    let m = slots.max(64 * shards);
+    match (cli.method, sharded || cli.threads > 1) {
+        (MethodChoice::FreeBS, false) => FreeBS::new(m, cli.seed).into(),
+        (MethodChoice::FreeRS, false) => FreeRS::new(m, cli.seed).into(),
+        (MethodChoice::FreeBS, true) => ShardedFreeBS::new(m, shards, cli.seed).into(),
+        (MethodChoice::FreeRS, true) => ShardedFreeRS::new(m, shards, cli.seed).into(),
+    }
 }
 
-/// State of a `--checkpoint` run: the sketch (restored or fresh), the
-/// rotating snapshot writer, and the stream offset the restored sketch
-/// has already seen (0 on a cold start).
-struct CheckpointedRunner {
+/// The sketch an ingesting subcommand starts from, with the stream offset
+/// it already covers: the newest good `--checkpoint` snapshot when one
+/// exists (reporting the restore to `out`), a fresh [`build_sketch`]
+/// otherwise.
+///
+/// # Errors
+/// A snapshot that fails to load, or — when `sharded` is set, for serve —
+/// one holding a scalar kind.
+fn restore_or_build(
+    cli: &Cli,
+    out: &mut dyn Write,
+    sharded: bool,
+) -> Result<(AnySketch, u64), Box<dyn std::error::Error>> {
+    let Some(snap) = &cli.checkpoint else {
+        return Ok((build_sketch(cli, sharded), 0));
+    };
+    let path = Path::new(snap.as_str());
+    let Some((sketch, offset, used_fallback)) = load_with_fallback(path)? else {
+        return Ok((build_sketch(cli, sharded), 0));
+    };
+    if sharded && sketch.as_concurrent().is_none() {
+        return Err(format!(
+            "checkpoint `{snap}` holds a `{}` sketch — serve needs a \
+             sharded kind (re-checkpoint with --threads > 1)",
+            sketch.kind()
+        )
+        .into());
+    }
+    if used_fallback {
+        writeln!(
+            out,
+            "note: `{snap}` is corrupt — restored last good checkpoint `{}` \
+             ({offset} edges)",
+            fallback_path(path).display()
+        )?;
+    } else {
+        writeln!(
+            out,
+            "restored checkpoint `{snap}` ({offset} edges, {})",
+            sketch.kind()
+        )?;
+    }
+    Ok((sketch, offset))
+}
+
+/// Opens the trace at `path` and fast-forwards it past the `base` edges a
+/// restored snapshot already covers.
+///
+/// # Errors
+/// The trace cannot be read, or holds fewer than `base` edges.
+fn open_at(
+    cli: &Cli,
+    path: &str,
+    base: u64,
+) -> Result<Box<dyn EdgeSource + Send>, Box<dyn std::error::Error>> {
+    let (mut src, _) = open_source(path, cli.format)?;
+    if base == 0 {
+        return Ok(src);
+    }
+    let skipped = skip_edges(src.as_mut(), base, cli.chunk)?;
+    if skipped < base {
+        return Err(format!(
+            "`{path}` holds {skipped} edges but the snapshot records {base} \
+             — wrong trace for this snapshot?"
+        )
+        .into());
+    }
+    Ok(src)
+}
+
+/// An ingesting subcommand's state (`estimate`, `spreaders`, `track`):
+/// the sketch, restored or fresh; the `--checkpoint` writer, if any; and
+/// the stream offset the restored sketch has already seen (0 on a cold
+/// start).
+struct Runner {
     sketch: AnySketch,
-    ckpt: Checkpointer,
+    ckpt: Option<Checkpointer>,
     base: u64,
 }
 
@@ -494,254 +484,49 @@ impl Runner {
     /// good snapshot if one exists (printing what happened to `out`) and
     /// arms the incremental checkpointer.
     fn build(cli: &Cli, out: &mut dyn Write) -> Result<Self, Box<dyn std::error::Error>> {
-        if let Some(snap) = &cli.checkpoint {
-            if cli.layout == Layout::Fused {
-                return Err("--layout fused does not support --checkpoint \
-                     (snapshots use the split layout; drop --layout or the checkpoint)"
-                    .into());
-            }
-            let path = Path::new(snap.as_str());
-            let (sketch, base) = match load_with_fallback(path)? {
-                Some((sketch, offset, used_fallback)) => {
-                    if used_fallback {
-                        writeln!(
-                            out,
-                            "note: `{snap}` is corrupt — restored last good checkpoint `{}` \
-                             ({offset} edges)",
-                            fallback_path(path).display()
-                        )?;
-                    } else {
-                        writeln!(
-                            out,
-                            "restored checkpoint `{snap}` ({offset} edges, {})",
-                            sketch.kind()
-                        )?;
-                    }
-                    (sketch, offset)
-                }
-                None => (build_any(cli), 0),
-            };
-            // A restored sketch starts at the default tuning; this run's
-            // flags apply (tuning never changes estimates).
-            let mut sketch = sketch;
-            sketch.configure_ingest(tuning_of(cli));
-            let ckpt = Checkpointer::new(path, cli.checkpoint_every)
+        let (sketch, base) = restore_or_build(cli, out, false)?;
+        let ckpt = cli.checkpoint.as_ref().map(|snap| {
+            Checkpointer::new(Path::new(snap.as_str()), cli.checkpoint_every)
                 .starting_from(base)
-                .with_crash_after(crash_after_env());
-            return Ok(Self::Checkpointed(Box::new(CheckpointedRunner {
-                sketch,
-                ckpt,
-                base,
-            })));
-        }
-        Ok(if cli.threads > 1 {
-            Self::Sharded(build_sharded(cli)?)
-        } else {
-            Self::Scalar(build(cli))
-        })
+                .with_crash_after(crash_after_env())
+        });
+        Ok(Self { sketch, ckpt, base })
     }
 
-    /// Streams a whole file into the estimator (parallel for the sharded
-    /// runner) through the core drivers; returns edges processed —
-    /// including, for a restored checkpointed runner, the edges the
-    /// snapshot already covered (those are skipped, not re-ingested).
-    /// Peak resident edge memory is O(`--chunk`).
+    /// Streams a whole file into the sketch, checkpointing as it goes;
+    /// returns edges processed — including the edges a restored snapshot
+    /// already covered (those are skipped, not re-ingested). Peak
+    /// resident edge memory is O(`--chunk`).
     fn ingest_source(&mut self, cli: &Cli, path: &str) -> Result<u64, Box<dyn std::error::Error>> {
-        let (mut src, _) = open_source(path, cli.format)?;
-        let total = match self {
-            Self::Scalar(est) => stream_into(est.as_mut(), src.as_mut(), cli.chunk, cli.batch)?,
-            Self::Sharded(est) => stream_into_parallel(
-                est.as_ref(),
-                src.as_mut(),
-                cli.chunk,
-                cli.batch,
-                cli.threads,
-            )?,
-            Self::Checkpointed(c) => {
-                if c.base > 0 {
-                    let skipped = skip_edges(src.as_mut(), c.base, cli.chunk)?;
-                    if skipped < c.base {
-                        return Err(format!(
-                            "`{path}` holds {skipped} edges but the checkpoint records \
-                             {} — wrong trace for this checkpoint?",
-                            c.base
-                        )
-                        .into());
-                    }
-                }
-                let ingested = c.sketch.ingest_checkpointed(
-                    src.as_mut(),
-                    cli.chunk,
-                    cli.batch,
-                    cli.threads,
-                    &mut c.ckpt,
-                    c.base,
-                )?;
-                c.base + ingested
-            }
-        };
-        Ok(total)
-    }
-
-    /// Feeds one in-memory slice (parallel for the sharded runner) — the
-    /// checkpointed `track` replay drives this per interval, passing one
-    /// pairs buffer reused across all intervals.
-    fn ingest(&mut self, cli: &Cli, edges: &[Edge], pairs: &mut Vec<(u64, u64)>) {
-        match self {
-            Self::Scalar(est) => ingest_slice(est.as_mut(), edges, pairs, cli.batch),
-            Self::Sharded(est) => ingest_parallel(est.as_ref(), edges, cli.batch, cli.threads),
-            Self::Checkpointed(c) => c.sketch.apply_chunk(edges, pairs, cli.batch, cli.threads),
-        }
-    }
-
-    /// Stream offset already durably applied (non-zero only after a
-    /// checkpoint restore): callers ingesting manually must skip this
-    /// many edges before feeding the rest.
-    fn base(&self) -> u64 {
-        match self {
-            Self::Checkpointed(c) => c.base,
-            _ => 0,
-        }
+        let mut src = open_at(cli, path, self.base)?;
+        let ingested = self.sketch.ingest_stream(
+            src.as_mut(),
+            cli.chunk,
+            cli.batch,
+            cli.threads,
+            self.ckpt.as_mut(),
+            self.base,
+        )?;
+        Ok(self.base + ingested)
     }
 
     /// Writes an incremental checkpoint if the interval has elapsed.
-    /// No-op for non-checkpointed runners; callers invoke it only at
-    /// quiescent points (after `ingest` returns).
+    /// No-op without `--checkpoint`; callers invoke it only at quiescent
+    /// points (after an ingest call returns).
     fn maybe_checkpoint(&mut self, edges: u64) -> Result<(), SnapshotError> {
-        if let Self::Checkpointed(c) = self {
-            c.ckpt.maybe_checkpoint(&c.sketch, edges)?;
+        if let Some(ckpt) = &mut self.ckpt {
+            ckpt.maybe_checkpoint(&self.sketch, edges)?;
         }
         Ok(())
     }
 
-    /// Final checkpoint at stream end (no-op for non-checkpointed
-    /// runners), so a completed run records the full stream offset.
+    /// Final checkpoint at stream end (no-op without `--checkpoint`), so a
+    /// completed run records the full stream offset.
     fn final_checkpoint(&mut self, edges: u64) -> Result<(), SnapshotError> {
-        if let Self::Checkpointed(c) = self {
-            c.ckpt.checkpoint_now(&c.sketch, edges)?;
+        if let Some(ckpt) = &mut self.ckpt {
+            ckpt.checkpoint_now(&self.sketch, edges)?;
         }
         Ok(())
-    }
-
-    /// The query view (`estimate`, `total_estimate`, `for_each_estimate`,
-    /// `name`, `memory_bits` are `&self` on the supertrait).
-    fn estimator(&self) -> &dyn CardinalityEstimator {
-        match self {
-            Self::Scalar(est) => est.as_ref(),
-            Self::Sharded(est) => est.as_ref(),
-            Self::Checkpointed(c) => &c.sketch,
-        }
-    }
-}
-
-/// The engines' batch tuning under the CLI flags. The drivers hand
-/// `--batch`-sized slices to `process_batch`, and the engine re-chunks
-/// each slice into its own blocks; capping the block at the engine
-/// default keeps the `q`-freeze boundaries exactly where an un-tuned run
-/// puts them, so `--warm-ahead` never changes output.
-fn tuning_of(cli: &Cli) -> IngestTuning {
-    IngestTuning {
-        block: if cli.batch == 0 {
-            freesketch::INGEST_BLOCK
-        } else {
-            cli.batch.min(freesketch::INGEST_BLOCK)
-        },
-        warm_ahead: cli.warm_ahead,
-    }
-}
-
-fn build(cli: &Cli) -> Box<dyn CardinalityEstimator> {
-    let mut est: Box<dyn CardinalityEstimator> = match (cli.method, cli.layout) {
-        (MethodChoice::FreeBS, Layout::Split) => {
-            Box::new(FreeBS::new(cli.memory_bits.max(64), cli.seed))
-        }
-        (MethodChoice::FreeBS, Layout::Fused) => {
-            Box::new(FusedFreeBS::new(cli.memory_bits.max(64), cli.seed))
-        }
-        (MethodChoice::FreeRS, Layout::Split) => {
-            Box::new(FreeRS::new((cli.memory_bits / 5).max(64), cli.seed))
-        }
-        (MethodChoice::FreeRS, Layout::Fused) => {
-            Box::new(FusedFreeRS::new((cli.memory_bits / 5).max(64), cli.seed))
-        }
-    };
-    est.configure_ingest(tuning_of(cli));
-    est
-}
-
-/// Sharded concurrent estimator for `--threads > 1`: one shard per ingest
-/// thread (rounded up to a power of two) under the same memory budget.
-///
-/// # Errors
-/// `--layout fused` is only implemented for sharded FreeBS.
-fn build_sharded(cli: &Cli) -> Result<Box<dyn ConcurrentEstimator>, Box<dyn std::error::Error>> {
-    let shards = cli.threads.next_power_of_two();
-    let mut est: Box<dyn ConcurrentEstimator> = match (cli.method, cli.layout) {
-        (MethodChoice::FreeBS, Layout::Split) => Box::new(ShardedFreeBS::new(
-            cli.memory_bits.max(64 * shards),
-            shards,
-            cli.seed,
-        )),
-        (MethodChoice::FreeBS, Layout::Fused) => {
-            let per_shard = cli.memory_bits.max(64 * shards) / shards;
-            let engines = (0..shards)
-                .map(|i| ConcurrentFusedFreeBS::new(per_shard, hashkit::mix64(cli.seed, i as u64)))
-                .collect();
-            Box::new(ShardedSketch::from_engines(engines, cli.seed))
-        }
-        (MethodChoice::FreeRS, Layout::Split) => Box::new(ShardedFreeRS::new(
-            (cli.memory_bits / 5).max(64 * shards),
-            shards,
-            cli.seed,
-        )),
-        (MethodChoice::FreeRS, Layout::Fused) => {
-            return Err(
-                "--layout fused is not available for freers with --threads > 1 \
-                 (no atomic fused register store)"
-                    .into(),
-            )
-        }
-    };
-    est.configure_ingest(tuning_of(cli));
-    Ok(est)
-}
-
-/// Fresh [`AnySketch`] per the CLI flags, mirroring [`build`] /
-/// [`build_sharded`]: scalar kinds at `--threads 1`, sharded above. Used
-/// for cold-start `--checkpoint` runs and the `checkpoint` subcommand,
-/// so a snapshot written by one and restored by the other agrees.
-/// Snapshot kinds are split-layout only; callers reject `--layout fused`
-/// before getting here.
-fn build_any(cli: &Cli) -> AnySketch {
-    let mut sketch = build_any_inner(cli);
-    sketch.configure_ingest(tuning_of(cli));
-    sketch
-}
-
-fn build_any_inner(cli: &Cli) -> AnySketch {
-    if cli.threads > 1 {
-        let shards = cli.threads.next_power_of_two();
-        match cli.method {
-            MethodChoice::FreeBS => AnySketch::ShardedFreeBS(ShardedFreeBS::new(
-                cli.memory_bits.max(64 * shards),
-                shards,
-                cli.seed,
-            )),
-            MethodChoice::FreeRS => AnySketch::ShardedFreeRS(ShardedFreeRS::new(
-                (cli.memory_bits / 5).max(64 * shards),
-                shards,
-                cli.seed,
-            )),
-        }
-    } else {
-        match cli.method {
-            MethodChoice::FreeBS => {
-                AnySketch::FreeBS(FreeBS::new(cli.memory_bits.max(64), cli.seed))
-            }
-            MethodChoice::FreeRS => {
-                AnySketch::FreeRS(FreeRS::new((cli.memory_bits / 5).max(64), cli.seed))
-            }
-        }
     }
 }
 
@@ -753,28 +538,6 @@ fn crash_after_env() -> Option<u64> {
     std::env::var("FREESKETCH_CRASH_AFTER_CHECKPOINTS")
         .ok()
         .and_then(|v| v.parse().ok())
-}
-
-/// Splits the slice into `threads` chunks and feeds them concurrently
-/// through the sharded estimator's `&self` batch path (per-edge when
-/// `batch == 0`).
-fn ingest_parallel(est: &dyn ConcurrentEstimator, edges: &[Edge], batch: usize, threads: usize) {
-    let chunk = edges.len().div_ceil(threads).max(1);
-    std::thread::scope(|s| {
-        for part in edges.chunks(chunk) {
-            s.spawn(move || {
-                if batch == 0 {
-                    for e in part {
-                        est.ingest(e.user, e.item);
-                    }
-                } else {
-                    for slice in part.chunks(batch) {
-                        est.ingest_batch(&graphstream::to_pairs(slice));
-                    }
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -931,98 +694,6 @@ mod tests {
         // At the default 8 Mbit budget the block-q drift is ~1e-5 relative,
         // far below the printed precision: outputs must be identical.
         assert_eq!(batched, scalar);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn fused_layout_output_identical_to_split() {
-        // The fused layout renumbers nothing: estimate reports must be
-        // byte-identical to split-layout runs, across methods, batch
-        // sizes, warm distances, and the sharded FreeBS path.
-        let mut content = String::new();
-        for u in 0..10 {
-            for d in 0..(u + 1) * 20 {
-                content.push_str(&format!("user{u} item{u}x{d}\n"));
-            }
-        }
-        let path = write_temp(&content);
-        let p = path.to_str().expect("utf8 path");
-        for extra in [
-            &[][..],
-            &["--method", "freers"],
-            &["--batch", "100"],
-            &["--warm-ahead", "0"],
-            &["--warm-ahead", "4"],
-            &["--threads", "2"],
-        ] {
-            let mut split_args = vec!["estimate", p, "--top", "5"];
-            split_args.extend_from_slice(extra);
-            let mut fused_args = vec!["estimate", p, "--top", "5", "--layout", "fused"];
-            fused_args.extend_from_slice(extra);
-            // Sharded fused registers are unsupported; skip that combo.
-            if extra.contains(&"--threads") && extra.contains(&"freers") {
-                continue;
-            }
-            assert_eq!(
-                run_to_string(&split_args),
-                run_to_string(&fused_args),
-                "flags {extra:?}"
-            );
-        }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn fused_layout_rejects_unsupported_combinations() {
-        let path = write_temp("a b\n");
-        let p = path.to_str().expect("utf8 path");
-        let snap = format!("{p}.fsnp");
-
-        let cli = Cli::parse(&["checkpoint", p, &snap, "--layout", "fused"]).expect("parse");
-        let mut buf = Vec::new();
-        let err = run(&cli, &mut buf).unwrap_err();
-        assert!(err.to_string().contains("split layout"), "{err}");
-
-        let cli = Cli::parse(&["estimate", p, "--layout", "fused", "--checkpoint", &snap])
-            .expect("parse");
-        let mut buf = Vec::new();
-        let err = run(&cli, &mut buf).unwrap_err();
-        assert!(err.to_string().contains("split layout"), "{err}");
-
-        let cli = Cli::parse(&[
-            "estimate",
-            p,
-            "--layout",
-            "fused",
-            "--method",
-            "freers",
-            "--threads",
-            "2",
-        ])
-        .expect("parse");
-        let mut buf = Vec::new();
-        let err = run(&cli, &mut buf).unwrap_err();
-        assert!(err.to_string().contains("freers"), "{err}");
-
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn warm_ahead_never_changes_output() {
-        let mut content = String::new();
-        for i in 0..2_000u64 {
-            content.push_str(&format!("user{} item{i}\n", i % 7));
-        }
-        let path = write_temp(&content);
-        let p = path.to_str().expect("utf8 path");
-        let base = run_to_string(&["estimate", p, "--top", "7"]);
-        for wa in ["0", "2", "8"] {
-            assert_eq!(
-                base,
-                run_to_string(&["estimate", p, "--top", "7", "--warm-ahead", wa]),
-                "--warm-ahead {wa}"
-            );
-        }
         std::fs::remove_file(path).ok();
     }
 

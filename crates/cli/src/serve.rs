@@ -28,8 +28,9 @@
 //!   returns. A truncated snapshot is never visible at the target path.
 
 use crate::protocol::{parse_request, LineReader, LineStatus, ProtocolError, Request};
+use freesketch::ingest::ingest_pairs;
 use freesketch::snapshot::{AnySketch, Checkpointer, SnapshotImage};
-use freesketch::{CardinalityEstimator, ConcurrentEstimator};
+use freesketch::CardinalityEstimator;
 use graphstream::{Edge, EdgeSource};
 use parking_lot::{Mutex, RwLock};
 use std::fmt::Write as _;
@@ -267,8 +268,7 @@ impl Drop for PanicGuard<'_> {
 /// Starts the daemon: binds `127.0.0.1:<port>`, spawns the writer
 /// threads and the accept loop, and returns immediately with a handle.
 ///
-/// The sketch must be a sharded kind ([`AnySketch::as_concurrent`]); call
-/// `configure_ingest` before handing it over (spawn takes it by value).
+/// The sketch must be a sharded kind ([`AnySketch::as_concurrent`]).
 ///
 /// # Errors
 /// [`ServeError::NotConcurrent`] for scalar sketch kinds;
@@ -457,7 +457,7 @@ fn writer_loop(shared: &Arc<Shared>, chunk: usize, batch: usize, ckpt_every: Opt
         pairs.extend(buf.iter().map(|e| e.pair()));
         {
             let _ingesting = shared.gate.read();
-            apply_pairs(est, &pairs, batch);
+            ingest_pairs(est, &pairs, batch);
             // ORDERING: relaxed-ok — bumped inside the gate's read section;
             // the consistency-critical readers (snapshot, checkpoint, final
             // report) hold the gate exclusively, so the lock handoff orders
@@ -467,21 +467,6 @@ fn writer_loop(shared: &Arc<Shared>, chunk: usize, batch: usize, ckpt_every: Opt
         }
         if let Some(every) = ckpt_every {
             maybe_periodic_checkpoint(shared, every);
-        }
-    }
-}
-
-// HOT: the serve writer's per-chunk apply — the daemon's steady-state
-// ingest path must not allocate; `pairs` is caller-owned scratch reused
-// across chunks.
-fn apply_pairs(est: &dyn ConcurrentEstimator, pairs: &[(u64, u64)], batch: usize) {
-    if batch == 0 {
-        for &(user, item) in pairs {
-            est.ingest(user, item);
-        }
-    } else {
-        for block in pairs.chunks(batch) {
-            est.ingest_batch(block);
         }
     }
 }

@@ -19,8 +19,8 @@
 //! writers quiesce.
 
 use crate::engine::pow2_neg;
-use crate::{CardinalityEstimator, IngestTuning};
-use bitpack::{AtomicBitArray, AtomicFusedBitArray, AtomicPackedArray, ConcurrentSlotStore};
+use crate::CardinalityEstimator;
+use bitpack::{AtomicBitArray, AtomicPackedArray, ConcurrentSlotStore};
 use hashkit::{geometric_rank, reduce64, splitmix64, EdgeHasher, FxHashMap, ShardedCounterMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -193,7 +193,6 @@ pub struct ConcurrentEngine<S, Q> {
     hasher: EdgeHasher,
     q: Q,
     counters: ShardedCounterMap,
-    tuning: IngestTuning,
 }
 
 impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
@@ -206,15 +205,7 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
             hasher: EdgeHasher::new(seed),
             q,
             counters: ShardedCounterMap::default(),
-            tuning: IngestTuning::default(),
         }
-    }
-
-    /// The batch-ingest tuning in effect (see
-    /// [`CardinalityEstimator::configure_ingest`]).
-    #[must_use]
-    pub fn ingest_tuning(&self) -> IngestTuning {
-        self.tuning
     }
 
     /// The shared array size `M`.
@@ -234,8 +225,7 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         (&self.store, &self.hasher, &self.q, &self.counters)
     }
 
-    /// Reassembles an engine from restored [`ConcurrentEngine::parts`], at
-    /// the default ingest tuning.
+    /// Reassembles an engine from restored [`ConcurrentEngine::parts`].
     pub(crate) fn from_parts(
         store: S,
         hasher: EdgeHasher,
@@ -247,7 +237,6 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
             hasher,
             q,
             counters,
-            tuning: IngestTuning::default(),
         }
     }
 
@@ -365,77 +354,13 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
 
     /// Observes a slice of edges — the batched fast path; callable
     /// concurrently. The slice is cut into blocks of
-    /// [`IngestTuning::block`] edges, each run as a load-only warm pass
-    /// and a write pass (see [`CardinalityEstimator::process_batch`]);
-    /// with [`IngestTuning::warm_ahead`] `> 0` the warm pass for a later
-    /// block is interleaved behind each write pass, overlapping its cache
-    /// misses with resident write work. The warm pass is load-only, so
-    /// the warm distance never changes results; freezing `q` per block
-    /// adds at most `block/M` relative staleness — the same order as the
+    /// [`crate::INGEST_BLOCK`] edges, each run as a load-only warm pass and
+    /// then a write pass (see [`CardinalityEstimator::process_batch`]) over
+    /// compile-time sized stack scratch. Freezing `q` per block adds at
+    /// most `block/M` relative staleness — the same order as the
     /// concurrency skew already tolerated.
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     pub fn process_batch(&self, edges: &[(u64, u64)]) {
-        if edges.is_empty() {
-            return;
-        }
-        if self.tuning == IngestTuning::default() {
-            // The shipped tuning takes the const-block path: identical
-            // semantics, but compile-time scratch sizes let the compiler
-            // drop every bounds check in the warm/apply passes.
-            self.process_batch_default(edges);
-            return;
-        }
-        let block = self.tuning.block;
-        let nblocks = edges.len().div_ceil(block);
-        let d = self.tuning.warm_ahead.min(nblocks - 1);
-        let segs = d + 1;
-        let mut hashes = vec![0u64; block * segs];
-        let mut slots = vec![0usize; block * segs];
-        let mut values = vec![1u16; block * segs];
-        let mut grew = vec![false; block];
-        let mut old = vec![0u16; block];
-        let chunk_of = |j: usize| &edges[j * block..((j + 1) * block).min(edges.len())];
-        for j in 0..segs {
-            let chunk = chunk_of(j);
-            let base = (j % segs) * block;
-            self.warm_block(
-                chunk,
-                &mut hashes[base..base + chunk.len()],
-                &mut slots[base..base + chunk.len()],
-                &mut values[base..base + chunk.len()],
-            );
-        }
-        for j in 0..nblocks {
-            let chunk = chunk_of(j);
-            let base = (j % segs) * block;
-            let k = chunk.len();
-            self.apply_block(
-                chunk,
-                &slots[base..base + k],
-                &values[base..base + k],
-                &mut grew,
-                &mut old,
-            );
-            let next = j + segs;
-            if next < nblocks {
-                let chunk = chunk_of(next);
-                self.warm_block(
-                    chunk,
-                    &mut hashes[base..base + chunk.len()],
-                    &mut slots[base..base + chunk.len()],
-                    &mut values[base..base + chunk.len()],
-                );
-            }
-        }
-    }
-
-    /// The default-tuning batch path: the same warm/apply phasing as the
-    /// general loop in [`ConcurrentEngine::process_batch`], but over
-    /// compile-time [`crate::INGEST_BLOCK`]-sized stack scratch, so the
-    /// compiler sees every pass's trip count and drops all bounds checks —
-    /// the same const-sized twin the scalar engine keeps.
-    // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
-    fn process_batch_default(&self, edges: &[(u64, u64)]) {
         const BLOCK: usize = crate::INGEST_BLOCK;
         let mut hashes = [0u64; BLOCK];
         let mut slots = [0usize; BLOCK];
@@ -548,12 +473,6 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> CardinalityEstimator for Conc
         ConcurrentEngine::process_batch(self, edges);
     }
 
-    fn configure_ingest(&mut self, tuning: IngestTuning) {
-        // `&mut self` means no concurrent readers: tuning changes are
-        // sequenced before any shared ingest that observes them.
-        self.tuning = tuning.clamped();
-    }
-
     #[inline]
     fn estimate(&self, user: u64) -> f64 {
         ConcurrentEngine::estimate(self, user)
@@ -599,24 +518,6 @@ impl ConcurrentFreeBS {
     #[must_use]
     pub fn new(m_bits: usize, seed: u64) -> Self {
         Self::from_store(AtomicBitArray::new(m_bits), seed)
-    }
-}
-
-/// A thread-safe FreeBS estimator over the cache-line fused bit layout
-/// ([`AtomicFusedBitArray`]): same logical slots — and therefore the same
-/// estimates — as [`ConcurrentFreeBS`], with each update touching one
-/// cache line instead of two and the global zero counter settled once per
-/// ingest block.
-pub type ConcurrentFusedFreeBS = ConcurrentEngine<AtomicFusedBitArray, SharedZeroQ>;
-
-impl ConcurrentFusedFreeBS {
-    /// Creates a concurrent fused-layout FreeBS over `m_bits` shared bits.
-    ///
-    /// # Panics
-    /// Panics if `m_bits == 0`.
-    #[must_use]
-    pub fn new(m_bits: usize, seed: u64) -> Self {
-        Self::from_store(AtomicFusedBitArray::new(m_bits), seed)
     }
 }
 
@@ -908,73 +809,6 @@ mod tests {
             }
         });
         assert_eq!(c.q_discrepancy(), 0.0, "zero counter drifted from popcount");
-    }
-
-    #[test]
-    fn fused_concurrent_matches_split_single_thread() {
-        // Same logical slots, same frozen-q block boundaries: with one
-        // thread the fused layout must reproduce the split layout's bits
-        // and estimates exactly.
-        let split = ConcurrentFreeBS::new(1 << 14, 7);
-        let fused = ConcurrentFusedFreeBS::new(1 << 14, 7);
-        let edges: Vec<(u64, u64)> = (0..5_000u64)
-            .map(|i| (i % 17, hashkit::splitmix64(i) >> 20))
-            .collect();
-        split.process_batch(&edges);
-        fused.process_batch(&edges);
-        assert_eq!(split.store().recount_zeros(), fused.store().recount_zeros());
-        for u in 0..17u64 {
-            assert_eq!(split.estimate(u), fused.estimate(u), "user {u}");
-        }
-        assert_eq!(split.total_estimate(), fused.total_estimate());
-    }
-
-    #[test]
-    fn fused_concurrent_zero_counter_exact_after_quiescence() {
-        // The block-settled global zero counter must agree with a popcount
-        // recount once writers quiesce, even under contended batch ingest.
-        let c = Arc::new(ConcurrentFusedFreeBS::new(1 << 14, 3));
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
-                    let edges: Vec<(u64, u64)> = (0..3_000u64).map(|d| (t, d)).collect();
-                    c.process_batch(&edges);
-                });
-            }
-        });
-        assert_eq!(c.q_discrepancy(), 0.0, "zero counter drifted from popcount");
-    }
-
-    #[test]
-    fn warm_ahead_never_changes_results() {
-        // The warm pass is load-only: any warm distance must yield
-        // bit-identical stores and estimates.
-        let edges: Vec<(u64, u64)> = (0..6_000u64)
-            .map(|i| (i % 13, hashkit::splitmix64(i) >> 18))
-            .collect();
-        let base = ConcurrentFreeBS::new(1 << 14, 5);
-        base.process_batch(&edges);
-        for warm_ahead in [0usize, 2, 5] {
-            let mut probe = ConcurrentFreeBS::new(1 << 14, 5);
-            probe.configure_ingest(IngestTuning {
-                warm_ahead,
-                ..IngestTuning::default()
-            });
-            probe.process_batch(&edges);
-            assert_eq!(
-                base.store().recount_zeros(),
-                probe.store().recount_zeros(),
-                "warm_ahead {warm_ahead}"
-            );
-            for u in 0..13u64 {
-                assert_eq!(
-                    base.estimate(u),
-                    probe.estimate(u),
-                    "warm_ahead {warm_ahead}, user {u}"
-                );
-            }
-        }
     }
 
     #[test]

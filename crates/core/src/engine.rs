@@ -16,7 +16,7 @@
 //! word-level multi-update, frozen per-block `q`, run-coalesced counter
 //! writes) is written and maintained in exactly one place.
 
-use crate::{CardinalityEstimator, IngestTuning};
+use crate::CardinalityEstimator;
 use bitpack::SlotStore;
 use hashkit::{geometric_rank, reduce64, splitmix64, CounterMap, EdgeHasher};
 
@@ -89,8 +89,8 @@ impl<S: SlotStore> QTracker<S> for ZeroQ {
 const Z_REBUILD_INTERVAL: u64 = 1 << 20;
 
 /// `q_R = Z/M` for register stores, with `Z` maintained incrementally in
-/// O(1) per growth and rebuilt exactly every [`Z_REBUILD_INTERVAL`]
-/// growths.
+/// O(1) per growth and rebuilt exactly every 2²⁰ growths
+/// (`Z_REBUILD_INTERVAL`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncrementalZ {
     /// Incrementally maintained `Z = Σ_j 2^{-R[j]}`.
@@ -159,7 +159,6 @@ pub struct SketchEngine<S, Q> {
     q: Q,
     estimates: CounterMap,
     total: f64,
-    tuning: IngestTuning,
 }
 
 impl<S: SlotStore, Q: QTracker<S>> SketchEngine<S, Q> {
@@ -173,14 +172,7 @@ impl<S: SlotStore, Q: QTracker<S>> SketchEngine<S, Q> {
             q,
             estimates: CounterMap::new(),
             total: 0.0,
-            tuning: IngestTuning::default(),
         }
-    }
-
-    /// The batch-path tuning currently in effect.
-    #[must_use]
-    pub fn ingest_tuning(&self) -> IngestTuning {
-        self.tuning
     }
 
     /// The shared array size `M`.
@@ -220,8 +212,7 @@ impl<S: SlotStore, Q: QTracker<S>> SketchEngine<S, Q> {
         )
     }
 
-    /// Reassembles an engine from restored [`SketchEngine::parts`], at
-    /// the default ingest tuning.
+    /// Reassembles an engine from restored [`SketchEngine::parts`].
     pub(crate) fn from_parts(
         store: S,
         hasher: EdgeHasher,
@@ -235,7 +226,6 @@ impl<S: SlotStore, Q: QTracker<S>> SketchEngine<S, Q> {
             q,
             estimates,
             total,
-            tuning: IngestTuning::default(),
         }
     }
 
@@ -393,37 +383,6 @@ impl<S: SlotStore, Q: QTracker<S>> SketchEngine<S, Q> {
         self.total += inc * growths as f64;
         self.q.maybe_rebuild(&self.store);
     }
-
-    /// The default-tuning batch path: the same warm/apply phasing as the
-    /// general loop in [`CardinalityEstimator::process_batch`], but over
-    /// compile-time [`crate::INGEST_BLOCK`]-sized stack scratch, so the
-    /// compiler sees every pass's trip count and drops all bounds checks.
-    /// Keeping a const-sized twin of the runtime-sized loop is pure
-    /// mechanical sugar — both funnel into the same [`Self::warm_block`] /
-    /// [`Self::apply_block`] bodies, and the warm-ahead invariance tests
-    /// pin the two paths to bit-identical results.
-    // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
-    fn process_batch_default(&mut self, edges: &[(u64, u64)]) {
-        const BLOCK: usize = crate::INGEST_BLOCK;
-        let mut hashes = [0u64; BLOCK];
-        let mut slots = [0usize; BLOCK];
-        let mut values = [1u16; BLOCK];
-        let mut grew = [false; BLOCK];
-        let mut old = [0u16; BLOCK];
-        let mut grew_users = [0u64; BLOCK];
-        for chunk in edges.chunks(BLOCK) {
-            let k = chunk.len();
-            self.warm_block(chunk, &mut hashes[..k], &mut slots[..k], &mut values[..k]);
-            self.apply_block(
-                chunk,
-                &slots[..k],
-                &values[..k],
-                &mut grew,
-                &mut old,
-                &mut grew_users,
-            );
-        }
-    }
 }
 
 impl<S: SlotStore, Q: QTracker<S>> CardinalityEstimator for SketchEngine<S, Q> {
@@ -449,86 +408,34 @@ impl<S: SlotStore, Q: QTracker<S>> CardinalityEstimator for SketchEngine<S, Q> {
         // in Algorithms 1 and 2: no counter write, no map lookup.
     }
 
-    /// Software-pipelined phased batch ingest. The batch is cut into blocks
-    /// of [`IngestTuning::block`] edges; each block runs a load-only
-    /// **warm** pass (hash, slot, rank, touch every store word) and a
-    /// **write** pass (frozen-`q` multi-update plus run-coalesced counter
-    /// credits; see [`CardinalityEstimator::process_batch`] for the drift
-    /// bound).
-    ///
-    /// With warm distance `d =` [`IngestTuning::warm_ahead`] `> 0` the two
-    /// pass streams are interleaved `d` blocks apart: after writing block
-    /// `k` the engine warms block `k+d+1`, so the warm pass's cache misses
-    /// retire behind block `k+1`'s L1-resident write work instead of
-    /// stalling in front of it. The warm pass is load-only, so **any** `d`
-    /// yields bit-identical stores and estimates; `d = 0` degenerates to
-    /// PR 2's strict warm-then-write phasing.
+    /// Phased batch ingest. The batch is cut into blocks of
+    /// [`crate::INGEST_BLOCK`] edges; each block runs a load-only **warm**
+    /// pass (hash, slot, rank, touch every store word) and then a **write**
+    /// pass (frozen-`q` multi-update plus run-coalesced counter credits;
+    /// see [`CardinalityEstimator::process_batch`] for the drift bound).
+    /// The scratch is compile-time sized stack arrays, so the compiler sees
+    /// every pass's trip count and drops the bounds checks.
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     fn process_batch(&mut self, edges: &[(u64, u64)]) {
-        if edges.is_empty() {
-            return;
-        }
-        if self.tuning == IngestTuning::default() {
-            // The shipped tuning takes the const-block path: identical
-            // semantics, but compile-time scratch sizes let the compiler
-            // drop every bounds check in the five passes (worth ~25%
-            // end-to-end over the runtime-sized loop below).
-            self.process_batch_default(edges);
-            return;
-        }
-        let block = self.tuning.block;
-        let nblocks = edges.len().div_ceil(block);
-        // Warming past the batch tail would index past the edge slice; a
-        // short batch simply gets a shallower pipeline.
-        let d = self.tuning.warm_ahead.min(nblocks - 1);
-        let segs = d + 1;
-        let mut hashes = vec![0u64; block * segs];
-        let mut slots = vec![0usize; block * segs];
-        let mut values = vec![1u16; block * segs];
-        let mut grew = vec![false; block];
-        let mut old = vec![0u16; block];
-        let mut grew_users = vec![0u64; block];
-        let chunk_of = |j: usize| &edges[j * block..((j + 1) * block).min(edges.len())];
-        // Prologue: fill every pipeline segment (blocks 0..=d).
-        for j in 0..segs {
-            let chunk = chunk_of(j);
-            let base = (j % segs) * block;
-            self.warm_block(
-                chunk,
-                &mut hashes[base..base + chunk.len()],
-                &mut slots[base..base + chunk.len()],
-                &mut values[base..base + chunk.len()],
-            );
-        }
-        // Steady state: write block j (its lines are warm), then reuse its
-        // segment to warm block j+d+1.
-        for j in 0..nblocks {
-            let chunk = chunk_of(j);
-            let base = (j % segs) * block;
+        const BLOCK: usize = crate::INGEST_BLOCK;
+        let mut hashes = [0u64; BLOCK];
+        let mut slots = [0usize; BLOCK];
+        let mut values = [1u16; BLOCK];
+        let mut grew = [false; BLOCK];
+        let mut old = [0u16; BLOCK];
+        let mut grew_users = [0u64; BLOCK];
+        for chunk in edges.chunks(BLOCK) {
             let k = chunk.len();
+            self.warm_block(chunk, &mut hashes[..k], &mut slots[..k], &mut values[..k]);
             self.apply_block(
                 chunk,
-                &slots[base..base + k],
-                &values[base..base + k],
+                &slots[..k],
+                &values[..k],
                 &mut grew,
                 &mut old,
                 &mut grew_users,
             );
-            let next = j + segs;
-            if next < nblocks {
-                let chunk = chunk_of(next);
-                self.warm_block(
-                    chunk,
-                    &mut hashes[base..base + chunk.len()],
-                    &mut slots[base..base + chunk.len()],
-                    &mut values[base..base + chunk.len()],
-                );
-            }
         }
-    }
-
-    fn configure_ingest(&mut self, tuning: IngestTuning) {
-        self.tuning = tuning.clamped();
     }
 
     #[inline]

@@ -6,7 +6,7 @@
 //! the bit-specific conveniences.
 
 use crate::engine::{SketchEngine, ZeroQ};
-use bitpack::{BitArray, FusedBitArray};
+use bitpack::BitArray;
 
 /// The FreeBS estimator: one shared bit array `B[1..M]`, one counter per
 /// user.
@@ -51,29 +51,6 @@ impl FreeBS {
     #[must_use]
     pub fn bit_array(&self) -> &BitArray {
         self.store()
-    }
-}
-
-/// FreeBS over the cache-line fused bit layout ([`FusedBitArray`]): same
-/// logical slots — and therefore bit-identical estimates for the same
-/// seeded stream — as [`FreeBS`], with each update touching one cache line
-/// (payload word and zero-count bookkeeping colocated) instead of two.
-pub type FusedFreeBS = SketchEngine<FusedBitArray, ZeroQ>;
-
-impl FusedFreeBS {
-    /// Creates a fused-layout FreeBS estimator over `m_bits` shared bits.
-    ///
-    /// # Panics
-    /// Panics if `m_bits == 0`.
-    #[must_use]
-    pub fn new(m_bits: usize, seed: u64) -> Self {
-        Self::from_store(FusedBitArray::new(m_bits), seed)
-    }
-
-    /// Number of zero bits `m₀`.
-    #[must_use]
-    pub fn zeros(&self) -> usize {
-        self.store().zeros()
     }
 }
 
@@ -269,28 +246,6 @@ mod tests {
         // load; the invariant under test is that replaying user 1's edge
         // did not create duplicate bookkeeping.
         assert_eq!(users.iter().filter(|&&u| u == 1).count(), 1);
-    }
-
-    #[test]
-    fn fused_layout_estimates_bit_identical() {
-        // Layout is transparent: the fused store renumbers nothing, so both
-        // the bit contents (slot for slot) and every estimate must match
-        // the split layout exactly, for scalar and batch ingest alike.
-        let mut split = FreeBS::new(1 << 13, 17);
-        let mut fused = FusedFreeBS::new(1 << 13, 17);
-        let edges: Vec<(u64, u64)> = (0..4_000u64)
-            .map(|i| (i % 9, hashkit::splitmix64(i) >> 24))
-            .collect();
-        split.process_batch(&edges);
-        fused.process_batch(&edges);
-        assert_eq!(split.zeros(), fused.zeros());
-        for i in 0..split.capacity() {
-            assert_eq!(split.bit_array().get(i), fused.store().get(i), "bit {i}");
-        }
-        for u in 0..9u64 {
-            assert_eq!(split.estimate(u), fused.estimate(u), "user {u}");
-        }
-        assert_eq!(split.total_estimate(), fused.total_estimate());
     }
 
     #[test]

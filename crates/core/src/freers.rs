@@ -6,7 +6,7 @@
 //! and the register-specific conveniences.
 
 use crate::engine::{IncrementalZ, SketchEngine};
-use bitpack::{FusedPackedArray, PackedArray};
+use bitpack::PackedArray;
 
 /// The FreeRS estimator: one shared array of `M` w-bit registers, one
 /// counter per user.
@@ -74,28 +74,6 @@ impl FreeRS {
     #[must_use]
     pub fn registers(&self) -> &PackedArray {
         self.store()
-    }
-}
-
-/// FreeRS over the cache-line fused register layout ([`FusedPackedArray`]):
-/// same logical registers — and therefore bit-identical estimates for the
-/// same seeded stream — as [`FreeRS`], with each update touching one cache
-/// line (payload word and growth-count bookkeeping colocated) instead of
-/// two.
-pub type FusedFreeRS = SketchEngine<FusedPackedArray, IncrementalZ>;
-
-impl FusedFreeRS {
-    /// Creates a fused-layout FreeRS estimator over `m_registers` registers
-    /// of [`FreeRS::DEFAULT_WIDTH`] bits.
-    ///
-    /// # Panics
-    /// Panics if `m_registers == 0`.
-    #[must_use]
-    pub fn new(m_registers: usize, seed: u64) -> Self {
-        Self::from_store(
-            FusedPackedArray::new(m_registers, FreeRS::DEFAULT_WIDTH),
-            seed,
-        )
     }
 }
 
@@ -258,31 +236,6 @@ mod tests {
         assert_eq!(f.total_estimate(), 0.0);
         f.process_batch(&[(5, 77)]);
         assert_eq!(f.estimate(5), 1.0);
-    }
-
-    #[test]
-    fn fused_layout_estimates_bit_identical() {
-        // Layout is transparent: register numbering is identical, so
-        // register contents and estimates must match the split layout
-        // exactly.
-        let mut split = FreeRS::new(1 << 11, 29);
-        let mut fused = FusedFreeRS::new(1 << 11, 29);
-        let edges: Vec<(u64, u64)> = (0..6_000u64)
-            .map(|i| (i % 11, hashkit::splitmix64(i) >> 16))
-            .collect();
-        split.process_batch(&edges);
-        fused.process_batch(&edges);
-        for i in 0..split.capacity() {
-            assert_eq!(
-                split.registers().load(i),
-                fused.store().load(i),
-                "register {i}"
-            );
-        }
-        for u in 0..11u64 {
-            assert_eq!(split.estimate(u), fused.estimate(u), "user {u}");
-        }
-        assert_eq!(split.total_estimate(), fused.total_estimate());
     }
 
     #[test]

@@ -31,38 +31,17 @@ pub fn stream_into(
     chunk: usize,
     batch: usize,
 ) -> Result<u64, EdgeStreamError> {
-    stream_into_hooked(est, src, chunk, batch, &mut |_| Ok(()))
-}
-
-/// [`stream_into`] with a chunk-boundary hook: after each fully applied
-/// chunk (and once more at exhaustion), `hook(edges_so_far)` runs with the
-/// estimator in a consistent state — the seam incremental checkpointing
-/// plugs into.
-///
-/// # Errors
-/// Stops at the first source error or the first hook error; edges of
-/// earlier chunks have already been applied.
-// HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
-pub fn stream_into_hooked<E: From<EdgeStreamError>>(
-    est: &mut dyn CardinalityEstimator,
-    src: &mut dyn EdgeSource,
-    chunk: usize,
-    batch: usize,
-    hook: &mut dyn FnMut(u64) -> Result<(), E>,
-) -> Result<u64, E> {
     let chunk = chunk.max(1);
     let mut buf: Vec<Edge> = Vec::with_capacity(chunk);
     let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(if batch == 0 { 0 } else { chunk });
     let mut total = 0u64;
     loop {
-        let n = src.next_chunk(&mut buf, chunk).map_err(E::from)?;
+        let n = src.next_chunk(&mut buf, chunk)?;
         if n == 0 {
-            hook(total)?;
             return Ok(total);
         }
         ingest_slice(est, &buf, &mut pairs, batch);
         total += n as u64;
-        hook(total)?;
     }
 }
 
@@ -90,12 +69,9 @@ pub fn ingest_slice(
 }
 
 /// Drives `src` to exhaustion through a concurrent estimator with
-/// `threads` ingest threads per chunk.
-///
-/// Each chunk is converted to bare pairs once, split into `threads`
-/// contiguous parts, and fed through the `&self` ingest path in parallel;
-/// the next chunk is read only after the previous one is fully applied, so
-/// peak memory stays O(chunk) and the source needs no synchronization.
+/// `threads` ingest threads per chunk (see [`ingest_parallel`]). The next
+/// chunk is read only after the previous one is fully applied, so peak
+/// memory stays O(chunk) and the source needs no synchronization.
 ///
 /// # Errors
 /// Stops at the first source error; earlier chunks have been applied.
@@ -107,57 +83,57 @@ pub fn stream_into_parallel(
     batch: usize,
     threads: usize,
 ) -> Result<u64, EdgeStreamError> {
-    stream_into_parallel_hooked(est, src, chunk, batch, threads, &mut |_| Ok(()))
-}
-
-/// [`stream_into_parallel`] with a chunk-boundary hook. The hook runs
-/// between chunks — after the thread-scope join, the only quiescent points
-/// of the parallel drive — and once more at exhaustion, so it always sees
-/// a consistent estimator (the seam incremental checkpointing plugs into).
-///
-/// # Errors
-/// Stops at the first source error or the first hook error; edges of
-/// earlier chunks have already been applied.
-// HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
-pub fn stream_into_parallel_hooked<E: From<EdgeStreamError>>(
-    est: &dyn ConcurrentEstimator,
-    src: &mut dyn EdgeSource,
-    chunk: usize,
-    batch: usize,
-    threads: usize,
-    hook: &mut dyn FnMut(u64) -> Result<(), E>,
-) -> Result<u64, E> {
     let chunk = chunk.max(1);
-    let threads = threads.max(1);
     let mut buf: Vec<Edge> = Vec::with_capacity(chunk);
     let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(chunk);
     let mut total = 0u64;
     loop {
-        let n = src.next_chunk(&mut buf, chunk).map_err(E::from)?;
+        let n = src.next_chunk(&mut buf, chunk)?;
         if n == 0 {
-            hook(total)?;
             return Ok(total);
         }
-        pairs.clear();
-        pairs.extend(buf.iter().map(|e| e.pair()));
-        let part_len = n.div_ceil(threads).max(1);
-        std::thread::scope(|s| {
-            for part in pairs.chunks(part_len) {
-                s.spawn(move || {
-                    if batch == 0 {
-                        for &(user, item) in part {
-                            est.ingest(user, item);
-                        }
-                    } else {
-                        for slice in part.chunks(batch) {
-                            est.ingest_batch(slice);
-                        }
-                    }
-                });
-            }
-        });
+        ingest_parallel(est, &buf, &mut pairs, batch, threads);
         total += n as u64;
-        hook(total)?;
+    }
+}
+
+/// Applies one in-memory chunk through the `&self` ingest path on
+/// `threads` threads: the chunk is converted to bare pairs once (into the
+/// caller's reused `pairs` buffer), split into `threads` contiguous
+/// parts, and each part is fed by [`ingest_pairs`] on its own scoped
+/// thread. Every thread is joined before this returns, so the estimator
+/// is quiescent afterwards — the point checkpointing relies on.
+// HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
+pub fn ingest_parallel(
+    est: &dyn ConcurrentEstimator,
+    edges: &[Edge],
+    pairs: &mut Vec<(u64, u64)>,
+    batch: usize,
+    threads: usize,
+) {
+    pairs.clear();
+    pairs.extend(edges.iter().map(|e| e.pair()));
+    let part_len = pairs.len().div_ceil(threads.max(1)).max(1);
+    std::thread::scope(|s| {
+        for part in pairs.chunks(part_len) {
+            s.spawn(move || ingest_pairs(est, part, batch));
+        }
+    });
+}
+
+/// Feeds bare pairs to a concurrent estimator on the calling thread:
+/// `ingest_batch` over `batch`-edge slices, or per-edge `ingest` when
+/// `batch` is 0.
+// HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
+pub fn ingest_pairs(est: &dyn ConcurrentEstimator, pairs: &[(u64, u64)], batch: usize) {
+    if batch == 0 {
+        for &(user, item) in pairs {
+            est.ingest(user, item);
+        }
+    } else {
+        for slice in pairs.chunks(batch) {
+            est.ingest_batch(slice);
+        }
     }
 }
 

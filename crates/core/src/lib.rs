@@ -39,12 +39,6 @@
 //!   SharedZeroQ>`, [`ConcurrentFreeRS`] =
 //!   `ConcurrentEngine<AtomicPackedArray, SharedZ>`;
 //!
-//! The same seam carries the cache-line **fused layouts** ([`FusedFreeBS`],
-//! [`FusedFreeRS`], [`ConcurrentFusedFreeBS`]): identical logical slots —
-//! and therefore bit-identical estimates — with the `q` bookkeeping
-//! colocated in the same cache line as the payload words, so the batch
-//! path's write pass touches one missed line per edge instead of two.
-//!
 //! [`ShardedSketch`] composes `P` concurrent engines behind one estimator
 //! (per-shard `q`, HT sums merged across shards) and [`Windowed`] rotates
 //! `Arc`-owned slices of any estimator — including the concurrent ones,
@@ -86,78 +80,21 @@ pub mod theory;
 mod vhll;
 mod window;
 
-/// Default block depth of the batched ingest fast path: `process_batch`
-/// freezes the sampling probability `q` for one block of edges at a time
-/// (see [`CardinalityEstimator::process_batch`] for the resulting drift
-/// bound) and phases each block's memory traffic so cache misses overlap.
-/// Since block depth became runtime-tunable this is the single source of
-/// truth for the default — [`IngestTuning::default`] reads it, and tests
-/// and callers reason about the drift tolerance through it.
+/// Block depth of the batched ingest path: `process_batch` freezes the
+/// sampling probability `q` for one block of edges at a time (see
+/// [`CardinalityEstimator::process_batch`] for the resulting drift bound)
+/// and phases each block's memory traffic so cache misses overlap. The
+/// engines size their stack scratch by it, and tests and callers reason
+/// about the drift tolerance through it.
 pub const INGEST_BLOCK: usize = 512;
 
-/// Largest accepted [`IngestTuning::block`]: beyond this the per-block
-/// scratch stops fitting comfortably in L1/L2 and the frozen-`q` drift
-/// bound grows with no throughput left to win.
-pub const MAX_INGEST_BLOCK: usize = 8192;
-
-/// Largest accepted [`IngestTuning::warm_ahead`]: warming further ahead
-/// than this evicts its own prefetches before the apply pass arrives.
-pub const MAX_WARM_AHEAD: usize = 8;
-
-/// Runtime tuning of the batched ingest fast path — the knobs PR 2's
-/// compile-time constants hard-wired, now settable per engine via
-/// [`CardinalityEstimator::configure_ingest`] (CLI: `--batch`,
-/// `--warm-ahead`).
-///
-/// * `block` moves the `q`-freeze granularity and therefore the documented
-///   one-sided estimate drift (≤ `block/m₀` resp. `block/Z` relative);
-/// * `warm_ahead` is **estimate-neutral**: the warm pass is load-only, so
-///   any distance produces bit-identical stores *and* estimates — it only
-///   moves how far ahead of the write pass the prefetch stream runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IngestTuning {
-    /// Edges per frozen-`q` block (clamped to `1..=`[`MAX_INGEST_BLOCK`]).
-    pub block: usize,
-    /// Blocks of warm-pass lookahead: 0 restores PR 2's warm-then-apply
-    /// phasing; `d ≥ 1` interleaves block `k+d`'s warm pass behind block
-    /// `k`'s write pass (clamped to [`MAX_WARM_AHEAD`]).
-    pub warm_ahead: usize,
-}
-
-impl Default for IngestTuning {
-    fn default() -> Self {
-        Self {
-            block: INGEST_BLOCK,
-            warm_ahead: 0,
-        }
-    }
-}
-
-impl IngestTuning {
-    /// The tuning with every knob forced into its supported envelope
-    /// (engines apply this on configure, so a wild CLI value degrades to
-    /// the nearest sane one instead of panicking mid-stream).
-    #[must_use]
-    pub fn clamped(self) -> Self {
-        Self {
-            block: self.block.clamp(1, MAX_INGEST_BLOCK),
-            warm_ahead: self.warm_ahead.min(MAX_WARM_AHEAD),
-        }
-    }
-}
-
-pub use concurrent::{
-    ConcurrentEstimator, ConcurrentFreeBS, ConcurrentFreeRS, ConcurrentFusedFreeBS,
-};
+pub use concurrent::{ConcurrentEstimator, ConcurrentFreeBS, ConcurrentFreeRS};
 pub use confidence::{anytime_ci, ConfidenceTracking, EstimateWithCi, SamplingProbability};
 pub use cse::Cse;
 pub use engine::{IncrementalZ, QTracker, SketchEngine, ZeroQ};
-pub use freebs::{FreeBS, FusedFreeBS};
-pub use freers::{FreeRS, FusedFreeRS};
-pub use ingest::{
-    skip_edges, stream_into, stream_into_hooked, stream_into_parallel, stream_into_parallel_hooked,
-    IngestError,
-};
+pub use freebs::FreeBS;
+pub use freers::FreeRS;
+pub use ingest::{skip_edges, stream_into, stream_into_parallel, IngestError};
 pub use jointlpc::JointLpc;
 pub use peruser::{PerUserHllpp, PerUserLpc};
 pub use sharded::{ShardedFreeBS, ShardedFreeRS, ShardedSketch};
@@ -185,8 +122,8 @@ pub trait CardinalityEstimator {
     /// The default implementation is a plain per-edge loop, so every
     /// estimator gets the API for free; the FreeBS/FreeRS engines (scalar,
     /// concurrent and sharded), [`Cse`] and [`VHll`] override it with
-    /// hand-optimized block pipelines (block hashing, software prefetch of
-    /// the next block's array words, and amortized `q`/counter
+    /// hand-optimized block pipelines (block hashing, a load-only warm
+    /// pass over each block's array words, and amortized `q`/counter
     /// maintenance).
     ///
     /// **Contract:** the final shared-array state (bits/registers) is
@@ -205,14 +142,6 @@ pub trait CardinalityEstimator {
             self.process(user, item);
         }
     }
-
-    /// Adjusts the batch-path tuning (block depth, warm distance) where
-    /// the implementation has one. The default is a no-op so estimators
-    /// without a phased batch pipeline (baselines, per-user sketches) get
-    /// the API for free; the FreeBS/FreeRS engines (scalar, concurrent and
-    /// sharded) store the clamped tuning and honor it on every subsequent
-    /// [`CardinalityEstimator::process_batch`] call.
-    fn configure_ingest(&mut self, _tuning: IngestTuning) {}
 
     /// The current cardinality estimate `n̂_s(t)` for `user` (0 for users
     /// never seen). O(1) for every implementation.

@@ -35,7 +35,7 @@ use crate::concurrent::{
     ConcurrentEngine, ConcurrentEstimator, SharedQTracker, SharedZ, SharedZeroQ,
 };
 use crate::engine::{IncrementalZ, QTracker, SketchEngine, ZeroQ};
-use crate::ingest::{ingest_slice, IngestError};
+use crate::ingest::{ingest_parallel, ingest_slice, IngestError};
 use crate::{CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS, ShardedSketch};
 use bitpack::{ConcurrentSlotStore, SlotStore, WordStore};
 use graphstream::snapshot::{find_section, read_sections, write_sections, Section};
@@ -199,10 +199,11 @@ impl AnySketch {
     }
 
     /// Applies one in-memory chunk: scalar kinds run the sequential block
-    /// pipeline, sharded kinds split the chunk over `threads` ingest
-    /// threads (joined before returning, so the sketch is quiescent
-    /// afterwards — the property checkpointing relies on). `pairs` is a
-    /// scratch buffer the caller reuses across chunks.
+    /// pipeline ([`ingest_slice`]), sharded kinds split the chunk over
+    /// `threads` ingest threads ([`ingest_parallel`], joined before
+    /// returning, so the sketch is quiescent afterwards — the property
+    /// checkpointing relies on). `pairs` is a scratch buffer the caller
+    /// reuses across chunks.
     pub fn apply_chunk(
         &mut self,
         buf: &[Edge],
@@ -213,8 +214,8 @@ impl AnySketch {
         match self {
             Self::FreeBS(e) => ingest_slice(e, buf, pairs, batch),
             Self::FreeRS(e) => ingest_slice(e, buf, pairs, batch),
-            Self::ShardedFreeBS(s) => apply_chunk_parallel(s, buf, pairs, batch, threads),
-            Self::ShardedFreeRS(s) => apply_chunk_parallel(s, buf, pairs, batch, threads),
+            Self::ShardedFreeBS(s) => ingest_parallel(s, buf, pairs, batch, threads),
+            Self::ShardedFreeRS(s) => ingest_parallel(s, buf, pairs, batch, threads),
         }
     }
 
@@ -231,11 +232,17 @@ impl AnySketch {
         }
     }
 
-    /// The current sampling probability `q(t)` (minimum across shards for
-    /// the sharded kinds) — the input to anytime confidence intervals.
+    /// The current sampling probability `q(t)` anytime confidence
+    /// intervals are built on: for the sharded kinds the minimum across
+    /// shards, which keeps the intervals conservative.
     #[must_use]
     pub fn sampling_q(&self) -> f64 {
-        dispatch!(self, e => e.q())
+        match self {
+            Self::FreeBS(e) => e.q(),
+            Self::FreeRS(e) => e.q(),
+            Self::ShardedFreeBS(s) => min_shard_q(s),
+            Self::ShardedFreeRS(s) => min_shard_q(s),
+        }
     }
 
     /// Number of distinct users tracked: O(1) for the scalar kinds and a
@@ -245,12 +252,13 @@ impl AnySketch {
         dispatch!(self, e => e.user_count())
     }
 
-    /// Drives `src` to exhaustion, checkpointing through `ckpt` at chunk
-    /// boundaries (the quiescent points) once at least its interval's
-    /// worth of new edges has accumulated, plus a final checkpoint at
-    /// stream end. `base_edges` is the stream offset already applied to
-    /// this sketch (non-zero when resuming from a restored checkpoint),
-    /// so recorded offsets are absolute.
+    /// Drives `src` to exhaustion through [`AnySketch::apply_chunk`].
+    /// With a checkpointer, it checkpoints at chunk boundaries (the
+    /// quiescent points) once at least its interval's worth of new edges
+    /// has accumulated, plus a final checkpoint at stream end.
+    /// `base_edges` is the stream offset already applied to this sketch
+    /// (non-zero when resuming from a restored checkpoint), so recorded
+    /// offsets are absolute.
     ///
     /// Returns the number of edges ingested by *this* call.
     ///
@@ -259,13 +267,13 @@ impl AnySketch {
     /// keeps every chunk applied so far, and the newest on-disk
     /// checkpoint stays consistent (a torn write only ever affects the
     /// temp file).
-    pub fn ingest_checkpointed(
+    pub fn ingest_stream(
         &mut self,
         src: &mut dyn EdgeSource,
         chunk: usize,
         batch: usize,
         threads: usize,
-        ckpt: &mut Checkpointer,
+        mut ckpt: Option<&mut Checkpointer>,
         base_edges: u64,
     ) -> Result<u64, IngestError> {
         let chunk = chunk.max(1);
@@ -277,43 +285,27 @@ impl AnySketch {
                 .next_chunk(&mut buf, chunk)
                 .map_err(IngestError::Stream)?;
             if n == 0 {
-                ckpt.checkpoint_now(self, base_edges + ingested)?;
+                if let Some(ckpt) = ckpt {
+                    ckpt.checkpoint_now(self, base_edges + ingested)?;
+                }
                 return Ok(ingested);
             }
             self.apply_chunk(&buf, &mut pairs, batch, threads);
             ingested += n as u64;
-            ckpt.maybe_checkpoint(self, base_edges + ingested)?;
+            if let Some(ckpt) = ckpt.as_deref_mut() {
+                ckpt.maybe_checkpoint(self, base_edges + ingested)?;
+            }
         }
     }
 }
 
-/// Parallel chunk application for sharded kinds (mirrors
-/// [`crate::ingest::stream_into_parallel`]'s per-chunk body).
-fn apply_chunk_parallel(
-    est: &dyn ConcurrentEstimator,
-    buf: &[Edge],
-    pairs: &mut Vec<(u64, u64)>,
-    batch: usize,
-    threads: usize,
-) {
-    pairs.clear();
-    pairs.extend(buf.iter().map(|e| e.pair()));
-    let part_len = pairs.len().div_ceil(threads.max(1)).max(1);
-    std::thread::scope(|s| {
-        for part in pairs.chunks(part_len) {
-            s.spawn(move || {
-                if batch == 0 {
-                    for &(user, item) in part {
-                        est.ingest(user, item);
-                    }
-                } else {
-                    for slice in part.chunks(batch) {
-                        est.ingest_batch(slice);
-                    }
-                }
-            });
-        }
-    });
+/// The smallest per-shard sampling probability.
+fn min_shard_q<S: ConcurrentSlotStore, Q: SharedQTracker<S>>(sketch: &ShardedSketch<S, Q>) -> f64 {
+    sketch
+        .shards()
+        .iter()
+        .map(ConcurrentEngine::q)
+        .fold(f64::INFINITY, f64::min)
 }
 
 impl CardinalityEstimator for AnySketch {
@@ -324,10 +316,6 @@ impl CardinalityEstimator for AnySketch {
 
     fn process_batch(&mut self, edges: &[(u64, u64)]) {
         dispatch!(self, e => e.process_batch(edges));
-    }
-
-    fn configure_ingest(&mut self, tuning: crate::IngestTuning) {
-        dispatch!(self, e => e.configure_ingest(tuning));
     }
 
     #[inline]
@@ -925,10 +913,25 @@ impl Checkpointer {
             fs::rename(&self.path, fallback_path(&self.path))?;
         }
         fs::rename(&part, &self.path)?;
+        sync_parent_dir(&self.path)?;
         self.written += 1;
         self.last_at = edges;
         Ok(())
     }
+}
+
+/// Fsyncs the directory holding `path`, so the renames that published it
+/// survive a power cut (on unix; elsewhere a no-op). A bare file name's
+/// parent is the current directory.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    if cfg!(unix) {
+        fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// Restores from `path`, falling back to [`fallback_path`] when the
@@ -1037,6 +1040,42 @@ mod tests {
     }
 
     #[test]
+    fn sampling_q_is_the_smallest_shard_q() {
+        let pairs: Vec<(u64, u64)> = edges(4_000, 1).iter().map(|e| e.pair()).collect();
+        for p in [1usize, 4] {
+            let sharded = ShardedFreeBS::new(1 << 12, p, 7);
+            sharded.process_batch(&pairs);
+            let min = sharded
+                .shards()
+                .iter()
+                .map(ConcurrentEngine::q)
+                .fold(f64::INFINITY, f64::min);
+            let mean = sharded.q();
+            let sketch = AnySketch::from(sharded);
+            assert_eq!(sketch.sampling_q(), min, "P = {p}");
+            assert!(min <= mean, "P = {p}: min {min} above mean {mean}");
+            if p == 1 {
+                assert_eq!(min, mean);
+            }
+        }
+    }
+
+    #[test]
+    fn sync_parent_dir_handles_bare_and_nested_paths() {
+        // A bare name's parent is the empty path, which must mean `.`.
+        sync_parent_dir(Path::new("state.fsnp")).expect("bare name syncs the working directory");
+        let root = std::env::temp_dir().join(format!(
+            "freesketch-sync-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let nested = root.join("a").join("b");
+        fs::create_dir_all(&nested).expect("temp dir");
+        sync_parent_dir(&nested.join("state.fsnp")).expect("nested path syncs its directory");
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn kind_mismatch_is_config_error() {
         let mut bs = AnySketch::FreeBS(FreeBS::new(1 << 10, 1));
         let rs = AnySketch::FreeRS(FreeRS::new(1 << 10, 1));
@@ -1126,7 +1165,7 @@ mod tests {
         let mut ckpt = Checkpointer::new(&path, 4_000);
         let mut src = SliceSource::new(&es);
         let n = sketch
-            .ingest_checkpointed(&mut src, 1_000, 512, 1, &mut ckpt, 0)
+            .ingest_stream(&mut src, 1_000, 512, 1, Some(&mut ckpt), 0)
             .expect("clean ingest");
         assert_eq!(n, 10_000);
         // Interval checkpoints at 4k and 8k, plus the final one at EOF.
@@ -1152,7 +1191,7 @@ mod tests {
         let mut ckpt = Checkpointer::new(&path, 3_000).with_crash_after(Some(1));
         let mut src = SliceSource::new(&es);
         let err = sketch
-            .ingest_checkpointed(&mut src, 1_000, 0, 1, &mut ckpt, 0)
+            .ingest_stream(&mut src, 1_000, 0, 1, Some(&mut ckpt), 0)
             .expect_err("fault injection fires");
         assert!(err.to_string().contains("simulated crash"), "{err}");
         // Exactly one checkpoint (at 3k edges) landed before the crash and

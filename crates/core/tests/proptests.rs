@@ -2,7 +2,7 @@
 
 use freesketch::{
     load_snapshot, save_snapshot, AnySketch, CardinalityEstimator, Cse, FreeBS, FreeRS,
-    FusedFreeBS, FusedFreeRS, IngestTuning, PerUserHllpp, PerUserLpc, VHll,
+    PerUserHllpp, PerUserLpc, VHll,
 };
 use proptest::prelude::*;
 
@@ -337,117 +337,6 @@ proptest! {
                 "user {}", u
             );
         }
-    }
-
-    /// The fused line-group layout is a pure physical rearrangement: same
-    /// seed, same stream ⇒ bit-identical logical slots and bit-identical
-    /// estimates for FreeBS, across empty batches, single-edge batches, and
-    /// chunkings that are not a multiple of the ingest block.
-    #[test]
-    fn fused_freebs_is_bit_identical(stream in edges(), seed: u64, chunk in 1usize..700) {
-        use bitpack::SlotStore;
-        let m = 1 << 13;
-        let mut split = FreeBS::new(m, seed);
-        let mut fused = FusedFreeBS::new(m, seed);
-        split.process_batch(&[]);
-        fused.process_batch(&[]);
-        for c in stream.chunks(chunk) {
-            split.process_batch(c);
-            fused.process_batch(c);
-        }
-        prop_assert_eq!(split.zeros(), fused.zeros());
-        for i in 0..m {
-            prop_assert_eq!(split.store().load(i), fused.store().load(i), "slot {}", i);
-        }
-        for u in 0..32u64 {
-            prop_assert_eq!(split.estimate(u), fused.estimate(u), "user {}", u);
-        }
-        prop_assert_eq!(split.total_estimate(), fused.total_estimate());
-
-        // The scalar per-edge path agrees the same way.
-        let mut split = FreeBS::new(m, seed);
-        let mut fused = FusedFreeBS::new(m, seed);
-        for &(u, d) in &stream {
-            split.process(u, d);
-            fused.process(u, d);
-        }
-        prop_assert_eq!(split.zeros(), fused.zeros());
-        for u in 0..32u64 {
-            prop_assert_eq!(split.estimate(u), fused.estimate(u), "scalar user {}", u);
-        }
-    }
-
-    /// Same physical-rearrangement invariant for FreeRS: fused and split
-    /// register stores hold identical logical registers and produce
-    /// bit-identical estimates under arbitrary chunking.
-    #[test]
-    fn fused_freers_is_bit_identical(stream in edges(), seed: u64, chunk in 1usize..700) {
-        let m = 1 << 10;
-        let mut split = FreeRS::new(m, seed);
-        let mut fused = FusedFreeRS::new(m, seed);
-        split.process_batch(&[]);
-        fused.process_batch(&[]);
-        for c in stream.chunks(chunk) {
-            split.process_batch(c);
-            fused.process_batch(c);
-        }
-        for i in 0..m {
-            prop_assert_eq!(split.store().load(i), fused.store().load(i), "register {}", i);
-        }
-        for u in 0..32u64 {
-            prop_assert_eq!(split.estimate(u), fused.estimate(u), "user {}", u);
-        }
-        prop_assert_eq!(split.total_estimate(), fused.total_estimate());
-    }
-
-    /// `warm_ahead` is load-only lookahead: any distance (including the
-    /// const-block default path at the default tuning) yields bit-identical
-    /// stores *and* estimates. Changing `block` moves only the `q`-freeze
-    /// boundaries, so the store still matches bit for bit.
-    #[test]
-    fn ingest_tuning_respects_documented_invariants(
-        stream in edges(),
-        seed: u64,
-        warm_ahead in 0usize..6,
-        block in 1usize..1100,
-    ) {
-        let m = 1 << 13;
-        let mut base = FreeBS::new(m, seed);
-        base.process_batch(&stream);
-        let mut warmed = FreeBS::new(m, seed);
-        warmed.configure_ingest(IngestTuning {
-            block: freesketch::INGEST_BLOCK,
-            warm_ahead,
-        });
-        warmed.process_batch(&stream);
-        prop_assert_eq!(base.bit_array(), warmed.bit_array());
-        for u in 0..32u64 {
-            prop_assert_eq!(base.estimate(u), warmed.estimate(u), "user {}", u);
-        }
-        prop_assert_eq!(base.total_estimate(), warmed.total_estimate());
-
-        let mut blocky = FreeBS::new(m, seed);
-        blocky.configure_ingest(IngestTuning { block, warm_ahead });
-        blocky.process_batch(&stream);
-        prop_assert_eq!(base.bit_array(), blocky.bit_array());
-    }
-
-    /// The concurrent engines obey the same fused-layout invariant: driven
-    /// single-threaded (deterministic schedule), split and fused atomic
-    /// stores produce identical estimates under arbitrary chunking.
-    #[test]
-    fn concurrent_fused_matches_split(stream in edges(), seed: u64, chunk in 1usize..700) {
-        let m = 1 << 13;
-        let split = freesketch::ConcurrentFreeBS::new(m, seed);
-        let fused = freesketch::ConcurrentFusedFreeBS::new(m, seed);
-        for c in stream.chunks(chunk) {
-            split.process_batch(c);
-            fused.process_batch(c);
-        }
-        for u in 0..32u64 {
-            prop_assert_eq!(split.estimate(u), fused.estimate(u), "user {}", u);
-        }
-        prop_assert_eq!(split.total_estimate(), fused.total_estimate());
     }
 
     /// Sharded estimates decompose exactly: routing every edge by hand to

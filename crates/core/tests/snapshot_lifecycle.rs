@@ -210,7 +210,7 @@ fn crash_restore_resume_equals_uninterrupted() {
     let mut ckpt = Checkpointer::new(&path, every).with_crash_after(Some(2));
     let mut src = SliceSource::new(&trace);
     let err = sketch
-        .ingest_checkpointed(&mut src, chunk, batch, 1, &mut ckpt, 0)
+        .ingest_stream(&mut src, chunk, batch, 1, Some(&mut ckpt), 0)
         .expect_err("simulated crash fires");
     assert!(err.to_string().contains("simulated crash"), "{err}");
 
@@ -231,7 +231,7 @@ fn crash_restore_resume_equals_uninterrupted() {
     assert_eq!(skipped, offset);
     let mut ckpt = Checkpointer::new(&path, every).starting_from(offset);
     resumed
-        .ingest_checkpointed(&mut src, chunk, batch, 1, &mut ckpt, offset)
+        .ingest_stream(&mut src, chunk, batch, 1, Some(&mut ckpt), offset)
         .expect("clean resume");
 
     for u in 0..64u64 {

@@ -9,7 +9,7 @@
 //! not silence) and decodable at memory bandwidth.
 //!
 //! [`FedgeWriter`] encodes, [`FedgeReader`] decodes and implements
-//! [`EdgeSource`](crate::EdgeSource), so readers hand the stream to the
+//! [`EdgeSource`], so readers hand the stream to the
 //! estimators chunk-at-a-time without ever materializing the trace.
 
 use crate::source::{EdgeSource, EdgeStreamError};
