@@ -71,28 +71,11 @@ impl MethodSet {
     }
 }
 
-/// Slice size handed to `process_batch` per call by the batched replay
-/// harness: large enough to amortize the virtual call, small enough that a
-/// caller interleaving queries retains the anytime property at fine grain.
-pub const REPLAY_BATCH: usize = 8192;
-
 /// Runs a full stream through an estimator, returning elapsed seconds.
 pub fn run_stream(est: &mut dyn CardinalityEstimator, edges: &[Edge]) -> f64 {
     let start = std::time::Instant::now();
     for e in edges {
         est.process(e.user, e.item);
-    }
-    start.elapsed().as_secs_f64()
-}
-
-/// Runs a pre-converted pair stream through an estimator's batched fast
-/// path in [`REPLAY_BATCH`]-sized slices, returning elapsed seconds. The
-/// pair conversion (see [`graphstream::to_pairs`]) is done by the caller so
-/// the timing covers ingest only.
-pub fn run_stream_batched(est: &mut dyn CardinalityEstimator, pairs: &[(u64, u64)]) -> f64 {
-    let start = std::time::Instant::now();
-    for slice in pairs.chunks(REPLAY_BATCH) {
-        est.process_batch(slice);
     }
     start.elapsed().as_secs_f64()
 }
@@ -178,21 +161,6 @@ mod tests {
         let secs = run_stream(&mut est, &edges);
         assert!(secs >= 0.0);
         assert!(est.estimate(0) > 0.0);
-    }
-
-    #[test]
-    fn run_stream_batched_matches_scalar_bits() {
-        let edges: Vec<Edge> = (0..20_000u64)
-            .map(|i| Edge::new(i % 40, hashkit::splitmix64(i) >> 20))
-            .collect();
-        let pairs = graphstream::to_pairs(&edges);
-        let mut scalar = FreeBS::new(1 << 15, 9);
-        let mut batched = FreeBS::new(1 << 15, 9);
-        run_stream(&mut scalar, &edges);
-        run_stream_batched(&mut batched, &pairs);
-        assert_eq!(scalar.bit_array(), batched.bit_array());
-        let rel = (batched.estimate(0) / scalar.estimate(0) - 1.0).abs();
-        assert!(rel < 0.01, "batched replay drifted {rel}");
     }
 
     #[test]

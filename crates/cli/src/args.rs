@@ -6,6 +6,13 @@ use crate::input::InputFormat;
 /// any useful streaming buffer, far below allocation-panic territory.
 pub const MAX_CHUNK: usize = 1 << 24;
 
+/// Largest accepted `--threads`. Each thread becomes a shard (rounded up to
+/// a power of two) carrying its own 64-way counter map, and ingest and
+/// `serve` spawn up to that many threads, so time and memory grow linearly
+/// with the value whatever the trace: far above any core count, a huge
+/// value must be a CLI error, not minutes of set-up.
+pub const MAX_THREADS: usize = 1024;
+
 /// Which estimator to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
@@ -215,8 +222,8 @@ COMMON FLAGS:
   --batch N                ingest batch size in edges; sets the engines'
                            pipelined block size too when below 512; 0 =
                            scalar per-edge path (default 8192)
-  --threads N              parallel ingest threads; >1 uses the sharded
-                           concurrent estimator (default 1)
+  --threads N              parallel ingest threads, at most 1024; >1 uses
+                           the sharded concurrent estimator (default 1)
   --chunk N                edges read from the file per streaming chunk —
                            the resident-edge bound (default 65536)
   --format auto|tsv|fedge  input format (default auto: sniff the header)
@@ -274,12 +281,13 @@ impl Cli {
                 "--seed" => seed = parse_num(value(args, &mut i, "--seed")?, "--seed")?,
                 "--batch" => batch = parse_num(value(args, &mut i, "--batch")?, "--batch")?,
                 "--threads" => {
-                    threads = parse_num(value(args, &mut i, "--threads")?, "--threads")?;
-                    if threads == 0 {
+                    let v = value(args, &mut i, "--threads")?;
+                    threads = parse_num(v, "--threads")?;
+                    if !(1..=MAX_THREADS).contains(&threads) {
                         return Err(ParseError::BadValue {
                             flag: "--threads",
-                            value: "0".to_string(),
-                            expected: "a positive integer",
+                            value: v.to_string(),
+                            expected: "an integer in 1..=1024",
                         });
                     }
                 }
@@ -314,11 +322,18 @@ impl Cli {
                 "--top" => top = parse_num(value(args, &mut i, "--top")?, "--top")?,
                 "--delta" => {
                     let v = value(args, &mut i, "--delta")?;
-                    delta = Some(v.parse::<f64>().map_err(|_| ParseError::BadValue {
-                        flag: "--delta",
-                        value: v.to_string(),
-                        expected: "a float in (0,1)",
-                    })?);
+                    // `spreaders` asserts 0 < Δ < 1 only after the whole
+                    // trace is read; NaN fails the range check too.
+                    match v.parse::<f64>() {
+                        Ok(d) if d > 0.0 && d < 1.0 => delta = Some(d),
+                        _ => {
+                            return Err(ParseError::BadValue {
+                                flag: "--delta",
+                                value: v.to_string(),
+                                expected: "a float in (0,1)",
+                            })
+                        }
+                    }
                 }
                 "--scale" => scale = Some(parse_num(value(args, &mut i, "--scale")?, "--scale")?),
                 "--out" => out = value(args, &mut i, "--out")?.to_string(),
@@ -507,6 +522,37 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn threads_flag_rejects_more_than_max_threads() {
+        let cli = Cli::parse(&["estimate", "x.tsv", "--threads", "1024"]).expect("parse");
+        assert_eq!(cli.threads, MAX_THREADS);
+        for bad in ["1025", "100000"] {
+            assert_eq!(
+                Cli::parse(&["estimate", "x.tsv", "--threads", bad]).unwrap_err(),
+                ParseError::BadValue {
+                    flag: "--threads",
+                    value: bad.into(),
+                    expected: "an integer in 1..=1024",
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn delta_flag_rejects_values_outside_unit_interval() {
+        for bad in ["5", "0", "-1", "NaN", "inf"] {
+            assert_eq!(
+                Cli::parse(&["spreaders", "x.tsv", "--delta", bad]).unwrap_err(),
+                ParseError::BadValue {
+                    flag: "--delta",
+                    value: bad.into(),
+                    expected: "a float in (0,1)",
+                },
+                "--delta {bad} must be rejected"
+            );
+        }
     }
 
     #[test]

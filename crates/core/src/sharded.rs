@@ -28,7 +28,8 @@
 //! first order this is the unsharded bound; only the `O(P/M)` correction
 //! grows. FreeRS composes the same way with Theorem 2.
 //! `tests/sharded_moments.rs` checks mean and variance against it over
-//! many seeds, per edge and in batches.
+//! many seeds: FreeBS and FreeRS per edge, and FreeBS in batches on one
+//! ingest thread and on two (`stream_into_parallel`).
 
 use crate::concurrent::{
     ConcurrentEngine, ConcurrentEstimator, ConcurrentFreeBS, ConcurrentFreeRS, SharedQTracker,

@@ -73,14 +73,6 @@ impl Edge {
     }
 }
 
-/// Converts an edge slice into the bare-pair layout the batched ingest API
-/// consumes. One pass, one allocation; replay harnesses convert a stream
-/// once and feed slices of the result to `process_batch`.
-#[must_use]
-pub fn to_pairs(edges: &[Edge]) -> Vec<(u64, u64)> {
-    edges.iter().map(|e| e.pair()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,12 +84,5 @@ mod tests {
         assert_eq!(e.item, 9);
         assert_eq!(e, Edge { user: 3, item: 9 });
         assert_eq!(e.pair(), (3, 9));
-    }
-
-    #[test]
-    fn to_pairs_preserves_order() {
-        let edges = vec![Edge::new(1, 2), Edge::new(3, 4), Edge::new(1, 2)];
-        assert_eq!(to_pairs(&edges), vec![(1, 2), (3, 4), (1, 2)]);
-        assert!(to_pairs(&[]).is_empty());
     }
 }

@@ -146,14 +146,6 @@ impl SynthStream {
         self.edges.is_empty()
     }
 
-    /// The edge sequence as bare `(user, item)` pairs, in arrival order —
-    /// the layout `CardinalityEstimator::process_batch` consumes. Allocates
-    /// once; replay the result in slices of any size.
-    #[must_use]
-    pub fn pairs(&self) -> Vec<(u64, u64)> {
-        crate::to_pairs(&self.edges)
-    }
-
     /// Number of distinct user–item pairs (the final `n(t)`).
     #[must_use]
     pub fn distinct_edges(&self) -> u64 {

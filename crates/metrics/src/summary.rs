@@ -72,18 +72,6 @@ impl Summary {
         sorted[idx]
     }
 
-    /// The raw samples, in push order.
-    #[must_use]
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Folds another summary's samples into this one, so quantiles over
-    /// per-thread collections can be computed exactly after a join.
-    pub fn merge(&mut self, other: &Self) {
-        self.samples.extend_from_slice(&other.samples);
-    }
-
     /// Root mean square of the samples.
     #[must_use]
     pub fn rms(&self) -> f64 {
@@ -142,19 +130,6 @@ mod tests {
         let mut s = Summary::new();
         s.push(1.0);
         let _ = s.quantile(1.5);
-    }
-
-    #[test]
-    fn merge_concatenates_samples() {
-        let mut a = Summary::new();
-        a.push(1.0);
-        a.push(3.0);
-        let mut b = Summary::new();
-        b.push(2.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.quantile(0.5), 2.0);
-        assert_eq!(a.samples(), &[1.0, 3.0, 2.0]);
     }
 
     #[test]

@@ -1,55 +1,92 @@
-//! Moment checks for the sharded estimator over many seeds: unbiased per
-//! edge, one-sided block drift in batches, and variance within the summed
-//! per-shard Theorem 1 bound (see the `sharded` module docs).
+//! Moment checks for the sharded estimators over many seeds: unbiased per
+//! edge, one-sided block drift in batches on one writer and on two, and
+//! variance within the per-shard Theorem 1/2 bound summed over shards (see
+//! the `sharded` module docs).
 //!
-//! The stream is the two-user stream of the scalar moment tests in
-//! `crates/core/tests/statistical.rs`: a probe user with `n = 600` items
-//! interleaved with a background user's 1,400, in `M = 4,096` bits.
+//! The streams are the two-user streams of the scalar moment tests in
+//! `crates/core/tests/statistical.rs`: a probe user's `n` items
+//! interleaved with a background user's, `n = 600` and 1,400 in `M =
+//! 4,096` bits for FreeBS, `n = 1,500` and 2,500 in `M = 1,024`
+//! registers for FreeRS.
 
-use freesketch::{theory, ConcurrentEstimator, ShardedFreeBS};
+use freesketch::{stream_into_parallel, theory, ConcurrentEstimator, ShardedFreeBS, ShardedFreeRS};
+use graphstream::{Edge, SliceSource};
 
-const M_BITS: usize = 4096;
-const N_PROBE: u64 = 600;
-const N_BG: u64 = 1400;
 const SEEDS: u64 = 400;
 
-fn stream() -> Vec<(u64, u64)> {
-    let mut edges = Vec::new();
-    for i in 0..N_PROBE.max(N_BG) {
-        if i < N_PROBE {
-            edges.push((1, i));
-        }
-        if i < N_BG {
-            edges.push((2, i.wrapping_mul(0x9E37_79B9) ^ 0xF00D));
-        }
-    }
-    edges
+/// A moment test's stream and array: the probe's and the background
+/// user's distinct items, the array size `M`, and Theorem 1 or 2.
+struct Case {
+    n_probe: u64,
+    n_bg: u64,
+    m: usize,
+    bound: fn(f64, f64, f64) -> f64,
 }
 
-/// The probe user's estimate for every seed, and the smallest zero count
-/// any shard ended with. `batch == 0` ingests edge by edge.
-fn probe_estimates(shards: usize, batch: usize) -> (Vec<f64>, usize) {
-    let edges = stream();
-    let mut min_zeros = usize::MAX;
-    let samples = (0..SEEDS)
+const FREEBS: Case = Case {
+    n_probe: 600,
+    n_bg: 1400,
+    m: 4096,
+    bound: theory::freebs_variance_bound,
+};
+
+const FREERS: Case = Case {
+    n_probe: 1500,
+    n_bg: 2500,
+    m: 1024,
+    bound: theory::freers_variance_bound,
+};
+
+impl Case {
+    fn stream(&self) -> Vec<Edge> {
+        let mut edges = Vec::new();
+        for i in 0..self.n_probe.max(self.n_bg) {
+            if i < self.n_probe {
+                edges.push(Edge::new(1, i));
+            }
+            if i < self.n_bg {
+                edges.push(Edge::new(2, i.wrapping_mul(0x9E37_79B9) ^ 0xF00D));
+            }
+        }
+        edges
+    }
+
+    /// The bound summed over `P` independent shards of `M/P` slots, each
+    /// holding `1/P` of the probe's and of the stream's distinct pairs.
+    fn summed_bound(&self, shards: usize) -> f64 {
+        let p = shards as f64;
+        let n_total = (self.n_probe + self.n_bg) as f64;
+        p * (self.bound)(self.n_probe as f64 / p, n_total / p, self.m as f64 / p)
+    }
+}
+
+/// The probe user's estimate for every seed, the stream fed by
+/// `stream_into_parallel` in one chunk split over `threads` threads, in
+/// `batch`-edge slices (`0`: edge by edge). `inspect` sees each sketch
+/// after ingest.
+fn probe_estimates<E: ConcurrentEstimator>(
+    case: &Case,
+    build: impl Fn(u64) -> E,
+    batch: usize,
+    threads: usize,
+    mut inspect: impl FnMut(&E),
+) -> Vec<f64> {
+    let edges = case.stream();
+    (0..SEEDS)
         .map(|t| {
-            let sketch = ShardedFreeBS::new(M_BITS, shards, 1000 + t);
-            if batch == 0 {
-                for &(user, item) in &edges {
-                    sketch.ingest(user, item);
-                }
-            } else {
-                for slice in edges.chunks(batch) {
-                    sketch.ingest_batch(slice);
-                }
-            }
-            for shard in sketch.shards() {
-                min_zeros = min_zeros.min(shard.store().zeros());
-            }
+            let sketch = build(t);
+            stream_into_parallel(
+                &sketch,
+                &mut SliceSource::new(&edges),
+                edges.len(),
+                batch,
+                threads,
+            )
+            .expect("an in-memory source cannot fail");
+            inspect(&sketch);
             sketch.estimate(1)
         })
-        .collect();
-    (samples, min_zeros)
+        .collect()
 }
 
 /// Sample mean, sample variance and the standard error of the mean.
@@ -60,18 +97,9 @@ fn moments(samples: &[f64]) -> (f64, f64, f64) {
     (mean, var, (var / n).sqrt())
 }
 
-/// Theorem 1 summed over `P` independent shards of `M/P` bits, each
-/// holding `1/P` of the probe's and of the stream's distinct pairs.
-fn summed_bound(shards: usize) -> f64 {
-    let p = shards as f64;
-    let n_total = (N_PROBE + N_BG) as f64;
-    p * theory::freebs_variance_bound(N_PROBE as f64 / p, n_total / p, M_BITS as f64 / p)
-}
-
 /// Variance at or below the bound with the χ²(399) sampling slack of the
-/// scalar test, and not vacuously far below it.
-fn assert_variance_within_bound(var: f64, shards: usize, what: &str) {
-    let bound = summed_bound(shards);
+/// scalar tests, and not vacuously far below it.
+fn assert_variance_within_bound(var: f64, bound: f64, what: &str) {
     assert!(
         var < bound * 1.35,
         "{what}: variance {var:.1} exceeds the summed bound {bound:.1}"
@@ -85,31 +113,63 @@ fn assert_variance_within_bound(var: f64, shards: usize, what: &str) {
 #[test]
 fn per_edge_ingest_is_unbiased_within_the_summed_bound() {
     for shards in [1usize, 4] {
-        let (samples, _) = probe_estimates(shards, 0);
-        let (mean, var, se) = moments(&samples);
-        let n = N_PROBE as f64;
-        assert!(
-            (mean - n).abs() < 4.0 * se + 1.0,
-            "P = {shards}: mean {mean:.1} vs {n} (se {se:.2})"
+        let freebs = probe_estimates(
+            &FREEBS,
+            |t| ShardedFreeBS::new(FREEBS.m, shards, 1000 + t),
+            0,
+            1,
+            |_| {},
         );
-        assert_variance_within_bound(var, shards, &format!("P = {shards}, per edge"));
+        let freers = probe_estimates(
+            &FREERS,
+            |t| ShardedFreeRS::new(FREERS.m, shards, 9000 + t),
+            0,
+            1,
+            |_| {},
+        );
+        for (name, case, samples) in [("FreeBS", &FREEBS, freebs), ("FreeRS", &FREERS, freers)] {
+            let (mean, var, se) = moments(&samples);
+            let n = case.n_probe as f64;
+            assert!(
+                (mean - n).abs() < 4.0 * se + 1.0,
+                "{name}, P = {shards}: mean {mean:.1} vs {n} (se {se:.2})"
+            );
+            let what = format!("{name}, P = {shards}, per edge");
+            assert_variance_within_bound(var, case.summed_bound(shards), &what);
+        }
     }
 }
 
 #[test]
 fn batched_ingest_drifts_one_sided_within_the_block_bound() {
-    // A batch freezes each shard's q for up to `batch` of its edges, which
-    // shrinks every credit by a relative factor of at most batch/m₀.
-    let (shards, batch) = (4usize, 64usize);
-    let (samples, min_zeros) = probe_estimates(shards, batch);
-    let (mean, var, se) = moments(&samples);
-    let n = N_PROBE as f64;
-    let drift = n * batch as f64 / min_zeros as f64;
-    assert!(
-        mean > n - drift - 4.0 * se && mean < n + 4.0 * se,
-        "P = {shards}, batch {batch}: mean {mean:.1} outside [{:.1}, {:.1}]",
-        n - drift - 4.0 * se,
-        n + 4.0 * se
-    );
-    assert_variance_within_bound(var, shards, &format!("P = {shards}, batch {batch}"));
+    // A batch freezes each shard's q for up to `batch` of a writer's edges,
+    // which shrinks a credit by a relative factor of at most batch/m₀ and
+    // by about half that on average. A second writer's growths during a
+    // block shrink credits about as much again, still within batch/m₀.
+    let batch = 64usize;
+    for (shards, threads) in [(4usize, 1usize), (1, 2), (4, 2)] {
+        let mut min_zeros = usize::MAX;
+        let samples = probe_estimates(
+            &FREEBS,
+            |t| ShardedFreeBS::new(FREEBS.m, shards, 1000 + t),
+            batch,
+            threads,
+            |sketch| {
+                for shard in sketch.shards() {
+                    min_zeros = min_zeros.min(shard.store().zeros());
+                }
+            },
+        );
+        let (mean, var, se) = moments(&samples);
+        let n = FREEBS.n_probe as f64;
+        let drift = n * batch as f64 / min_zeros as f64;
+        let what = format!("P = {shards}, {threads} thread(s), batch {batch}");
+        assert!(
+            mean > n - drift - 4.0 * se && mean < n + 4.0 * se,
+            "{what}: mean {mean:.1} outside [{:.1}, {:.1}]",
+            n - drift - 4.0 * se,
+            n + 4.0 * se
+        );
+        assert_variance_within_bound(var, FREEBS.summed_bound(shards), &what);
+    }
 }
