@@ -7,11 +7,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 ///
 /// The zero count is maintained with a relaxed atomic counter, decremented
 /// only by the thread that actually flips a bit (the `fetch_or` winner), so
-/// it is exact once all writers quiesce. During concurrent operation a reader
-/// may observe a count that lags individual flips by a few updates — the
-/// concurrent FreeBS estimator tolerates this (it perturbs `q` by at most
-/// `k/M` for `k` in-flight updates), and `freesketch::concurrent` tests bound
-/// the resulting estimate skew.
+/// it is exact once all writers quiesce. [`AtomicBitArray::set_many`]
+/// settles it once per block, so during concurrent operation a reader may
+/// observe a count that lags by up to one block of flips per other writer
+/// — the concurrent FreeBS estimator tolerates this (it perturbs `q` by at
+/// most `k/M` for `k` unsettled flips), and `freesketch::concurrent` tests
+/// bound the resulting estimate skew.
 #[derive(Debug)]
 pub struct AtomicBitArray {
     words: Vec<AtomicU64>,
@@ -91,6 +92,41 @@ impl AtomicBitArray {
             self.zeros.fetch_sub(1, Ordering::Relaxed);
         }
         fresh
+    }
+
+    /// Sets every bit named in `slots`, recording in `fresh[i]` whether
+    /// this call flipped bit `slots[i]` — the block form of
+    /// [`AtomicBitArray::set`]. A relaxed load skips the `fetch_or` for a
+    /// bit that is already set (it can never be won again), and the zero
+    /// count is settled by one `fetch_sub` for the whole block.
+    ///
+    /// # Panics
+    /// Panics if `fresh.len() != slots.len()` or any slot is out of range.
+    #[inline]
+    pub fn set_many(&self, slots: &[usize], fresh: &mut [bool]) {
+        assert_eq!(slots.len(), fresh.len(), "freshness buffer length mismatch");
+        assert!(
+            slots.iter().all(|&s| s < self.len),
+            "slot out of range {}",
+            self.len
+        );
+        let mut flipped = 0usize;
+        for (f, &slot) in fresh.iter_mut().zip(slots) {
+            let word = &self.words[slot >> 6];
+            let mask = 1u64 << (slot & 63);
+            // ORDERING: relaxed-ok — bits are monotone, so a set bit seen by
+            // any load stays set and this call cannot win it; an unset one
+            // goes to the fetch_or, whose RMW total order picks the winner
+            // (see set()).
+            let won = word.load(Ordering::Relaxed) & mask == 0
+                && word.fetch_or(mask, Ordering::Relaxed) & mask == 0;
+            *f = won;
+            flipped += usize::from(won);
+        }
+        if flipped > 0 {
+            // ORDERING: relaxed-ok — advisory counter, same as set().
+            self.zeros.fetch_sub(flipped, Ordering::Relaxed);
+        }
     }
 
     /// Load-only warm-up of the word holding bit `i` (relaxed), returned so
@@ -201,23 +237,39 @@ mod tests {
 
     #[test]
     fn exactly_one_winner_per_bit() {
-        let arr = Arc::new(AtomicBitArray::new(4096));
-        let threads = 8;
-        let wins: usize = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let arr = Arc::clone(&arr);
-                    s.spawn(move || (0..4096).filter(|&i| arr.set(i)).count())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("thread panicked"))
-                .sum()
-        });
-        assert_eq!(wins, 4096, "each bit must be flipped exactly once overall");
-        assert_eq!(arr.zeros(), 0);
-        assert_eq!(arr.recount_zeros(), 0);
+        // Per bit, and in 512-bit blocks whose flips settle the zero count
+        // once per block.
+        for blocks in [false, true] {
+            let arr = Arc::new(AtomicBitArray::new(4096));
+            let threads = 8;
+            let wins: usize = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        let arr = Arc::clone(&arr);
+                        s.spawn(move || {
+                            if !blocks {
+                                return (0..4096).filter(|&i| arr.set(i)).count();
+                            }
+                            let slots: Vec<usize> = (0..4096).collect();
+                            let mut fresh = [false; 512];
+                            let mut won = 0;
+                            for block in slots.chunks(512) {
+                                arr.set_many(block, &mut fresh);
+                                won += fresh.iter().filter(|&&f| f).count();
+                            }
+                            won
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("thread panicked"))
+                    .sum()
+            });
+            assert_eq!(wins, 4096, "each bit must be flipped exactly once overall");
+            assert_eq!(arr.zeros(), 0);
+            assert_eq!(arr.recount_zeros(), 0);
+        }
     }
 
     #[test]
@@ -233,6 +285,34 @@ mod tests {
         }
         assert_eq!(back.zeros(), a.zeros());
         assert!(AtomicBitArray::from_words(130, vec![0, 0, 1 << 5]).is_err());
+    }
+
+    #[test]
+    fn set_many_matches_per_slot_sets() {
+        // Repeated slots within the block, and bits set before it.
+        let slots = [3usize, 64, 3, 199, 64, 0, 127, 128, 5, 5];
+        let batch = AtomicBitArray::new(200);
+        let scalar = AtomicBitArray::new(200);
+        for i in [5usize, 128] {
+            batch.set(i);
+            scalar.set(i);
+        }
+        let mut fresh = [false; 10];
+        batch.set_many(&slots, &mut fresh);
+        let expected: Vec<bool> = slots.iter().map(|&s| scalar.set(s)).collect();
+        assert_eq!(fresh.as_slice(), expected.as_slice());
+        for i in 0..batch.word_count() {
+            assert_eq!(batch.word(i), scalar.word(i), "word {i}");
+        }
+        assert_eq!(batch.zeros(), scalar.zeros());
+        assert_eq!(batch.zeros(), batch.recount_zeros());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn set_many_rejects_out_of_range_slots() {
+        let a = AtomicBitArray::new(8);
+        a.set_many(&[1, 8], &mut [false; 2]);
     }
 
     #[test]

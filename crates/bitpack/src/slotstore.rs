@@ -142,7 +142,11 @@ pub trait ConcurrentSlotStore: Send + Sync {
     ///
     /// The default is the per-edge loop; a store with block-amortizable
     /// bookkeeping may override it to settle shared counters once per
-    /// block instead of once per growth.
+    /// block instead of once per growth. [`AtomicBitArray`] does: its zero
+    /// count drops once at the end of the block, so
+    /// [`ConcurrentSlotStore::zero_slots`] may lag by up to one block of
+    /// flips per other writer (a lone writer reads it settled between
+    /// blocks).
     ///
     /// # Panics
     /// Panics if the buffer lengths disagree or any slot is out of range.
@@ -163,7 +167,8 @@ pub trait ConcurrentSlotStore: Send + Sync {
     }
 
     /// Zero-slot count. Exact once writers quiesce; may lag in-flight
-    /// updates by their count (bit stores), or scan (register stores).
+    /// updates (bit stores: up to one block per other writer, see
+    /// [`ConcurrentSlotStore::update_block`]), or scan (register stores).
     fn zero_slots(&self) -> usize;
 
     /// Zero-slot count recomputed by a full scan of the slot contents
@@ -360,6 +365,11 @@ impl ConcurrentSlotStore for AtomicBitArray {
     #[inline]
     fn try_update(&self, i: usize, _value: u16) -> Option<u16> {
         self.set(i).then_some(0)
+    }
+
+    #[inline]
+    fn update_block(&self, slots: &[usize], _values: &[u16], grew: &mut [bool], _old: &mut [u16]) {
+        self.set_many(slots, grew);
     }
 
     #[inline]

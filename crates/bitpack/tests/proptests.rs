@@ -1,7 +1,7 @@
 //! Property-based tests for bit arrays and packed registers.
 #![allow(clippy::needless_range_loop)] // index-parallel model comparison reads clearer
 
-use bitpack::{BitArray, PackedArray};
+use bitpack::{AtomicBitArray, BitArray, ConcurrentSlotStore, PackedArray, WordStore};
 use proptest::prelude::*;
 
 proptest! {
@@ -143,5 +143,36 @@ proptest! {
             prop_assert!(ab.load(i) >= a.load(i));
             prop_assert!(ab.load(i) >= b.load(i));
         }
+    }
+
+    /// The atomic bit array's block update matches per-slot `try_update`
+    /// on the same slots in order: grew flags, words and zero count,
+    /// including slots repeated within the block and bits set before it.
+    #[test]
+    fn atomic_bits_update_block_matches_try_update(
+        len in 1usize..1024,
+        pre in prop::collection::vec(any::<usize>(), 0..100),
+        idx in prop::collection::vec(any::<usize>(), 0..600),
+    ) {
+        let block = AtomicBitArray::new(len);
+        let scalar = AtomicBitArray::new(len);
+        for &i in &pre {
+            block.set(i % len);
+            scalar.set(i % len);
+        }
+        let slots: Vec<usize> = idx.iter().map(|i| i % len).collect();
+        let values = vec![1u16; slots.len()];
+        let mut grew = vec![false; slots.len()];
+        let mut old = vec![0u16; slots.len()];
+        block.update_block(&slots, &values, &mut grew, &mut old);
+        for (i, &s) in slots.iter().enumerate() {
+            let prev = ConcurrentSlotStore::try_update(&scalar, s, 1);
+            prop_assert_eq!(grew[i], prev.is_some(), "update {}", i);
+        }
+        for w in 0..block.word_count() {
+            prop_assert_eq!(WordStore::word(&block, w), WordStore::word(&scalar, w));
+        }
+        prop_assert_eq!(block.zeros(), scalar.zeros());
+        prop_assert_eq!(block.zeros(), block.recount_zeros());
     }
 }

@@ -11,17 +11,19 @@
 //!
 //! Concurrency semantics: slot updates are idempotent monotone atomics
 //! (exactly one winner per change), so dedup holds under any interleaving.
-//! A writer may read a `q` that lags other writers' in-flight changes by a
-//! few slots; the perturbation is bounded by `k/M` for `k` in-flight
-//! updates, and the tests below bound the end-to-end estimate skew against
-//! the sequential estimators empirically. `Z` (register sharing) is
-//! CAS-accumulated with each winner's exact delta, so it is exact once
-//! writers quiesce.
+//! A writer may read a `q` that lags other writers' changes: the bit
+//! store's zero count is settled once per block, so it can miss up to one
+//! block of flips per other writer; the perturbation is bounded by `k/M`
+//! for `k` unsettled flips, and the tests below bound the end-to-end
+//! estimate skew against the sequential estimators empirically. A lone
+//! writer reads `q` settled at every block start, as the scalar engine
+//! does. `Z` (register sharing) is CAS-accumulated with each winner's
+//! exact delta, so it is exact once writers quiesce.
 
 use crate::engine::pow2_neg;
 use crate::CardinalityEstimator;
 use bitpack::{AtomicBitArray, AtomicPackedArray, ConcurrentSlotStore};
-use hashkit::{geometric_rank, reduce64, splitmix64, EdgeHasher, FxHashMap, ShardedCounterMap};
+use hashkit::{geometric_rank, reduce64, splitmix64, EdgeHasher, ShardedCounterMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared ingest: a cardinality estimator whose update path takes `&self`,
@@ -93,8 +95,8 @@ impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZeroQ {
 
     #[inline]
     fn numerator(&self, store: &S) -> f64 {
-        // Read just before the update; under contention it can lag by the
-        // number of in-flight flips, perturbing q by ≤ k/M.
+        // Read just before the update; under contention it can lag by up to
+        // one block of flips per other writer, perturbing q by ≤ k/M.
         store.zero_slots().max(1) as f64
     }
 
@@ -398,16 +400,6 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         self.store.memory_bits()
     }
 
-    /// Collapses into a sequential snapshot of `(user, estimate)` pairs.
-    #[must_use]
-    pub fn snapshot_estimates(&self) -> FxHashMap<u64, f64> {
-        let mut out = FxHashMap::default();
-        self.counters.for_each(&mut |u, e| {
-            out.insert(u, e);
-        });
-        out
-    }
-
     /// Unions another engine's state into this one (quiescent state only):
     /// bitwise OR for bit stores, element-wise max for registers, per-user
     /// counters added, then the `q` tracker resynchronised exactly against
@@ -626,24 +618,27 @@ mod tests {
                 conc.process(u, u * 31 + d);
             }
         }
-        let snap = conc.snapshot_estimates();
-        assert_eq!(snap.len(), 100);
-        for u in 0..100u64 {
-            assert!(snap.contains_key(&u));
-        }
+        let mut users = Vec::new();
+        conc.for_each_estimate(&mut |u, _| users.push(u));
+        users.sort_unstable();
+        assert_eq!(users, (0..100u64).collect::<Vec<_>>());
     }
 
     #[test]
     fn batch_matches_scalar_bits_single_thread() {
         // Same stream through batch and scalar concurrent estimators: the
         // bit arrays must be identical; estimates agree within the
-        // block-granularity q drift.
+        // block-granularity q drift. The scalar engine's block path is the
+        // exact reference for one writer: the zero count, settled once per
+        // block, gives every block the same frozen q as `FreeBS`.
         let batch = ConcurrentFreeBS::new(1 << 14, 7);
         let scalar = ConcurrentFreeBS::new(1 << 14, 7);
+        let mut reference = FreeBS::new(1 << 14, 7);
         let edges: Vec<(u64, u64)> = (0..5_000u64)
             .map(|i| (i % 17, hashkit::splitmix64(i) >> 20))
             .collect();
         batch.process_batch(&edges);
+        reference.process_batch(&edges);
         for &(u, d) in &edges {
             scalar.process(u, d);
         }
@@ -651,11 +646,22 @@ mod tests {
             batch.store().recount_zeros(),
             scalar.store().recount_zeros()
         );
+        let bits = reference.store();
+        assert_eq!(batch.store().word_count(), bits.words().len());
+        for (i, &w) in bits.words().iter().enumerate() {
+            assert_eq!(batch.store().word(i), w, "word {i}");
+        }
+        assert_eq!(batch.store().zeros(), bits.zeros());
         for u in 0..17u64 {
             let (b, s) = (batch.estimate(u), scalar.estimate(u));
             assert!(
                 (b - s).abs() <= s * 0.02 + 1e-9,
                 "user {u}: batch {b} vs scalar {s}"
+            );
+            let r = reference.estimate(u);
+            assert!(
+                (b - r).abs() <= r * 1e-12,
+                "user {u}: batch {b} vs FreeBS::process_batch {r}"
             );
         }
     }
@@ -796,19 +802,32 @@ mod tests {
     #[test]
     fn bit_store_q_discrepancy_checks_counter_against_popcount() {
         // The maintained relaxed zero counter must agree with a popcount
-        // recount once writers quiesce — including after contended ingest.
-        let c = Arc::new(ConcurrentFreeBS::new(1 << 14, 3));
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
-                    for d in 0..3_000u64 {
-                        c.process(t, d);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.q_discrepancy(), 0.0, "zero counter drifted from popcount");
+        // recount once writers quiesce — including after contended ingest,
+        // per edge and in blocks (whose flips settle once per block).
+        for batched in [false, true] {
+            let c = Arc::new(ConcurrentFreeBS::new(1 << 14, 3));
+            std::thread::scope(|s| {
+                for t in 0..4u64 {
+                    let c = Arc::clone(&c);
+                    s.spawn(move || {
+                        // 12k edges over 16k bits: threads collide on slots.
+                        let edges: Vec<(u64, u64)> = (0..3_000u64).map(|d| (t, d)).collect();
+                        if batched {
+                            c.process_batch(&edges);
+                        } else {
+                            for &(u, d) in &edges {
+                                c.process(u, d);
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(
+                c.q_discrepancy(),
+                0.0,
+                "zero counter drifted from popcount (batched: {batched})"
+            );
+        }
     }
 
     #[test]

@@ -6,9 +6,17 @@
 //! independently locked shards keyed by a mix of the user id, so writers
 //! for different users almost never contend and every shard keeps the flat
 //! one-cache-line-per-touch layout of the scalar store.
+//!
+//! The shard comes from the **high** bits of `splitmix64(key)`, because
+//! each shard's [`CounterMap`] starts probing at the low bits of that same
+//! hash. Taking the shard from the low bits would leave every key of a
+//! shard with the same low `log2 P` bits, so they would crowd into `1/P` of
+//! its home slots: a lookup then probes about 13 slots instead of about
+//! 1.3 (100k keys, 64 shards).
 
 use crate::countermap::CounterMap;
 use crate::mix::splitmix64;
+use crate::reduce64;
 use parking_lot::Mutex;
 
 /// Default shard count: enough that 8–16 writer threads rarely collide,
@@ -16,8 +24,9 @@ use parking_lot::Mutex;
 pub const DEFAULT_SHARDS: usize = 64;
 
 /// A concurrent `u64 → f64` accumulator map: `P` mutex-protected
-/// [`CounterMap`] shards, keyed by mixing the key before masking (so
-/// sequential user ids spread instead of piling into neighbouring shards).
+/// [`CounterMap`] shards, keyed by the high bits of a mix of the key (so
+/// sequential user ids spread instead of piling into neighbouring shards,
+/// and a shard's keys still spread over all of its home slots).
 ///
 /// ```
 /// use hashkit::ShardedCounterMap;
@@ -41,7 +50,7 @@ impl Default for ShardedCounterMap {
 
 impl ShardedCounterMap {
     /// Creates a map with `shards` shards, rounded up to a power of two
-    /// (minimum 1) so keys map by mask.
+    /// (minimum 1).
     #[must_use]
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
@@ -60,8 +69,7 @@ impl ShardedCounterMap {
 
     #[inline]
     fn shard(&self, key: u64) -> &Mutex<CounterMap> {
-        let h = splitmix64(key);
-        &self.shards[(h as usize) & (self.shards.len() - 1)]
+        &self.shards[reduce64(splitmix64(key), self.shards.len())]
     }
 
     /// Adds `delta` to `key`'s counter, inserting the key at zero first if
@@ -150,6 +158,24 @@ mod tests {
         assert_eq!(m.len(), 1600);
         assert!((m.get(42).unwrap_or(0.0) - (1.0 + 1600.0 * 0.5)).abs() < 1e-9);
         assert!((m.values_sum() - (1600.0 + 800.0)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn shard_keys_spread_over_their_home_slots() {
+        // The shard index and a shard's home slot come from different bits
+        // of the same hash; from the same bits, this mean is about 13.
+        let m = ShardedCounterMap::default();
+        for k in 0..100_000u64 {
+            m.add(k, 1.0);
+        }
+        let (mut probes, mut keys) = (0.0, 0usize);
+        for s in &m.shards {
+            let s = s.lock();
+            probes += s.mean_probe() * s.len() as f64;
+            keys += s.len();
+        }
+        let mean = probes / keys as f64;
+        assert!(mean <= 2.0, "mean successful probe {mean:.2} slots");
     }
 
     #[test]

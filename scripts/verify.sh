@@ -128,20 +128,25 @@ grep -q "$edges edges in freebs snapshot" "$tmp/union.txt" || {
   echo "merged snapshot lost edges:"; cat "$tmp/union.txt"; exit 1;
 }
 
+# Prints the port that the serve daemon with pid $2 reports in its log $1;
+# fails (and stops the daemon) if it reports none within 10 s.
+serve_port() {
+  local port=""
+  for _ in $(seq 1 100); do
+    port=$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' "$1")
+    [ -n "$port" ] && { echo "$port"; return 0; }
+    sleep 0.1
+  done
+  echo "serve daemon never reported its port:" >&2; cat "$1" >&2
+  kill "$2" 2> /dev/null || true
+  return 1
+}
+
 echo "==> serve daemon smoke (socket protocol, port conflict, shutdown drain)"
 ./target/release/freesketch serve "$tmp/edges.tsv" --port 0 --threads 2 \
   --checkpoint "$tmp/serve.fsnp" > "$tmp/serve-out.txt" 2>&1 &
 serve_pid=$!
-port=""
-for _ in $(seq 1 100); do
-  port=$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' "$tmp/serve-out.txt")
-  [ -n "$port" ] && break
-  sleep 0.1
-done
-[ -n "$port" ] || {
-  echo "serve daemon never reported its port:"; cat "$tmp/serve-out.txt";
-  kill "$serve_pid" 2> /dev/null || true; exit 1;
-}
+port=$(serve_port "$tmp/serve-out.txt" "$serve_pid") || exit 1
 # A second daemon on the taken port must fail fast with a nonzero exit.
 if ./target/release/freesketch serve "$tmp/edges.tsv" --port "$port" > /dev/null 2>&1; then
   echo "second daemon on a taken port should exit nonzero"; exit 1
@@ -169,5 +174,34 @@ grep -q "drained:" "$tmp/serve-out.txt" || {
 # The drain wrote a final checkpoint that restores cleanly.
 test -s "$tmp/serve.fsnp" || { echo "serve left no final checkpoint"; exit 1; }
 ./target/release/freesketch restore "$tmp/serve.fsnp" > /dev/null
+
+echo "==> one-writer serve smoke (~1M-edge trace, many chunks, final checkpoint)"
+./target/release/freesketch serve "$tmp/big.fedge" --port 0 --threads 1 \
+  --checkpoint "$tmp/serve1.fsnp" > "$tmp/serve1-out.txt" 2>&1 &
+serve_pid=$!
+port=$(serve_port "$tmp/serve1-out.txt" "$serve_pid") || exit 1
+exec 3<> "/dev/tcp/127.0.0.1/$port"
+reply=""
+for _ in $(seq 1 600); do
+  printf 'STATS\n' >&3
+  read -r reply <&3
+  case "$reply" in "OK edges=$edges "*) break;; esac
+  sleep 0.1
+done
+case "$reply" in "OK edges=$edges "*) ;; *)
+  echo "one-writer daemon never reported all $edges edges: $reply"
+  kill "$serve_pid" 2> /dev/null || true; exit 1;;
+esac
+printf 'SHUTDOWN\n' >&3
+read -r reply <&3
+case "$reply" in "OK draining"*) ;; *) echo "bad SHUTDOWN reply: $reply"; exit 1;; esac
+exec 3<&- 3>&-
+wait "$serve_pid" || {
+  echo "one-writer serve daemon exited nonzero:"; cat "$tmp/serve1-out.txt"; exit 1;
+}
+./target/release/freesketch restore "$tmp/serve1.fsnp" > "$tmp/serve1-restore.txt"
+grep -q "$edges edges in sharded-freebs snapshot" "$tmp/serve1-restore.txt" || {
+  echo "one-writer serve checkpoint lost edges:"; cat "$tmp/serve1-restore.txt"; exit 1;
+}
 
 echo "verify: OK"

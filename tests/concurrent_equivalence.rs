@@ -15,11 +15,16 @@ fn sequential_replay_is_bit_identical() {
         conc.process(e.user, e.item);
         seq.process(e.user, e.item);
     }
-    let snap = conc.snapshot_estimates();
-    assert_eq!(snap.len(), seq.user_count());
-    for (&user, &est) in &snap {
+    let mut users = Vec::new();
+    conc.for_each_estimate(&mut |user, est| {
+        users.push(user);
         assert_eq!(est, seq.estimate(user), "user {user}");
-    }
+    });
+    users.sort_unstable();
+    let visits = users.len();
+    users.dedup();
+    assert_eq!(users.len(), visits, "a user was visited twice");
+    assert_eq!(users.len(), seq.user_count());
 }
 
 #[test]

@@ -144,8 +144,10 @@ fn per_edge_ingest_is_unbiased_within_the_summed_bound() {
 fn batched_ingest_drifts_one_sided_within_the_block_bound() {
     // A batch freezes each shard's q for up to `batch` of a writer's edges,
     // which shrinks a credit by a relative factor of at most batch/m₀ and
-    // by about half that on average. A second writer's growths during a
-    // block shrink credits about as much again, still within batch/m₀.
+    // by about half that on average. A second writer's flips reach the
+    // zero count once per block of its own, so a credit can also miss up
+    // to one block of them; on average that shrinks credits about as much
+    // again, still within batch/m₀.
     let batch = 64usize;
     for (shards, threads) in [(4usize, 1usize), (1, 2), (4, 2)] {
         let mut min_zeros = usize::MAX;
