@@ -6,7 +6,8 @@
 //! `α_m m² / Σ 2^{-R}` at ~58 anchor cardinalities spanning `(0, 6m]`.
 //! Each anchor becomes a `(mean_raw, mean_raw − n)` interpolation point —
 //! the same construction as Heule et al.'s tables, with our own hashes and
-//! our own randomness (substitution documented in DESIGN.md §5).
+//! our own randomness (substitutions listed in README.md, "Reproduction
+//! status").
 //!
 //! Usage:
 //! ```text

@@ -7,8 +7,8 @@
 //! regenerate equivalent tables with our own simulation
 //! (`cargo run -p bench --release --bin gen_bias`), which measures
 //! `mean(raw) − n` over many trials at log-spaced true cardinalities and
-//! emits the `(raw, bias)` interpolation anchors below. This is the
-//! substitution documented in DESIGN.md §5.
+//! emits the `(raw, bias)` interpolation anchors below. This is one of the
+//! substitutions listed in README.md, "Reproduction status".
 //!
 //! At query time [`estimate_bias`] linearly interpolates between the two
 //! anchors bracketing the observed raw estimate; outside the table range the

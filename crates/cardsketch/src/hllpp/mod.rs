@@ -6,8 +6,8 @@
 //!    64-bit end to end);
 //! 2. **Empirical bias correction** in the `raw ≤ 5m` window, with tables we
 //!    regenerate by simulation (see [`bias`]) rather than copying Google's —
-//!    same mechanism, our own constants (documented substitution in
-//!    DESIGN.md);
+//!    same mechanism, our own constants (substitutions listed in
+//!    README.md, "Reproduction status");
 //! 3. **Sparse representation** — below a size threshold, entries are kept
 //!    as an exact `index → max-rank` map at a higher precision `p' = 20` and
 //!    estimated by linear counting at `m' = 2^20`, converting to the dense

@@ -4,19 +4,13 @@
 //! against, implemented from scratch:
 //!
 //! * [`LinearCounting`] (LPC) — Whang, Vander-Zanden & Taylor 1990 (§III-A1);
-//! * [`FmSketch`] (PCSA) — Flajolet & Martin 1985, the ancestor of the
-//!   register methods;
 //! * [`HyperLogLog`] — Flajolet, Fusy, Gandouet & Meunier 2007 (§III-A2),
 //!   with the exact `α_m` bias constant computed by numerical integration
 //!   for *any* `m` and the small-range linear-counting fallback;
 //! * [`HyperLogLogPP`] (HLL++) — Heule, Nunkesser & Hall 2013: 6-bit
 //!   registers, a sparse representation for small sets, and empirical bias
 //!   correction (tables regenerated by our own simulation, see
-//!   `hllpp::bias`);
-//! * [`LogLog`] — Durand & Flajolet 2003, the geometric-mean predecessor of
-//!   HLL (cross-check oracle for the register plumbing);
-//! * [`BottomK`] — KMV/MinCount order-statistics sketch (Bar-Yossef et al.;
-//!   Giroire), which additionally supports Jaccard/intersection estimates.
+//!   `hllpp::bias`).
 //!
 //! All sketches implement [`DistinctCounter`], insert items in O(1), never
 //! allocate per item (outside sparse-mode growth), and are
@@ -37,20 +31,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bottomk;
 mod error;
-mod fm;
 mod hll;
 pub mod hllpp;
-mod loglog;
 mod lpc;
 
-pub use bottomk::BottomK;
 pub use error::GeometryError;
-pub use fm::FmSketch;
 pub use hll::{alpha_m, HyperLogLog};
 pub use hllpp::HyperLogLogPP;
-pub use loglog::LogLog;
 pub use lpc::LinearCounting;
 
 /// A streaming distinct counter over `u64` items.
@@ -94,11 +82,6 @@ mod trait_tests {
     }
 
     #[test]
-    fn fm_counts() {
-        exercise(FmSketch::new(256, 2).expect("geometry"), 50_000, 0.2);
-    }
-
-    #[test]
     fn hll_counts() {
         exercise(HyperLogLog::new(1024, 3).expect("geometry"), 100_000, 0.12);
     }
@@ -112,24 +95,20 @@ mod trait_tests {
     fn duplicate_insensitivity_across_impls() {
         let mut lpc = LinearCounting::new(4096, 9).expect("geometry");
         let mut hll = HyperLogLog::new(256, 9).expect("geometry");
-        let mut fm = FmSketch::new(64, 9).expect("geometry");
         let mut pp = HyperLogLogPP::new(8, 9).expect("precision");
         for i in 0..1000u64 {
             lpc.insert(i);
             hll.insert(i);
-            fm.insert(i);
             pp.insert(i);
         }
-        let (e1, e2, e3, e4) = (lpc.estimate(), hll.estimate(), fm.estimate(), pp.estimate());
+        let (e1, e2, e3) = (lpc.estimate(), hll.estimate(), pp.estimate());
         for i in 0..1000u64 {
             assert!(!lpc.insert(i));
             assert!(!hll.insert(i));
-            assert!(!fm.insert(i));
             assert!(!pp.insert(i));
         }
         assert_eq!(e1, lpc.estimate());
         assert_eq!(e2, hll.estimate());
-        assert_eq!(e3, fm.estimate());
-        assert_eq!(e4, pp.estimate());
+        assert_eq!(e3, pp.estimate());
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the single-stream sketches.
 
-use cardsketch::{DistinctCounter, FmSketch, HyperLogLog, HyperLogLogPP, LinearCounting};
+use cardsketch::{DistinctCounter, HyperLogLog, HyperLogLogPP, LinearCounting};
 use proptest::prelude::*;
 
 /// Inserting a multiset gives the same state as inserting its distinct
@@ -34,11 +34,6 @@ proptest! {
     #[test]
     fn hll_duplicate_insensitive(items in prop::collection::vec(any::<u64>(), 0..400)) {
         check_duplicate_insensitive(|| HyperLogLog::new(128, 5).expect("geometry"), &items);
-    }
-
-    #[test]
-    fn fm_duplicate_insensitive(items in prop::collection::vec(any::<u64>(), 0..400)) {
-        check_duplicate_insensitive(|| FmSketch::new(64, 5).expect("geometry"), &items);
     }
 
     #[test]
@@ -114,68 +109,5 @@ proptest! {
         }
         let c = s.clone();
         prop_assert_eq!(s.estimate(), c.estimate());
-    }
-}
-
-proptest! {
-    /// LogLog and BottomK are duplicate-insensitive like the others.
-    #[test]
-    fn loglog_duplicate_insensitive(items in prop::collection::vec(any::<u64>(), 0..400)) {
-        check_duplicate_insensitive(|| cardsketch::LogLog::new(64, 5).expect("geometry"), &items);
-    }
-
-    #[test]
-    fn bottomk_duplicate_insensitive(items in prop::collection::vec(any::<u64>(), 0..400)) {
-        check_duplicate_insensitive(|| cardsketch::BottomK::new(32, 5).expect("k >= 2"), &items);
-    }
-
-    /// BottomK is exact below k for arbitrary item sets.
-    #[test]
-    fn bottomk_exact_below_k(items in prop::collection::hash_set(any::<u64>(), 0..60)) {
-        let mut s = cardsketch::BottomK::new(64, 7).expect("k >= 2");
-        for &it in &items {
-            s.insert(it);
-        }
-        prop_assert_eq!(s.estimate(), items.len() as f64);
-    }
-
-    /// BottomK merge is commutative and idempotent on signatures.
-    #[test]
-    fn bottomk_merge_properties(xs in prop::collection::vec(any::<u64>(), 0..150),
-                                ys in prop::collection::vec(any::<u64>(), 0..150)) {
-        let build = |items: &[u64]| {
-            let mut s = cardsketch::BottomK::new(32, 9).expect("k >= 2");
-            for &it in items {
-                s.insert(it);
-            }
-            s
-        };
-        let (a, b) = (build(&xs), build(&ys));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(ab.signature(), ba.signature());
-        let mut again = ab.clone();
-        again.merge(&b);
-        prop_assert_eq!(again.signature(), ab.signature());
-    }
-
-    /// Jaccard estimates stay within [0, 1] and are 1 for equal sets.
-    #[test]
-    fn bottomk_jaccard_domain(xs in prop::collection::vec(any::<u64>(), 1..150)) {
-        let build = |items: &[u64]| {
-            let mut s = cardsketch::BottomK::new(16, 11).expect("k >= 2");
-            for &it in items {
-                s.insert(it);
-            }
-            s
-        };
-        let a = build(&xs);
-        let b = build(&xs);
-        prop_assert_eq!(a.jaccard(&b), 1.0);
-        let c = build(&xs[..xs.len() / 2]);
-        let j = a.jaccard(&c);
-        prop_assert!((0.0..=1.0).contains(&j));
     }
 }

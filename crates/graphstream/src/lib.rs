@@ -13,7 +13,7 @@
 //! * [`profiles`] — per-dataset generator configurations calibrated to
 //!   Table I of the paper (user count, max cardinality, total cardinality),
 //!   standing in for the CAIDA traces and OSN edge lists we cannot ship
-//!   (substitution documented in DESIGN.md §5);
+//!   (substitutions listed in README.md, "Reproduction status");
 //! * [`fedge`] — the binary on-disk edge format (magic + version header,
 //!   fixed 16-byte LE records) with streaming encoder/decoder;
 //! * [`tsv`] — the streaming text reader (`user <ws> item` lines, string

@@ -14,7 +14,8 @@
 //! per-user cardinality distribution) fixed, so experiments shrink linearly.
 //! The estimators' relative error is a function of `n/M`, so the experiment
 //! drivers shrink the memory budget `M` by the same factor and the paper's
-//! error regime is preserved (DESIGN.md §5).
+//! error regime is preserved (substitutions listed in README.md,
+//! "Reproduction status").
 
 use crate::synth::SynthConfig;
 use hashkit::xxhash64;

@@ -8,10 +8,10 @@
 //!   cardinalities produce readable series like Fig. 5);
 //! * [`ccdf`] — complementary CDFs of user cardinalities (Fig. 2);
 //! * [`DetectionOutcome`] — FNR/FPR confusion counts for super-spreader
-//!   detection (Fig. 6, Table II);
-//! * [`Summary`] — mean/variance/quantile aggregation used by the ablations;
-//! * [`Table`] — fixed-width ASCII table rendering so every `exp_*` binary
-//!   prints rows in the paper's format.
+//!   detection (Fig. 6, Table II).
+//!
+//! The `repro` binary of `freesketch-bench` records all three in
+//! `REPRO.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,11 +19,7 @@
 mod ccdf;
 mod detect;
 mod rse;
-mod summary;
-mod table;
 
 pub use ccdf::{ccdf, CcdfPoint};
 pub use detect::DetectionOutcome;
 pub use rse::{RseBin, RseBins};
-pub use summary::Summary;
-pub use table::{sci, Table};

@@ -18,7 +18,8 @@
 #[derive(Debug, Clone)]
 pub struct RseBins {
     bins_per_decade: usize,
-    // bin index -> (count, sum of squared errors, sum of actuals)
+    // bin index -> (count, sum of squared errors, sum of actuals, sum of
+    // estimates)
     bins: std::collections::BTreeMap<i64, BinAcc>,
 }
 
@@ -27,15 +28,19 @@ struct BinAcc {
     count: u64,
     sq_err: f64,
     actual_sum: f64,
+    estimate_sum: f64,
 }
 
 /// One aggregated bin of the RSE series.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RseBin {
-    /// Geometric center of the bin (mean actual cardinality of its members).
+    /// The mean actual cardinality of the bin's users.
     pub cardinality: f64,
     /// The relative standard error of estimates in this bin.
     pub rse: f64,
+    /// The mean estimate of the bin's users (Fig. 4's estimated-vs-actual
+    /// view).
+    pub mean_estimate: f64,
     /// Number of `(actual, estimate)` observations aggregated.
     pub count: u64,
 }
@@ -69,6 +74,7 @@ impl RseBins {
         let err = estimate - actual as f64;
         acc.sq_err += err * err;
         acc.actual_sum += actual as f64;
+        acc.estimate_sum += estimate;
     }
 
     fn bin_index(&self, actual: u64) -> i64 {
@@ -86,6 +92,7 @@ impl RseBins {
                 RseBin {
                     cardinality: mean_actual,
                     rse: rmse / mean_actual,
+                    mean_estimate: acc.estimate_sum / acc.count as f64,
                     count: acc.count,
                 }
             })
@@ -160,13 +167,15 @@ mod tests {
     #[test]
     fn bins_separate_decades() {
         let mut r = RseBins::new(1);
-        r.record(5, 5.0);
-        r.record(50, 50.0);
+        r.record(5, 6.0);
+        r.record(50, 40.0);
         r.record(500, 500.0);
         let s = r.series();
         assert_eq!(s.len(), 3);
         assert!(s[0].cardinality < s[1].cardinality);
         assert!(s[1].cardinality < s[2].cardinality);
+        let means: Vec<f64> = s.iter().map(|b| b.mean_estimate).collect();
+        assert_eq!(means, [6.0, 40.0, 500.0]);
     }
 
     #[test]
@@ -180,6 +189,7 @@ mod tests {
         assert!((s[0].rse - 0.1).abs() < 1e-12);
         assert_eq!(s[0].count, 2);
         assert!((s[0].cardinality - 100.0).abs() < 1e-12);
+        assert!((s[0].mean_estimate - 100.0).abs() < 1e-12);
     }
 
     #[test]

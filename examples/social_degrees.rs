@@ -60,6 +60,6 @@ fn main() {
     }
     println!("\n(FreeBS/FreeRS post the lowest RSE of the sharing methods; at this demo's");
     println!(" reduced scale each user also gets an oversized private LPC bitmap, so the");
-    println!(" per-user baseline looks strong — run exp_fig5 for the paper-scale picture,");
-    println!(" where private bitmaps saturate on heavy users and lose)");
+    println!(" per-user baseline looks strong — REPRO.json's profile rows show the");
+    println!(" paper-scale picture, where private bitmaps saturate on heavy users and lose)");
 }

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> REPRO.json parses"
+python3 -c 'import json; json.load(open("REPRO.json"))'
+
 echo "==> perfbench smoke (every workload and the per-layer run on tiny traces)"
 # perfbench-layers calls library APIs (save_snapshot, ShardedSketch::{shards,
 # route, merged_estimates}); building and running it here makes a change to
