@@ -2,8 +2,10 @@
 
 use crate::input::InputFormat;
 
-/// Largest accepted `--chunk`: 16M edges (256 MiB of `Edge`s) — far above
-/// any useful streaming buffer, far below allocation-panic territory.
+/// Largest accepted `--chunk`: 16M edges. One-thread ingest keeps about
+/// 64–68 B per chunk edge resident (two prepared chunks plus the stage
+/// thread's decode buffer), so this allows about 1.1 GB — far above any
+/// useful streaming buffer, far below allocation-panic territory.
 pub const MAX_CHUNK: usize = 1 << 24;
 
 /// Largest accepted `--threads`. Each thread becomes a shard (rounded up to
@@ -50,13 +52,16 @@ pub struct Cli {
     /// Ingest batch size: edges handed to `process_batch` per call. `0`
     /// forces the scalar per-edge path.
     pub batch: usize,
-    /// Parallel ingest threads. `1` (default) runs the exclusive scalar
-    /// estimators; `> 1` switches to the sharded concurrent estimators
-    /// with one ingest thread per chunk of the stream.
+    /// Parallel ingest threads: threads that apply edges to the sketch.
+    /// `1` (default) runs the exclusive scalar estimators, plus one stage
+    /// thread that reads and hashes the next chunk while the current one
+    /// is applied; `> 1` switches to the sharded concurrent estimators
+    /// with that many ingest threads per chunk of the stream.
     pub threads: usize,
     /// Streaming read chunk: edges pulled from the input file per reader
-    /// call. Bounds the resident edge buffer — the file-ingest paths never
-    /// hold more than one chunk in memory.
+    /// call. Bounds the resident edge buffers: about 64–68 B per chunk
+    /// edge at `--threads 1` (two prepared chunks plus the stage thread's
+    /// decode buffer), 32 B above that (one chunk and its pairs).
     pub chunk: usize,
     /// Input-format override (`--format tsv|fedge`); `None` (the `auto`
     /// default) sniffs the file header.
@@ -223,9 +228,12 @@ COMMON FLAGS:
                            pipelined block size too when below 512; 0 =
                            scalar per-edge path (default 8192)
   --threads N              parallel ingest threads, at most 1024; >1 uses
-                           the sharded concurrent estimator (default 1)
+                           the sharded concurrent estimator (default 1;
+                           at 1 a stage thread reads and hashes the next
+                           chunk while the current one is applied)
   --chunk N                edges read from the file per streaming chunk —
-                           the resident-edge bound (default 65536)
+                           the resident-edge bound: ~68 bytes per chunk
+                           edge at --threads 1, 32 above (default 65536)
   --format auto|tsv|fedge  input format (default auto: sniff the header)
   --checkpoint FILE        crash-safe ingest for estimate/spreaders/track:
                            restore FILE if present (FILE.prev when the
@@ -295,8 +303,9 @@ impl Cli {
                     let v = value(args, &mut i, "--chunk")?;
                     chunk = parse_num(v, "--chunk")?;
                     // Upper bound keeps the chunk buffers allocatable (the
-                    // cap is 16M edges = 256 MiB resident): a huge value
-                    // must be a CLI error, not a capacity-overflow panic.
+                    // cap is 16M edges, about 1.1 GB resident at one
+                    // thread): a huge value must be a CLI error, not a
+                    // capacity-overflow panic.
                     if !(1..=MAX_CHUNK).contains(&chunk) {
                         return Err(ParseError::BadValue {
                             flag: "--chunk",

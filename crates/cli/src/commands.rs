@@ -3,7 +3,7 @@
 //!
 //! Every file-ingesting command streams its input through
 //! [`open_source`] — chunk-at-a-time, bounded memory — so traces far
-//! larger than RAM replay with a resident edge buffer of `--chunk` edges.
+//! larger than RAM replay with resident edge buffers of O(`--chunk`) edges.
 
 use crate::args::{Cli, Command, MethodChoice};
 use crate::input::{hash_id, open_source, InputFormat};
@@ -1073,10 +1073,17 @@ mod tests {
         // Chop the last record in half.
         let bytes = std::fs::read(&fedge).expect("read");
         std::fs::write(&fedge, &bytes[..bytes.len() - 7]).expect("rewrite");
-        let cli = Cli::parse(&["estimate", fedge.as_str()]).expect("parse");
-        let mut buf = Vec::new();
-        let err = run(&cli, &mut buf).unwrap_err();
-        assert!(err.to_string().contains("truncated fedge record"), "{err}");
+        // One chunk holds the truncated record; at `--chunk 1` the stage
+        // thread meets it, after the caller applied the records before it.
+        for chunk in ["65536", "1"] {
+            let cli = Cli::parse(&["estimate", fedge.as_str(), "--chunk", chunk]).expect("parse");
+            let mut buf = Vec::new();
+            let err = run(&cli, &mut buf).unwrap_err();
+            assert!(
+                err.to_string().contains("truncated fedge record"),
+                "--chunk {chunk}: {err}"
+            );
+        }
         std::fs::remove_file(tsv).ok();
         std::fs::remove_file(fedge).ok();
     }

@@ -15,6 +15,13 @@
 //! batched block pipeline (block hashing, load-only warm passes,
 //! word-level multi-update, frozen per-block `q`, run-coalesced counter
 //! writes) is written and maintained in exactly one place.
+//!
+//! The block pipeline has two halves. The pure half, [`BlockHasher`], maps
+//! pairs to slots (and ranks for register stores) and reads no sketch
+//! state, so it can run on another thread ahead of the apply. The stateful
+//! half, [`CardinalityEstimator::apply_hashed`], touches the block's store
+//! words, updates the store, accounts `q` and credits counters.
+//! `process_batch` runs both halves block by block on one thread.
 
 use crate::CardinalityEstimator;
 use bitpack::SlotStore;
@@ -142,6 +149,63 @@ impl<S: SlotStore> QTracker<S> for IncrementalZ {
     #[inline]
     fn resync(&mut self, store: &S) {
         self.rebuild(store);
+    }
+}
+
+/// The pure half of a [`SketchEngine`]'s block pipeline: pair → slot, and
+/// for register stores the saturated geometric rank each update carries.
+/// It holds only the hasher seed, `M` and the register width, so it is
+/// `Copy + Send`: a stage thread can hash chunk k+1 while the engine
+/// applies chunk k through [`CardinalityEstimator::apply_hashed`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockHasher {
+    hasher: EdgeHasher,
+    m: usize,
+    /// The register width for register stores; `None` for bit stores,
+    /// whose update value is always 1.
+    rank_width: Option<u8>,
+}
+
+impl BlockHasher {
+    /// Whether [`BlockHasher::hash`] fills ranks (register stores).
+    #[must_use]
+    pub fn ranked(&self) -> bool {
+        self.rank_width.is_some()
+    }
+
+    /// Writes the slot of `pairs[i]` to `slots[i]` and, when
+    /// [`BlockHasher::ranked`], its rank to `ranks[i]`. For bit stores
+    /// `ranks` is neither read nor written and may be empty.
+    ///
+    /// # Panics
+    /// If `slots` (or, when ranked, `ranks`) is shorter than `pairs`.
+    #[inline(always)]
+    pub fn hash(&self, pairs: &[(u64, u64)], slots: &mut [usize], ranks: &mut [u16]) {
+        let slots = &mut slots[..pairs.len()];
+        let Some(width) = self.rank_width else {
+            // Bit stores never look at the hash again, so the slot
+            // derivation fuses into the lane loop and the hashes are never
+            // materialized.
+            self.hasher.slots_many(pairs, self.m, slots);
+            return;
+        };
+        const BLOCK: usize = crate::INGEST_BLOCK;
+        let ranks = &mut ranks[..pairs.len()];
+        let mut hashes = [0u64; BLOCK];
+        for ((block, s), r) in pairs
+            .chunks(BLOCK)
+            .zip(slots.chunks_mut(BLOCK))
+            .zip(ranks.chunks_mut(BLOCK))
+        {
+            let hashes = &mut hashes[..block.len()];
+            self.hasher.hash_many(block, hashes);
+            for (s, &h) in s.iter_mut().zip(hashes.iter()) {
+                *s = reduce64(h, self.m);
+            }
+            for (r, &h) in r.iter_mut().zip(hashes.iter()) {
+                *r = u16::from(geometric_rank(splitmix64(h)).saturated(width));
+            }
+        }
     }
 }
 
@@ -292,49 +356,27 @@ impl<S: SlotStore, Q: QTracker<S>> SketchEngine<S, Q> {
         }
     }
 
-    /// Warm pass for one block: block-hash the edges, derive their slots
-    /// (and ranks for register stores), and touch every store word the
-    /// apply pass will need. All loads fold into one accumulator kept alive
-    /// by a single `black_box`, so the compiler cannot drop them while the
-    /// hardware overlaps their misses. Counter homes are *not* warmed here
-    /// — which users get credited is unknown until the apply pass, and
-    /// speculatively touching every user's counter measured slower than
-    /// demand-warming the grown ones (it roughly doubles the map traffic).
-    #[inline(always)]
-    fn warm_block(
-        &self,
-        chunk: &[(u64, u64)],
-        hashes: &mut [u64],
-        slots: &mut [usize],
-        values: &mut [u16],
-    ) {
-        let m = self.store.len();
-        if S::RANKED {
-            self.hasher.hash_many(chunk, hashes);
-            for (s, &h) in slots.iter_mut().zip(hashes.iter()) {
-                *s = reduce64(h, m);
-            }
-            let width = self.store.width();
-            for (v, &h) in values.iter_mut().zip(hashes.iter()) {
-                *v = u16::from(geometric_rank(splitmix64(h)).saturated(width));
-            }
-        } else {
-            // Bit stores never look at the hash again (the update value is
-            // always 1), so the slot derivation fuses into the lane loop
-            // and the `hashes` scratch is never materialized.
-            self.hasher.slots_many(chunk, m, slots);
+    /// The pure half of this engine's block pipeline.
+    #[inline]
+    fn split_hasher(&self) -> BlockHasher {
+        BlockHasher {
+            hasher: self.hasher,
+            m: self.store.len(),
+            rank_width: S::RANKED.then(|| self.store.width()),
         }
-        let mut acc = 0u64;
-        for &s in slots.iter() {
-            acc ^= self.store.warm(s);
-        }
-        std::hint::black_box(acc);
     }
 
-    /// Write pass for one block whose lines the warm pass already pulled
-    /// in: freeze `q` at its block-start value, multi-update the store,
-    /// account growths, demand-warm the grown users' counter homes, and
-    /// credit them with run-coalesced counter adds, as PR 2 did.
+    /// The stateful half for one block whose slots and values are already
+    /// hashed. A load-only **warm** pass first touches every store word the
+    /// block needs; all loads fold into one accumulator kept alive by a
+    /// single `black_box`, so the compiler cannot drop them while the
+    /// hardware overlaps their misses. The **write** pass then freezes `q`
+    /// at its block-start value, multi-updates the store, accounts growths,
+    /// demand-warms the grown users' counter homes, and credits them with
+    /// run-coalesced counter adds. Counter homes are not warmed up front:
+    /// which users get credited is unknown until the store update, and
+    /// speculatively touching every user's counter measured slower than
+    /// demand-warming the grown ones (it roughly doubles the map traffic).
     #[inline(always)]
     fn apply_block(
         &mut self,
@@ -345,6 +387,11 @@ impl<S: SlotStore, Q: QTracker<S>> SketchEngine<S, Q> {
         old: &mut [u16],
         grew_users: &mut [u64],
     ) {
+        let mut acc = 0u64;
+        for &s in slots {
+            acc ^= self.store.warm(s);
+        }
+        std::hint::black_box(acc);
         let k = chunk.len();
         let m = self.store.len();
         // q for the whole block is the numerator *before* any of its
@@ -409,16 +456,16 @@ impl<S: SlotStore, Q: QTracker<S>> CardinalityEstimator for SketchEngine<S, Q> {
     }
 
     /// Phased batch ingest. The batch is cut into blocks of
-    /// [`crate::INGEST_BLOCK`] edges; each block runs a load-only **warm**
-    /// pass (hash, slot, rank, touch every store word) and then a **write**
-    /// pass (frozen-`q` multi-update plus run-coalesced counter credits;
-    /// see [`CardinalityEstimator::process_batch`] for the drift bound).
-    /// The scratch is compile-time sized stack arrays, so the compiler sees
+    /// [`crate::INGEST_BLOCK`] edges; each block runs the pure half
+    /// ([`BlockHasher::hash`]) and then the stateful half (warm pass,
+    /// frozen-`q` multi-update, run-coalesced counter credits; see
+    /// [`CardinalityEstimator::process_batch`] for the drift bound). The
+    /// scratch is compile-time sized stack arrays, so the compiler sees
     /// every pass's trip count and drops the bounds checks.
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     fn process_batch(&mut self, edges: &[(u64, u64)]) {
         const BLOCK: usize = crate::INGEST_BLOCK;
-        let mut hashes = [0u64; BLOCK];
+        let hasher = self.split_hasher();
         let mut slots = [0usize; BLOCK];
         let mut values = [1u16; BLOCK];
         let mut grew = [false; BLOCK];
@@ -426,11 +473,44 @@ impl<S: SlotStore, Q: QTracker<S>> CardinalityEstimator for SketchEngine<S, Q> {
         let mut grew_users = [0u64; BLOCK];
         for chunk in edges.chunks(BLOCK) {
             let k = chunk.len();
-            self.warm_block(chunk, &mut hashes[..k], &mut slots[..k], &mut values[..k]);
+            hasher.hash(chunk, &mut slots[..k], &mut values[..k]);
             self.apply_block(
                 chunk,
                 &slots[..k],
                 &values[..k],
+                &mut grew,
+                &mut old,
+                &mut grew_users,
+            );
+        }
+    }
+
+    fn block_hasher(&self) -> Option<BlockHasher> {
+        Some(self.split_hasher())
+    }
+
+    /// The stateful half of [`SketchEngine::process_batch`] over slots (and
+    /// ranks) that [`BlockHasher::hash`] computed, cut into the same
+    /// [`crate::INGEST_BLOCK`]-edge blocks, so the result is bit-identical
+    /// to `process_batch(edges)`.
+    // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
+    fn apply_hashed(&mut self, edges: &[(u64, u64)], slots: &[usize], ranks: &[u16]) {
+        const BLOCK: usize = crate::INGEST_BLOCK;
+        let ones = [1u16; BLOCK];
+        let mut grew = [false; BLOCK];
+        let mut old = [0u16; BLOCK];
+        let mut grew_users = [0u64; BLOCK];
+        for (b, chunk) in edges.chunks(BLOCK).enumerate() {
+            let (lo, hi) = (b * BLOCK, b * BLOCK + chunk.len());
+            let values = if S::RANKED {
+                &ranks[lo..hi]
+            } else {
+                &ones[..chunk.len()]
+            };
+            self.apply_block(
+                chunk,
+                &slots[lo..hi],
+                values,
                 &mut grew,
                 &mut old,
                 &mut grew_users,

@@ -2,22 +2,40 @@
 //! chunk-at-a-time.
 //!
 //! These are the batch entry points file-backed replay goes through: the
-//! trace never exists in memory as a whole — only one `chunk`-edge buffer
-//! (plus its bare-pair mirror) is resident, so multi-GB traces stream in
+//! trace never exists in memory as a whole, so multi-GB traces stream in
 //! O(chunk) peak memory. The `batch` knob mirrors the CLI's `--batch`:
-//! edges handed to `process_batch` per call, `0` forcing the scalar
+//! edges handed to the batch path per call, `0` forcing the scalar
 //! per-edge path.
+//!
+//! [`stream_into`] runs two stages. A stage thread owns the source: it
+//! decodes chunk k+1, converts it to pairs and, when the estimator splits
+//! its block pipeline ([`CardinalityEstimator::block_hasher`]), hashes the
+//! pairs to slots, while the calling thread applies chunk k. Two prepared
+//! chunk units (pairs, slots, ranks: 24–26 B per edge each) and the stage
+//! thread's decode buffer (16 B per edge) are resident, about 64–68 B per
+//! chunk edge. A stream whose first chunk comes back short (at most one
+//! chunk) starts no thread.
 
 use crate::concurrent::ConcurrentEstimator;
+use crate::engine::BlockHasher;
 use crate::CardinalityEstimator;
 use graphstream::{Edge, EdgeSource, EdgeStreamError, SnapshotError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
-/// Default edges per reader chunk: 64k edges = 1 MiB of `Edge`s, large
-/// enough to amortize I/O and the batch pipeline, small enough that a
-/// dozen concurrent readers fit comfortably in cache-adjacent memory.
+/// Default edges per reader chunk: 64k edges. On the one-thread path that
+/// is 4–4.5 MB resident (two prepared units plus the decode buffer),
+/// large enough to amortize I/O, the hand-off between the two stages and
+/// the batch pipeline.
 pub const DEFAULT_CHUNK: usize = 1 << 16;
 
-/// Drives `src` to exhaustion through an exclusive estimator.
+/// Prepared chunk units in flight between the stage thread and the
+/// caller: one being applied, one being prepared.
+const UNITS: usize = 2;
+
+/// Drives `src` to exhaustion through an exclusive estimator, decoding and
+/// hashing the next chunk on a stage thread while this thread applies the
+/// current one (see the module docs). The result is bit-identical to
+/// applying the chunks one after another with [`ingest_slice`].
 ///
 /// Returns the number of edges processed.
 ///
@@ -27,27 +45,218 @@ pub const DEFAULT_CHUNK: usize = 1 << 16;
 // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
 pub fn stream_into(
     est: &mut dyn CardinalityEstimator,
-    src: &mut dyn EdgeSource,
+    src: &mut (dyn EdgeSource + Send),
     chunk: usize,
     batch: usize,
 ) -> Result<u64, EdgeStreamError> {
+    drive(est, src, chunk, batch, |_, _| Ok(()))
+}
+
+/// The two-stage driver behind [`stream_into`] and
+/// [`crate::AnySketch::ingest_stream`]: after each chunk is applied it runs
+/// `hook` with the edges ingested so far (checkpointing), on this thread
+/// while the estimator is quiescent.
+///
+/// The caller reads and prepares the first chunk itself (an empty stream
+/// allocates only the decode buffer) and starts the stage thread only if
+/// that chunk came back full. A source error on chunk
+/// k+1 surfaces after chunk k is applied and hooked; a hook error stops
+/// and joins the stage thread before it is returned; a stage-thread panic
+/// resumes on this thread.
+// HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
+pub(crate) fn drive<T, E>(
+    est: &mut T,
+    src: &mut (dyn EdgeSource + Send),
+    chunk: usize,
+    batch: usize,
+    mut hook: impl FnMut(&T, u64) -> Result<(), E>,
+) -> Result<u64, E>
+where
+    T: CardinalityEstimator + ?Sized,
+    E: From<EdgeStreamError>,
+{
     let chunk = chunk.max(1);
     let mut buf: Vec<Edge> = Vec::with_capacity(chunk);
-    let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(if batch == 0 { 0 } else { chunk });
+    if src.next_chunk(&mut buf, chunk)? == 0 {
+        return Ok(0);
+    }
+    let hasher = if batch == 0 { None } else { est.block_hasher() };
+    let mut unit = Unit::new(chunk, hasher);
     let mut total = 0u64;
     loop {
-        let n = src.next_chunk(&mut buf, chunk)?;
-        if n == 0 {
+        unit.prepare(&buf);
+        if total == 0 && buf.len() == chunk {
+            return pipelined(est, src, chunk, batch, buf, unit, hook);
+        }
+        unit.apply_into(est, batch);
+        total += buf.len() as u64;
+        hook(est, total)?;
+        if src.next_chunk(&mut buf, chunk)? == 0 {
             return Ok(total);
         }
-        ingest_slice(est, &buf, &mut pairs, batch);
-        total += n as u64;
     }
 }
 
-/// Feeds one in-memory slice through the chosen path, reusing the caller's
-/// pair buffer across chunks. Shared by [`stream_into`] and callers that
-/// interleave their own bookkeeping between slices (checkpointed replay).
+/// The steady state of [`drive`] once its first chunk came back full:
+/// `first` is applied while a scoped stage thread prepares the next chunk
+/// into the second unit, and the two units swap until the source ends.
+fn pipelined<T, E>(
+    est: &mut T,
+    src: &mut (dyn EdgeSource + Send),
+    chunk: usize,
+    batch: usize,
+    buf: Vec<Edge>,
+    first: Unit,
+    hook: impl FnMut(&T, u64) -> Result<(), E>,
+) -> Result<u64, E>
+where
+    T: CardinalityEstimator + ?Sized,
+    E: From<EdgeStreamError>,
+{
+    // Each channel holds at most the UNITS units that exist, so no send
+    // ever blocks; a side that stops drops its ends, which wakes the other.
+    let (ready_tx, ready_rx) = sync_channel(UNITS);
+    let (free_tx, free_rx) = sync_channel(UNITS);
+    let hasher = first.hasher;
+    std::thread::scope(|s| {
+        let stage = s.spawn(move || {
+            let unit = Unit::new(chunk, hasher);
+            prepare_ahead(src, buf, chunk, unit, &free_rx, &ready_tx);
+        });
+        let result = apply_ready(est, batch, first, hook, &free_tx, &ready_rx);
+        drop((free_tx, ready_rx));
+        match stage.join() {
+            Ok(()) => result,
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
+}
+
+/// The calling thread's side of [`pipelined`]: applies each unit, runs
+/// the hook, hands the unit back to the stage and takes the next one.
+fn apply_ready<T, E>(
+    est: &mut T,
+    batch: usize,
+    mut unit: Unit,
+    mut hook: impl FnMut(&T, u64) -> Result<(), E>,
+    free: &SyncSender<Unit>,
+    ready: &Receiver<Result<Unit, EdgeStreamError>>,
+) -> Result<u64, E>
+where
+    T: CardinalityEstimator + ?Sized,
+    E: From<EdgeStreamError>,
+{
+    let mut total = 0u64;
+    loop {
+        unit.apply_into(est, batch);
+        total += unit.pairs.len() as u64;
+        hook(est, total)?;
+        // After the end of the stream the stage is gone and the unit is
+        // dropped.
+        let _ = free.send(unit);
+        match ready.recv() {
+            Ok(Ok(next)) if next.pairs.is_empty() => return Ok(total),
+            Ok(Ok(next)) => unit = next,
+            Ok(Err(e)) => return Err(E::from(e)),
+            // The stage thread panicked; the caller's join resumes it.
+            Err(_) => return Ok(total),
+        }
+    }
+}
+
+/// The stage thread of [`pipelined`]: reads the next chunk into the
+/// decode buffer, prepares it into a unit and hands it over, until the
+/// source ends or fails (both are sent, the end as an empty unit) or the
+/// caller stops taking units.
+fn prepare_ahead(
+    src: &mut (dyn EdgeSource + Send),
+    mut buf: Vec<Edge>,
+    chunk: usize,
+    mut unit: Unit,
+    free: &Receiver<Unit>,
+    ready: &SyncSender<Result<Unit, EdgeStreamError>>,
+) {
+    loop {
+        let msg = src.next_chunk(&mut buf, chunk).map(|_| {
+            unit.prepare(&buf);
+            unit
+        });
+        let last = !matches!(&msg, Ok(u) if !u.pairs.is_empty());
+        if ready.send(msg).is_err() || last {
+            return;
+        }
+        match free.recv() {
+            Ok(next) => unit = next,
+            Err(_) => return,
+        }
+    }
+}
+
+/// One prepared chunk: its pairs and, when the estimator has a
+/// [`BlockHasher`], their slots (and ranks for register stores). The
+/// buffers are sized once per stream and reused.
+struct Unit {
+    pairs: Vec<(u64, u64)>,
+    slots: Vec<usize>,
+    ranks: Vec<u16>,
+    hasher: Option<BlockHasher>,
+}
+
+impl Unit {
+    fn new(chunk: usize, hasher: Option<BlockHasher>) -> Self {
+        let hashed = hasher.map_or(0, |_| chunk);
+        let ranked = hasher.filter(BlockHasher::ranked).map_or(0, |_| chunk);
+        Self {
+            pairs: Vec::with_capacity(chunk),
+            slots: Vec::with_capacity(hashed),
+            ranks: Vec::with_capacity(ranked),
+            hasher,
+        }
+    }
+
+    /// The pure half: decoded edges to pairs, pairs to slots and ranks.
+    fn prepare(&mut self, edges: &[Edge]) {
+        self.pairs.clear();
+        self.pairs.extend(edges.iter().map(|e| e.pair()));
+        if let Some(h) = self.hasher {
+            let n = self.pairs.len();
+            self.slots.resize(n, 0);
+            if h.ranked() {
+                self.ranks.resize(n, 0);
+            }
+            h.hash(&self.pairs, &mut self.slots, &mut self.ranks);
+        }
+    }
+
+    /// The stateful half, with the cuts [`ingest_slice`] makes: `batch`-edge
+    /// slices (the engine cuts each into `INGEST_BLOCK` blocks), or per-edge
+    /// `process` when `batch` is 0.
+    fn apply_into<T: CardinalityEstimator + ?Sized>(&self, est: &mut T, batch: usize) {
+        if batch == 0 {
+            for &(user, item) in &self.pairs {
+                est.process(user, item);
+            }
+        } else if self.hasher.is_some() {
+            let mut lo = 0;
+            for slice in self.pairs.chunks(batch) {
+                let hi = lo + slice.len();
+                let ranks = self.ranks.get(lo..hi).unwrap_or(&[]);
+                est.apply_hashed(slice, &self.slots[lo..hi], ranks);
+                lo = hi;
+            }
+        } else {
+            for slice in self.pairs.chunks(batch) {
+                est.process_batch(slice);
+            }
+        }
+    }
+}
+
+/// Feeds one in-memory slice through the chosen path on the calling
+/// thread, reusing the caller's pair buffer across chunks. Applied chunk
+/// by chunk it is the serial reference [`stream_into`] is bit-identical
+/// to; callers that interleave their own bookkeeping between slices
+/// (`track`'s per-interval rows) use it directly.
 // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
 pub fn ingest_slice(
     est: &mut dyn CardinalityEstimator,
@@ -202,7 +411,9 @@ impl From<SnapshotError> for IngestError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FreeBS, ShardedFreeBS};
+    use crate::engine::{QTracker, SketchEngine};
+    use crate::{FreeBS, FreeRS, ShardedFreeBS};
+    use bitpack::SlotStore;
     use graphstream::SliceSource;
 
     fn test_edges(n: u64) -> Vec<Edge> {
@@ -211,24 +422,152 @@ mod tests {
             .collect()
     }
 
+    /// The serial reference: `ingest_slice` applied chunk by chunk.
+    fn serial<E: CardinalityEstimator>(
+        mut est: E,
+        edges: &[Edge],
+        chunk: usize,
+        batch: usize,
+    ) -> E {
+        let mut pairs = Vec::new();
+        for c in edges.chunks(chunk) {
+            ingest_slice(&mut est, c, &mut pairs, batch);
+        }
+        est
+    }
+
+    fn estimates(est: &dyn CardinalityEstimator) -> Vec<(u64, f64)> {
+        let mut v = Vec::new();
+        est.for_each_estimate(&mut |u, e| v.push((u, e)));
+        v.sort_by_key(|&(u, _)| u);
+        v
+    }
+
+    /// A source that fails on its `fail_at`-th chunk (1-based).
+    struct FailsAt<'a> {
+        inner: SliceSource<'a>,
+        calls: usize,
+        fail_at: usize,
+    }
+
+    impl EdgeSource for FailsAt<'_> {
+        fn next_chunk(
+            &mut self,
+            buf: &mut Vec<Edge>,
+            max: usize,
+        ) -> Result<usize, EdgeStreamError> {
+            self.calls += 1;
+            if self.calls == self.fail_at {
+                return Err(EdgeStreamError::Io(std::io::Error::other("disk gone")));
+            }
+            self.inner.next_chunk(buf, max)
+        }
+    }
+
+    /// `stream_into` against the serial loop over the same chunks (store
+    /// words, every estimate, the total) and against one direct batch
+    /// over the whole stream (store words).
+    fn assert_streamed_matches_serial<S, Q>(
+        fresh: impl Fn() -> SketchEngine<S, Q>,
+        edges: &[Edge],
+        chunk: usize,
+        batch: usize,
+    ) where
+        S: SlotStore + PartialEq,
+        Q: QTracker<S>,
+    {
+        let reference = serial(fresh(), edges, chunk, batch);
+        let direct = serial(fresh(), edges, edges.len(), batch);
+        let mut streamed = fresh();
+        let mut src = SliceSource::new(edges);
+        let total = stream_into(&mut streamed, &mut src, chunk, batch).expect("clean source");
+        let what = format!("{} chunk {chunk} batch {batch}", streamed.name());
+        assert_eq!(total, edges.len() as u64, "{what}");
+        assert!(
+            reference.store() == streamed.store(),
+            "{what}: store diverged"
+        );
+        assert!(
+            direct.store() == streamed.store(),
+            "{what}: store diverged from one batch"
+        );
+        assert_eq!(estimates(&reference), estimates(&streamed), "{what}");
+        assert_eq!(
+            reference.total_estimate(),
+            streamed.total_estimate(),
+            "{what}"
+        );
+    }
+
     #[test]
     fn streamed_ingest_is_bit_identical_to_direct_batch() {
         let edges = test_edges(30_000);
-        for (chunk, batch) in [(1usize, 64usize), (100, 512), (1 << 16, 8192), (777, 0)] {
-            let mut direct = FreeBS::new(1 << 15, 3);
-            let mut pairs = Vec::new();
-            ingest_slice(&mut direct, &edges, &mut pairs, batch);
-
-            let mut streamed = FreeBS::new(1 << 15, 3);
-            let mut src = SliceSource::new(&edges);
-            let total = stream_into(&mut streamed, &mut src, chunk, batch).expect("clean source");
-            assert_eq!(total, edges.len() as u64, "chunk {chunk} batch {batch}");
-            assert_eq!(
-                direct.bit_array(),
-                streamed.bit_array(),
-                "chunk {chunk} batch {batch}: array state diverged"
-            );
+        let cuts = [
+            (1, 64),
+            (100, 512),
+            (777, 100),
+            (1000, 8192),
+            (1 << 16, 8192),
+            (777, 0),
+        ];
+        for (chunk, batch) in cuts {
+            assert_streamed_matches_serial(|| FreeBS::new(1 << 15, 3), &edges, chunk, batch);
+            assert_streamed_matches_serial(|| FreeRS::new(1 << 12, 3), &edges, chunk, batch);
         }
+    }
+
+    #[test]
+    fn a_failing_chunk_leaves_the_earlier_chunks_applied() {
+        let edges = test_edges(10_000);
+        for (chunk, batch) in [(1000usize, 512usize), (1, 64), (1000, 0)] {
+            for fail_at in [2usize, 3, 7] {
+                let mut src = FailsAt {
+                    inner: SliceSource::new(&edges),
+                    calls: 0,
+                    fail_at,
+                };
+                let mut est = FreeRS::new(1 << 12, 5);
+                // The hook runs after every chunk before the failing one.
+                let mut hooked = Vec::new();
+                let err = drive(&mut est, &mut src, chunk, batch, |_, n| {
+                    hooked.push(n);
+                    Ok::<(), EdgeStreamError>(())
+                })
+                .expect_err("must fail");
+                assert!(err.to_string().contains("disk gone"), "{err}");
+                let want: Vec<u64> = (1..fail_at as u64).map(|k| k * chunk as u64).collect();
+                assert_eq!(hooked, want, "chunk {chunk} fail_at {fail_at}");
+                let applied = &edges[..chunk * (fail_at - 1)];
+                let reference = serial(FreeRS::new(1 << 12, 5), applied, chunk, batch);
+                assert!(
+                    reference.store() == est.store(),
+                    "chunk {chunk} fail_at {fail_at}"
+                );
+                assert_eq!(estimates(&reference), estimates(&est));
+                assert_eq!(reference.total_estimate(), est.total_estimate());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stage source panicked")]
+    fn a_stage_thread_panic_resumes_on_the_caller() {
+        struct PanicsSecond(usize);
+        impl EdgeSource for PanicsSecond {
+            fn next_chunk(
+                &mut self,
+                buf: &mut Vec<Edge>,
+                max: usize,
+            ) -> Result<usize, EdgeStreamError> {
+                self.0 += 1;
+                assert!(self.0 < 2, "stage source panicked");
+                buf.clear();
+                buf.extend((0..max as u64).map(|i| Edge::new(i, i)));
+                Ok(max)
+            }
+        }
+        let mut est = FreeBS::new(1 << 12, 1);
+        let _ = stream_into(&mut est, &mut PanicsSecond(0), 64, 64);
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub const INGEST_BLOCK: usize = 512;
 pub use concurrent::{ConcurrentEstimator, ConcurrentFreeBS, ConcurrentFreeRS};
 pub use confidence::{anytime_ci, ConfidenceTracking, EstimateWithCi, SamplingProbability};
 pub use cse::Cse;
-pub use engine::{IncrementalZ, QTracker, SketchEngine, ZeroQ};
+pub use engine::{BlockHasher, IncrementalZ, QTracker, SketchEngine, ZeroQ};
 pub use freebs::FreeBS;
 pub use freers::FreeRS;
 pub use ingest::{skip_edges, stream_into, stream_into_parallel, IngestError};
@@ -141,6 +141,26 @@ pub trait CardinalityEstimator {
         for &(user, item) in edges {
             self.process(user, item);
         }
+    }
+
+    /// The pure half of this estimator's batch pipeline, for a driver that
+    /// hashes on another thread ahead of the apply (see
+    /// [`ingest::stream_into`]). `None`, the default, when the batch path
+    /// has no such split; only the scalar FreeBS/FreeRS engines (and
+    /// [`AnySketch`] over them) return one.
+    fn block_hasher(&self) -> Option<BlockHasher> {
+        None
+    }
+
+    /// The stateful half of [`CardinalityEstimator::process_batch`]:
+    /// applies `edges` whose slots (and ranks, for register stores) the
+    /// estimator's [`CardinalityEstimator::block_hasher`] wrote. The result
+    /// is bit-identical to `process_batch(edges)`. The default ignores
+    /// `slots` and `ranks` and runs `process_batch`.
+    // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
+    fn apply_hashed(&mut self, edges: &[(u64, u64)], slots: &[usize], ranks: &[u16]) {
+        let _ = (slots, ranks);
+        self.process_batch(edges);
     }
 
     /// The current cardinality estimate `n̂_s(t)` for `user` (0 for users

@@ -35,7 +35,7 @@ use crate::concurrent::{
     ConcurrentEngine, ConcurrentEstimator, SharedQTracker, SharedZ, SharedZeroQ,
 };
 use crate::engine::{IncrementalZ, QTracker, SketchEngine, ZeroQ};
-use crate::ingest::{ingest_parallel, ingest_slice, IngestError};
+use crate::ingest::{drive, ingest_parallel, ingest_slice, IngestError};
 use crate::{CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS, ShardedSketch};
 use bitpack::{ConcurrentSlotStore, SlotStore, WordStore};
 use graphstream::snapshot::{find_section, read_sections, write_sections, Section};
@@ -252,13 +252,16 @@ impl AnySketch {
         dispatch!(self, e => e.user_count())
     }
 
-    /// Drives `src` to exhaustion through [`AnySketch::apply_chunk`].
-    /// With a checkpointer, it checkpoints at chunk boundaries (the
-    /// quiescent points) once at least its interval's worth of new edges
-    /// has accumulated, plus a final checkpoint at stream end.
-    /// `base_edges` is the stream offset already applied to this sketch
-    /// (non-zero when resuming from a restored checkpoint), so recorded
-    /// offsets are absolute.
+    /// Drives `src` to exhaustion. Scalar kinds run the two-stage driver
+    /// of [`crate::ingest::stream_into`] (a stage thread decodes and hashes
+    /// the next chunk while this thread applies the current one); sharded
+    /// kinds read and apply one chunk at a time through
+    /// [`AnySketch::apply_chunk`]. With a checkpointer, it checkpoints at
+    /// chunk boundaries (the quiescent points) once at least its
+    /// interval's worth of new edges has accumulated, plus a final
+    /// checkpoint at stream end. `base_edges` is the stream offset already
+    /// applied to this sketch (non-zero when resuming from a restored
+    /// checkpoint), so recorded offsets are absolute.
     ///
     /// Returns the number of edges ingested by *this* call.
     ///
@@ -269,33 +272,40 @@ impl AnySketch {
     /// temp file).
     pub fn ingest_stream(
         &mut self,
-        src: &mut dyn EdgeSource,
+        src: &mut (dyn EdgeSource + Send),
         chunk: usize,
         batch: usize,
         threads: usize,
         mut ckpt: Option<&mut Checkpointer>,
         base_edges: u64,
     ) -> Result<u64, IngestError> {
-        let chunk = chunk.max(1);
-        let mut buf: Vec<Edge> = Vec::with_capacity(chunk);
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
-        let mut ingested = 0u64;
-        loop {
-            let n = src
-                .next_chunk(&mut buf, chunk)
-                .map_err(IngestError::Stream)?;
-            if n == 0 {
-                if let Some(ckpt) = ckpt {
-                    ckpt.checkpoint_now(self, base_edges + ingested)?;
-                }
-                return Ok(ingested);
-            }
-            self.apply_chunk(&buf, &mut pairs, batch, threads);
-            ingested += n as u64;
+        let mut hook = |sketch: &Self, ingested: u64| -> Result<(), IngestError> {
             if let Some(ckpt) = ckpt.as_deref_mut() {
-                ckpt.maybe_checkpoint(self, base_edges + ingested)?;
+                ckpt.maybe_checkpoint(sketch, base_edges + ingested)?;
             }
+            Ok(())
+        };
+        let ingested = if self.as_concurrent().is_none() {
+            drive(self, src, chunk, batch, &mut hook)?
+        } else {
+            let chunk = chunk.max(1);
+            let mut buf: Vec<Edge> = Vec::with_capacity(chunk);
+            let mut pairs: Vec<(u64, u64)> = Vec::new();
+            let mut ingested = 0u64;
+            loop {
+                let n = src.next_chunk(&mut buf, chunk)?;
+                if n == 0 {
+                    break ingested;
+                }
+                self.apply_chunk(&buf, &mut pairs, batch, threads);
+                ingested += n as u64;
+                hook(self, ingested)?;
+            }
+        };
+        if let Some(ckpt) = ckpt {
+            ckpt.checkpoint_now(self, base_edges + ingested)?;
         }
+        Ok(ingested)
     }
 }
 
@@ -316,6 +326,14 @@ impl CardinalityEstimator for AnySketch {
 
     fn process_batch(&mut self, edges: &[(u64, u64)]) {
         dispatch!(self, e => e.process_batch(edges));
+    }
+
+    fn block_hasher(&self) -> Option<crate::BlockHasher> {
+        dispatch!(self, e => e.block_hasher())
+    }
+
+    fn apply_hashed(&mut self, edges: &[(u64, u64)], slots: &[usize], ranks: &[u16]) {
+        dispatch!(self, e => e.apply_hashed(edges, slots, ranks));
     }
 
     #[inline]

@@ -45,6 +45,14 @@ pub enum EdgeStreamError {
         /// The offending content, truncated for display.
         content: String,
     },
+    /// A text line that does not end within `max` bytes; the reader
+    /// stops there instead of buffering the rest of it.
+    LineTooLong {
+        /// 1-based line number.
+        line: usize,
+        /// The cap, [`crate::tsv::MAX_LINE_BYTES`].
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for EdgeStreamError {
@@ -55,6 +63,9 @@ impl std::fmt::Display for EdgeStreamError {
             Self::Malformed { line, content } => {
                 write!(f, "line {line}: expected `user item`, got `{content}`")
             }
+            Self::LineTooLong { line, max } => {
+                write!(f, "line {line}: no line end within {max} bytes")
+            }
         }
     }
 }
@@ -64,7 +75,7 @@ impl std::error::Error for EdgeStreamError {
         match self {
             Self::Io(e) => Some(e),
             Self::Fedge(e) => Some(e),
-            Self::Malformed { .. } => None,
+            Self::Malformed { .. } | Self::LineTooLong { .. } => None,
         }
     }
 }

@@ -10,11 +10,18 @@
 use crate::source::{EdgeSource, EdgeStreamError};
 use crate::Edge;
 use hashkit::xxhash64;
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 
 /// Seed for hashing string identifiers to `u64`. Fixed forever: changing
 /// it would silently disconnect TSV traces from their `fedge` re-encodes.
 pub const ID_SEED: u64 = 0x1D_5EED;
+
+/// Longest accepted TSV line, its `\n` included: 1 MiB. A line that has
+/// not ended within this many bytes fails as
+/// [`EdgeStreamError::LineTooLong`] and the rest of it is never read, so
+/// a file without line ends cannot grow the reader's line buffer past
+/// this bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Longest slice of an offending line quoted in a
 /// [`EdgeStreamError::Malformed`] message. A malformed multi-MB line must
@@ -57,12 +64,13 @@ pub fn parse_edge_line(line: &str, line_no: usize) -> Result<Option<Edge>, EdgeS
     Ok(Some(Edge::new(hash_id(user), hash_id(item))))
 }
 
-/// Streaming TSV reader: one reused line buffer, edges yielded
-/// chunk-at-a-time through [`EdgeSource`].
+/// Streaming TSV reader: one reused line buffer of at most
+/// [`MAX_LINE_BYTES`], edges yielded chunk-at-a-time through
+/// [`EdgeSource`].
 #[derive(Debug)]
 pub struct TsvEdgeSource<R: BufRead> {
     reader: R,
-    line: String,
+    line: Vec<u8>,
     line_no: usize,
 }
 
@@ -71,7 +79,7 @@ impl<R: BufRead> TsvEdgeSource<R> {
     pub fn new(reader: R) -> Self {
         Self {
             reader,
-            line: String::new(),
+            line: Vec::new(),
             line_no: 0,
         }
     }
@@ -89,11 +97,22 @@ impl<R: BufRead> EdgeSource for TsvEdgeSource<R> {
         let max = max.max(1);
         while buf.len() < max {
             self.line.clear();
-            if self.reader.read_line(&mut self.line)? == 0 {
+            let n = (&mut self.reader)
+                .take(MAX_LINE_BYTES as u64)
+                .read_until(b'\n', &mut self.line)?;
+            if n == 0 {
                 break;
             }
             self.line_no += 1;
-            if let Some(edge) = parse_edge_line(&self.line, self.line_no)? {
+            if n == MAX_LINE_BYTES && self.line.last() != Some(&b'\n') {
+                return Err(EdgeStreamError::LineTooLong {
+                    line: self.line_no,
+                    max: MAX_LINE_BYTES,
+                });
+            }
+            let text = std::str::from_utf8(&self.line)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+            if let Some(edge) = parse_edge_line(text, self.line_no)? {
                 buf.push(edge);
             }
         }
@@ -161,9 +180,9 @@ mod tests {
 
     #[test]
     fn malformed_huge_line_is_truncated_in_error() {
-        // A malformed multi-MB line must not be copied wholesale into the
-        // error message.
-        let huge = "x".repeat(2 * 1024 * 1024);
+        // A malformed line of half a MiB must not be copied wholesale into
+        // the error message.
+        let huge = "x".repeat(MAX_LINE_BYTES / 2);
         let err = read_edges(huge.as_bytes()).unwrap_err();
         match &err {
             EdgeStreamError::Malformed { line, content } => {
@@ -183,6 +202,61 @@ mod tests {
             }
             other => panic!("wrong error: {other}"),
         }
+    }
+
+    #[test]
+    fn a_line_without_an_end_fails_typed_within_the_cap() {
+        /// 2 MiB of `x` and no newline, counting the bytes handed out.
+        struct Endless {
+            left: usize,
+            read: std::rc::Rc<std::cell::Cell<usize>>,
+        }
+        impl Read for Endless {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                let n = out.len().min(self.left);
+                out[..n].fill(b'x');
+                self.left -= n;
+                self.read.set(self.read.get() + n);
+                Ok(n)
+            }
+        }
+        let read = std::rc::Rc::default();
+        let reader = std::io::BufReader::new(Endless {
+            left: 2 * MAX_LINE_BYTES,
+            read: std::rc::Rc::clone(&read),
+        });
+        let mut src = TsvEdgeSource::new(reader);
+        let mut buf = Vec::new();
+        match src.next_chunk(&mut buf, 16).expect_err("must fail") {
+            EdgeStreamError::LineTooLong { line, max } => {
+                assert_eq!((line, max), (1, MAX_LINE_BYTES));
+            }
+            other => panic!("wrong error: {other}"),
+        }
+        assert!(
+            src.line.capacity() <= MAX_LINE_BYTES,
+            "{}",
+            src.line.capacity()
+        );
+        assert!(
+            read.get() <= MAX_LINE_BYTES + 8192,
+            "read {} bytes: the rest of the line was buffered",
+            read.get()
+        );
+        // One byte under the cap, newline included, is still a line.
+        let mut ok = "a ".to_string() + &"b".repeat(MAX_LINE_BYTES - 3);
+        ok.push('\n');
+        assert_eq!(ok.len(), MAX_LINE_BYTES);
+        assert_eq!(read_edges(ok.as_bytes()).expect("at the cap").len(), 1);
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_io_error() {
+        let err = read_edges(&b"a b\n\xff c\n"[..]).unwrap_err();
+        assert!(
+            matches!(&err, EdgeStreamError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData),
+            "{err}"
+        );
     }
 
     #[test]

@@ -50,11 +50,15 @@ printf 'alice a\nalice b\nalice b\nbob a\n' > "$tmp/edges.tsv"
 # Drive the binary the release build just produced; `cargo run` without
 # --release would recompile the whole workspace in the dev profile.
 ./target/release/freesketch --help > /dev/null
-./target/release/freesketch estimate "$tmp/edges.tsv" --top 2 > /dev/null
+# The ingest smokes run under a time limit: one-thread ingest hands chunks
+# between a stage thread and the applying thread, and a pipeline that
+# hangs must fail the gate (exit 124) instead of stalling it.
+ingest() { timeout 120 ./target/release/freesketch "$@"; }
+ingest estimate "$tmp/edges.tsv" --top 2 > /dev/null
 # Batch and scalar ingest paths must agree through the CLI.
-./target/release/freesketch estimate "$tmp/edges.tsv" --batch 0 > /dev/null
+ingest estimate "$tmp/edges.tsv" --batch 0 > /dev/null
 # Sharded parallel ingest drives the same report.
-./target/release/freesketch estimate "$tmp/edges.tsv" --threads 2 > /dev/null
+ingest estimate "$tmp/edges.tsv" --threads 2 > /dev/null
 # Out-of-range values are usage errors (exit 2), raised before the trace
 # is read.
 expect_usage_error() {
@@ -67,8 +71,8 @@ expect_usage_error estimate "$tmp/edges.tsv" --threads 100000
 
 echo "==> convert -> estimate roundtrip smoke (TSV and fedge must be identical)"
 ./target/release/freesketch convert "$tmp/edges.tsv" "$tmp/edges.fedge" > /dev/null
-./target/release/freesketch estimate "$tmp/edges.tsv"   --top 3 > "$tmp/est-tsv.txt"
-./target/release/freesketch estimate "$tmp/edges.fedge" --top 3 > "$tmp/est-fedge.txt"
+ingest estimate "$tmp/edges.tsv"   --top 3 > "$tmp/est-tsv.txt"
+ingest estimate "$tmp/edges.fedge" --top 3 > "$tmp/est-fedge.txt"
 diff -u "$tmp/est-tsv.txt" "$tmp/est-fedge.txt" || {
   echo "fedge estimate differs from TSV estimate"; exit 1;
 }
@@ -78,13 +82,23 @@ echo "==> streaming-estimate smoke (multi-chunk file, bounded reader buffer)"
 ./target/release/freesketch convert "$tmp/synth.tsv" "$tmp/synth.fedge" > /dev/null
 # --chunk 1024 forces many reader chunks on both formats; the reports must
 # still be identical (chunking never changes what was ingested).
-./target/release/freesketch estimate "$tmp/synth.tsv"   --chunk 1024 > "$tmp/synth-tsv.txt"
-./target/release/freesketch estimate "$tmp/synth.fedge" --chunk 1024 > "$tmp/synth-fedge.txt"
+ingest estimate "$tmp/synth.tsv"   --chunk 1024 > "$tmp/synth-tsv.txt"
+ingest estimate "$tmp/synth.fedge" --chunk 1024 > "$tmp/synth-fedge.txt"
 diff -u "$tmp/synth-tsv.txt" "$tmp/synth-fedge.txt" || {
   echo "multi-chunk fedge estimate differs from TSV estimate"; exit 1;
 }
 grep -q "edges processed" "$tmp/synth-tsv.txt" || {
   echo "streaming estimate produced no report"; exit 1;
+}
+# A record cut short in the last chunk is read by the stage thread, after
+# the earlier chunks were applied: it must still fail as a typed error
+# (exit 1), not hang or panic.
+head -c -7 "$tmp/synth.fedge" > "$tmp/synth-cut.fedge"
+code=0
+ingest estimate "$tmp/synth-cut.fedge" --chunk 1024 > /dev/null 2> "$tmp/cut-err.txt" || code=$?
+[ "$code" -eq 1 ] || { echo "truncated fedge exited $code, not 1"; cat "$tmp/cut-err.txt"; exit 1; }
+grep -q "truncated fedge record" "$tmp/cut-err.txt" || {
+  echo "truncated fedge error not typed:"; cat "$tmp/cut-err.txt"; exit 1;
 }
 
 echo "==> checkpoint / crash / restore / resume smoke (~1M-edge trace)"
@@ -93,10 +107,10 @@ echo "==> checkpoint / crash / restore / resume smoke (~1M-edge trace)"
 edges=$(grep -vc '^#' "$tmp/big.tsv")
 every=$(( edges / 5 + 1 ))
 # Uninterrupted reference run.
-./target/release/freesketch estimate "$tmp/big.fedge" --top 5 > "$tmp/ref.txt"
+ingest estimate "$tmp/big.fedge" --top 5 > "$tmp/ref.txt"
 # Inject a crash after the second checkpoint write: the run must fail with
 # the typed fault-injection error, leaving the last good checkpoint behind.
-if FREESKETCH_CRASH_AFTER_CHECKPOINTS=2 ./target/release/freesketch estimate "$tmp/big.fedge" \
+if FREESKETCH_CRASH_AFTER_CHECKPOINTS=2 ingest estimate "$tmp/big.fedge" \
      --top 5 --checkpoint "$tmp/state.fsnp" --checkpoint-every "$every" \
      > /dev/null 2> "$tmp/crash-err.txt"; then
   echo "injected crash did not fail the run"; exit 1
@@ -107,7 +121,7 @@ grep -q "simulated crash" "$tmp/crash-err.txt" || {
 test -s "$tmp/state.fsnp" || { echo "no checkpoint left behind after crash"; exit 1; }
 # Restart the same command: it must restore the checkpoint, resume the
 # trace at the recorded offset, and match the uninterrupted run exactly.
-./target/release/freesketch estimate "$tmp/big.fedge" --top 5 \
+ingest estimate "$tmp/big.fedge" --top 5 \
   --checkpoint "$tmp/state.fsnp" --checkpoint-every "$every" > "$tmp/resumed.txt"
 grep -q "restored checkpoint" "$tmp/resumed.txt" || {
   echo "resumed run did not restore the checkpoint:"; cat "$tmp/resumed.txt"; exit 1;
@@ -123,8 +137,8 @@ half=$(( (edges + 1) / 2 ))
 grep -v '^#' "$tmp/big.tsv" > "$tmp/body.tsv"
 head -n "$half" "$tmp/body.tsv" > "$tmp/half1.tsv"
 tail -n +"$(( half + 1 ))" "$tmp/body.tsv" > "$tmp/half2.tsv"
-./target/release/freesketch checkpoint "$tmp/half1.tsv" "$tmp/h1.fsnp" > /dev/null
-./target/release/freesketch checkpoint "$tmp/half2.tsv" "$tmp/h2.fsnp" > /dev/null
+ingest checkpoint "$tmp/half1.tsv" "$tmp/h1.fsnp" > /dev/null
+ingest checkpoint "$tmp/half2.tsv" "$tmp/h2.fsnp" > /dev/null
 ./target/release/freesketch merge "$tmp/h1.fsnp" "$tmp/h2.fsnp" "$tmp/union.fsnp" > /dev/null
 ./target/release/freesketch restore "$tmp/union.fsnp" --top 5 > "$tmp/union.txt"
 grep -q "$edges edges in freebs snapshot" "$tmp/union.txt" || {
