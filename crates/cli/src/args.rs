@@ -49,9 +49,6 @@ pub struct Cli {
     pub memory_bits: usize,
     /// Hash seed (replayable runs).
     pub seed: u64,
-    /// Ingest batch size: edges handed to `process_batch` per call. `0`
-    /// forces the scalar per-edge path.
-    pub batch: usize,
     /// Parallel ingest threads: threads that apply edges to the sketch.
     /// `1` (default) runs the exclusive scalar estimators, plus one stage
     /// thread that reads and hashes the next chunk while the current one
@@ -224,9 +221,6 @@ COMMON FLAGS:
   --method freebs|freers   estimator (default freebs)
   --memory BITS            shared-array budget in bits (default 8388608)
   --seed N                 hash seed (default 42)
-  --batch N                ingest batch size in edges; sets the engines'
-                           pipelined block size too when below 512; 0 =
-                           scalar per-edge path (default 8192)
   --threads N              parallel ingest threads, at most 1024; >1 uses
                            the sharded concurrent estimator (default 1;
                            at 1 a stage thread reads and hashes the next
@@ -247,7 +241,9 @@ COMMON FLAGS:
 Edge files are read streaming (bounded memory) in either format,
 auto-detected: TSV — one `user item` pair per line, `#` comments
 ignored — or binary fedge (`convert` writes it; ~3x smaller than TSV
-and parse-free to replay).
+and parse-free to replay). Ingest is batched, and every edge that
+changes the array is credited at the q just before it, so at
+--threads 1 the estimates equal edge-by-edge ingest whatever --chunk is.
 
 Snapshots (*.fsnp) are versioned, per-section checksummed images of a
 sketch plus its stream offset; `checkpoint`, `restore` and `merge`
@@ -264,7 +260,6 @@ impl Cli {
         let mut method = Method::FreeBS;
         let mut memory_bits = 1usize << 23;
         let mut seed = 42u64;
-        let mut batch = 8192usize;
         let mut threads = 1usize;
         let mut chunk = 1usize << 16;
         let mut format: Option<InputFormat> = None;
@@ -287,7 +282,6 @@ impl Cli {
                     memory_bits = parse_num(value(args, &mut i, "--memory")?, "--memory")?
                 }
                 "--seed" => seed = parse_num(value(args, &mut i, "--seed")?, "--seed")?,
-                "--batch" => batch = parse_num(value(args, &mut i, "--batch")?, "--batch")?,
                 "--threads" => {
                     let v = value(args, &mut i, "--threads")?;
                     threads = parse_num(v, "--threads")?;
@@ -344,7 +338,19 @@ impl Cli {
                         }
                     }
                 }
-                "--scale" => scale = Some(parse_num(value(args, &mut i, "--scale")?, "--scale")?),
+                "--scale" => {
+                    let v = value(args, &mut i, "--scale")?;
+                    match parse_num(v, "--scale")? {
+                        0 => {
+                            return Err(ParseError::BadValue {
+                                flag: "--scale",
+                                value: v.to_string(),
+                                expected: "a positive integer",
+                            })
+                        }
+                        n => scale = Some(n),
+                    }
+                }
                 "--out" => out = value(args, &mut i, "--out")?.to_string(),
                 "--user" => user = Some(value(args, &mut i, "--user")?.to_string()),
                 "--checkpoints" => {
@@ -466,7 +472,6 @@ impl Cli {
             method,
             memory_bits,
             seed,
-            batch,
             threads,
             chunk,
             format,
@@ -515,7 +520,6 @@ mod tests {
         assert_eq!(cli.method, Method::FreeBS);
         assert_eq!(cli.memory_bits, 1 << 23);
         assert_eq!(cli.seed, 42);
-        assert_eq!(cli.batch, 8192);
     }
 
     #[test]
@@ -565,18 +569,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_flag_parses_and_zero_means_scalar() {
-        let cli = Cli::parse(&["estimate", "x.tsv", "--batch", "256"]).expect("parse");
-        assert_eq!(cli.batch, 256);
-        let cli = Cli::parse(&["estimate", "x.tsv", "--batch", "0"]).expect("parse");
-        assert_eq!(cli.batch, 0);
-        assert!(matches!(
-            Cli::parse(&["estimate", "x.tsv", "--batch", "many"]).unwrap_err(),
-            ParseError::BadValue {
-                flag: "--batch",
-                ..
-            }
-        ));
+    fn batch_flag_is_unknown() {
+        for v in ["0", "8192"] {
+            assert_eq!(
+                Cli::parse(&["estimate", "x.tsv", "--batch", v]).unwrap_err(),
+                ParseError::UnknownFlag("--batch".into())
+            );
+        }
     }
 
     #[test]
@@ -675,6 +674,18 @@ mod tests {
                 profile: "orkut".into(),
                 scale: Some(500),
                 out: "o.tsv".into()
+            }
+        );
+    }
+
+    #[test]
+    fn synth_rejects_scale_zero() {
+        assert_eq!(
+            Cli::parse(&["synth", "orkut", "--scale", "0"]).unwrap_err(),
+            ParseError::BadValue {
+                flag: "--scale",
+                value: "0".into(),
+                expected: "a positive integer",
             }
         );
     }

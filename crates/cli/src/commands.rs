@@ -159,12 +159,9 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
                     let take = usize::try_from(next_cp - seen)
                         .unwrap_or(usize::MAX)
                         .min(n - off);
-                    runner.sketch.apply_chunk(
-                        &buf[off..off + take],
-                        &mut pairs,
-                        cli.batch,
-                        cli.threads,
-                    );
+                    runner
+                        .sketch
+                        .apply_chunk(&buf[off..off + take], &mut pairs, cli.threads);
                     seen += take as u64;
                     off += take;
                     runner.maybe_checkpoint(seen)?;
@@ -188,14 +185,8 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
             let (mut src, _) = open_source(input, cli.format)?;
             let mut ckpt = Checkpointer::new(Path::new(snap_out.as_str()), cli.checkpoint_every)
                 .with_crash_after(crash_after_env());
-            let total = sketch.ingest_stream(
-                src.as_mut(),
-                cli.chunk,
-                cli.batch,
-                cli.threads,
-                Some(&mut ckpt),
-                0,
-            )?;
+            let total =
+                sketch.ingest_stream(src.as_mut(), cli.chunk, cli.threads, Some(&mut ckpt), 0)?;
             writeln!(
                 out,
                 "{total} edges → `{snap_out}` ({} snapshot; total cardinality ≈ {:.0})",
@@ -219,14 +210,7 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
             let mut total = offset;
             if let Some(trace) = resume {
                 let mut src = open_at(cli, trace, offset)?;
-                total += sketch.ingest_stream(
-                    src.as_mut(),
-                    cli.chunk,
-                    cli.batch,
-                    cli.threads,
-                    None,
-                    0,
-                )?;
+                total += sketch.ingest_stream(src.as_mut(), cli.chunk, cli.threads, None, 0)?;
             }
             writeln!(
                 out,
@@ -282,7 +266,6 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
                 port: *port,
                 writers: cli.threads,
                 chunk: cli.chunk,
-                batch: cli.batch,
                 base_edges: base,
                 checkpoint: cli.checkpoint.as_ref().map(std::path::PathBuf::from),
                 checkpoint_every: cli.checkpoint_every,
@@ -502,7 +485,6 @@ impl Runner {
         let ingested = self.sketch.ingest_stream(
             src.as_mut(),
             cli.chunk,
-            cli.batch,
             cli.threads,
             self.ckpt.as_mut(),
             self.base,
@@ -678,9 +660,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_scalar_ingest_agree() {
-        // Distinct per-user cardinalities so the top list has no ties (tied
-        // estimates may legitimately order differently across ingest paths).
+    fn chunking_never_changes_the_report() {
+        // Every growth is credited at its own q, so reader chunks (and the
+        // batch blocks inside them) cut the stream without moving any
+        // estimate, even in a small array where q falls fast.
         let mut content = String::new();
         for u in 0..10 {
             for d in 0..(u + 1) * 20 {
@@ -689,11 +672,12 @@ mod tests {
         }
         let path = write_temp(&content);
         let p = path.to_str().expect("utf8 path");
-        let batched = run_to_string(&["estimate", p, "--top", "5"]);
-        let scalar = run_to_string(&["estimate", p, "--top", "5", "--batch", "0"]);
-        // At the default 8 Mbit budget the block-q drift is ~1e-5 relative,
-        // far below the printed precision: outputs must be identical.
-        assert_eq!(batched, scalar);
+        for method in ["freebs", "freers"] {
+            let flags = ["--top", "5", "--memory", "2048", "--method", method];
+            let whole = run_to_string(&[&["estimate", p][..], &flags].concat());
+            let chunked = run_to_string(&[&["estimate", p, "--chunk", "7"][..], &flags].concat());
+            assert_eq!(whole, chunked, "{method}");
+        }
         std::fs::remove_file(path).ok();
     }
 
@@ -718,17 +702,8 @@ mod tests {
         let big_pos = out.find(&big).expect("big listed");
         let small_pos = out.find(&small).expect("small listed");
         assert!(big_pos < small_pos, "big should rank above small:\n{out}");
-        // FreeRS path and the scalar (--batch 0) ingest both work too.
-        let out = run_to_string(&[
-            "estimate",
-            p,
-            "--threads",
-            "2",
-            "--method",
-            "freers",
-            "--batch",
-            "0",
-        ]);
+        // The FreeRS path works too.
+        let out = run_to_string(&["estimate", p, "--threads", "2", "--method", "freers"]);
         assert!(out.contains("ShardedFreeRS"), "{out}");
         // --threads is a common flag: spreaders and track honour it too.
         let out = run_to_string(&["spreaders", p, "--delta", "0.2", "--threads", "2"]);
@@ -762,7 +737,7 @@ mod tests {
         // The acceptance bar of the streaming-ingestion issue: a fedge
         // re-encode of a TSV trace replays to the exact same report under
         // the same flags — including with a chunk small enough that both
-        // files stream in many chunks, and on the sharded path.
+        // files stream in many chunks.
         let mut content = String::new();
         for u in 0..10 {
             for d in 0..(u + 1) * 15 {
@@ -775,7 +750,7 @@ mod tests {
         let conv = run_to_string(&["convert", p, &fedge]);
         assert!(conv.contains("825 edges →"), "{conv}");
 
-        for extra in [&["--chunk", "100"][..], &["--batch", "0"], &[]] {
+        for extra in [&["--chunk", "100"][..], &[]] {
             let mut args_tsv = vec!["estimate", p, "--top", "5"];
             args_tsv.extend_from_slice(extra);
             let mut args_fedge = vec!["estimate", fedge.as_str(), "--top", "5"];

@@ -28,7 +28,7 @@
 //!   returns. A truncated snapshot is never visible at the target path.
 
 use crate::protocol::{parse_request, LineReader, LineStatus, ProtocolError, Request};
-use freesketch::ingest::ingest_pairs;
+use freesketch::ingest::{ingest_pairs, DEFAULT_BATCH};
 use freesketch::snapshot::{AnySketch, Checkpointer, SnapshotImage};
 use freesketch::CardinalityEstimator;
 use graphstream::{Edge, EdgeSource};
@@ -61,8 +61,6 @@ pub struct ServeConfig {
     pub writers: usize,
     /// Edges pulled from the source per writer chunk.
     pub chunk: usize,
-    /// Batch size handed to `ingest_batch` (0 = per-edge ingest).
-    pub batch: usize,
     /// Stream offset already applied to the sketch (a restored
     /// checkpoint's edge count; 0 for a fresh sketch).
     pub base_edges: u64,
@@ -79,7 +77,6 @@ impl Default for ServeConfig {
             port: 0,
             writers: 1,
             chunk: 1 << 16,
-            batch: 8192,
             base_edges: 0,
             checkpoint: None,
             checkpoint_every: 1_000_000,
@@ -329,14 +326,14 @@ fn run_daemon(shared: &Arc<Shared>, listener: &TcpListener, config: &ServeConfig
     let mut writers: Vec<JoinHandle<()>> = Vec::new();
     for i in 0..config.writers.max(1) {
         let s = Arc::clone(shared);
-        let (chunk, batch) = (config.chunk.max(1), config.batch);
+        let chunk = config.chunk.max(1);
         let every = config
             .checkpoint
             .is_some()
             .then_some(config.checkpoint_every);
         match std::thread::Builder::new()
             .name(format!("fs-serve-writer-{i}"))
-            .spawn(move || writer_loop(&s, chunk, batch, every))
+            .spawn(move || writer_loop(&s, chunk, every))
         {
             Ok(h) => writers.push(h),
             Err(e) => shared.record_error(format!("cannot spawn writer {i}: {e}")),
@@ -420,7 +417,7 @@ fn run_daemon(shared: &Arc<Shared>, listener: &TcpListener, config: &ServeConfig
 /// One writer thread: pull a chunk from the shared source, apply it
 /// through the concurrent ingest pipeline under the shared gate, repeat
 /// until the source is dry or a drain is requested.
-fn writer_loop(shared: &Arc<Shared>, chunk: usize, batch: usize, ckpt_every: Option<u64>) {
+fn writer_loop(shared: &Arc<Shared>, chunk: usize, ckpt_every: Option<u64>) {
     let _guard = PanicGuard { shared };
     let Some(est) = shared.sketch.as_concurrent() else {
         // spawn() rejects scalar kinds before any writer starts.
@@ -457,7 +454,7 @@ fn writer_loop(shared: &Arc<Shared>, chunk: usize, batch: usize, ckpt_every: Opt
         pairs.extend(buf.iter().map(|e| e.pair()));
         {
             let _ingesting = shared.gate.read();
-            ingest_pairs(est, &pairs, batch);
+            ingest_pairs(est, &pairs, DEFAULT_BATCH);
             // ORDERING: relaxed-ok — bumped inside the gate's read section;
             // the consistency-critical readers (snapshot, checkpoint, final
             // report) hold the gate exclusively, so the lock handoff orders
@@ -706,7 +703,6 @@ mod tests {
             ServeConfig {
                 writers: 2,
                 chunk: 256,
-                batch: 64,
                 ..ServeConfig::default()
             },
         )
@@ -761,7 +757,6 @@ mod tests {
             ServeConfig {
                 writers: 2,
                 chunk: 512,
-                batch: 128,
                 ..ServeConfig::default()
             },
         )

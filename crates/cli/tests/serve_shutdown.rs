@@ -70,7 +70,6 @@ fn shutdown_mid_ingest_drains_and_checkpoints_atomically() {
         ServeConfig {
             writers: 2,
             chunk: 1024,
-            batch: 256,
             checkpoint: Some(snap.clone()),
             checkpoint_every: 50_000,
             ..ServeConfig::default()
@@ -125,7 +124,6 @@ fn writer_panic_still_drains_and_checkpoints() {
         ServeConfig {
             writers: 2,
             chunk: 1024,
-            batch: 256,
             checkpoint: Some(snap.clone()),
             checkpoint_every: 1_000_000,
             ..ServeConfig::default()

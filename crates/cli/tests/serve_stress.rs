@@ -114,7 +114,6 @@ fn concurrent_queries_see_monotone_untorn_estimates() {
         ServeConfig {
             writers: WRITERS,
             chunk: 512,
-            batch: 128,
             ..ServeConfig::default()
         },
     )

@@ -11,25 +11,25 @@
 //!
 //! Concurrency semantics: slot updates are idempotent monotone atomics
 //! (exactly one winner per change), so dedup holds under any interleaving.
-//! A writer may read a `q` that lags other writers' changes: the bit
-//! store's zero count is settled once per block, so it can miss up to one
-//! block of flips per other writer; the perturbation is bounded by `k/M`
-//! for `k` unsettled flips, and the tests below bound the end-to-end
-//! estimate skew against the sequential estimators empirically. A lone
-//! writer reads `q` settled at every block start, as the scalar engine
-//! does. `Z` (register sharing) is CAS-accumulated with each winner's
-//! exact delta, so it is exact once writers quiesce.
+//! A writer credits each growth at the `q` it read at its block start,
+//! advanced past its own earlier growths in the block. Another writer's
+//! changes can lag: the bit store's zero count is settled once per block,
+//! so a writer can miss up to one block of flips per other writer; the
+//! perturbation is bounded by `k/M` for `k` unsettled flips, and the tests
+//! below bound the end-to-end estimate skew against the sequential
+//! estimators empirically. A lone writer credits every growth at the `q`
+//! per-edge ingest reads. `Z` (register sharing) is CAS-accumulated with
+//! each winner's exact delta, so it is exact once writers quiesce.
 
-use crate::engine::pow2_neg;
+use crate::engine::{pow2_neg, BlockScratch};
 use crate::CardinalityEstimator;
 use bitpack::{AtomicBitArray, AtomicPackedArray, ConcurrentSlotStore};
 use hashkit::{geometric_rank, reduce64, splitmix64, EdgeHasher, ShardedCounterMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared ingest: a cardinality estimator whose update path takes `&self`,
-/// so many threads can feed one instance (or a [`crate::Windowed`] of
-/// them) concurrently. Queries come from the [`CardinalityEstimator`]
-/// supertrait — those are `&self` already.
+/// so many threads can feed one instance concurrently. Queries come from
+/// the [`CardinalityEstimator`] supertrait — those are `&self` already.
 pub trait ConcurrentEstimator: CardinalityEstimator + Send + Sync {
     /// Observes edge `(user, item)`; callable concurrently.
     fn ingest(&self, user: u64, item: u64);
@@ -68,6 +68,13 @@ pub trait SharedQTracker<S: ConcurrentSlotStore>: Send + Sync {
     /// Folds one slot growth `old → new` into a thread-local accumulator.
     fn fold_growth(acc: &mut f64, old: u16, new: u16);
 
+    /// Writes to `numerators[j]` the numerator just before a block's growth
+    /// `j`, `old[j] → new[j]`, counting this writer's earlier growths from
+    /// `start`, the numerator read before the block's store update.
+    /// Returns the block's folded accumulator for
+    /// [`SharedQTracker::commit`].
+    fn block_numerators(start: f64, old: &[u16], new: &[u16], numerators: &mut [f64]) -> f64;
+
     /// Publishes a folded accumulator (no-op when the store maintains the
     /// numerator itself).
     fn commit(&self, acc: f64);
@@ -102,6 +109,15 @@ impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZeroQ {
 
     #[inline]
     fn fold_growth(_acc: &mut f64, _old: u16, _new: u16) {}
+
+    /// Growth `j` of a block finds `m₀ − j` zero bits.
+    #[inline]
+    fn block_numerators(start: f64, _old: &[u16], _new: &[u16], numerators: &mut [f64]) -> f64 {
+        for (j, n) in numerators.iter_mut().enumerate() {
+            *n = start - j as f64;
+        }
+        0.0
+    }
 
     #[inline]
     fn commit(&self, _acc: f64) {}
@@ -165,6 +181,16 @@ impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZ {
     #[inline]
     fn fold_growth(acc: &mut f64, old: u16, new: u16) {
         *acc += pow2_neg(new) - pow2_neg(old);
+    }
+
+    #[inline]
+    fn block_numerators(start: f64, old: &[u16], new: &[u16], numerators: &mut [f64]) -> f64 {
+        let mut acc = 0.0;
+        for ((n, &old), &new) in numerators.iter_mut().zip(old).zip(new) {
+            *n = start + acc;
+            <Self as SharedQTracker<S>>::fold_growth(&mut acc, old, new);
+        }
+        acc
     }
 
     #[inline]
@@ -314,9 +340,10 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         std::hint::black_box(acc);
     }
 
-    /// Write pass over one warmed block: `q` frozen at its block-start
-    /// value, a word-level [`ConcurrentSlotStore::update_block`], then
-    /// run-coalesced counter credits and one `q` commit CAS for the whole
+    /// Write pass over one warmed block: a word-level
+    /// [`ConcurrentSlotStore::update_block`], each growth credited at the
+    /// numerator of `q` just before it (this writer's earlier growths
+    /// counted) with one counter add, and one `q` commit for the whole
     /// block.
     #[inline(always)]
     fn apply_block(
@@ -324,32 +351,18 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         chunk: &[(u64, u64)],
         slots: &[usize],
         values: &[u16],
-        grew: &mut [bool],
-        old: &mut [u16],
+        s: &mut BlockScratch,
     ) {
         let k = chunk.len();
-        let inc = self.store.len() as f64 / self.q.numerator(&self.store);
+        let start = self.q.numerator(&self.store);
         self.store
-            .update_block(slots, values, &mut grew[..k], &mut old[..k]);
-        let mut run_user = chunk[0].0;
-        let mut run_growths = 0u32;
-        let mut q_acc = 0.0f64;
-        for i in 0..k {
-            let user = chunk[i].0;
-            if user != run_user {
-                if run_growths > 0 {
-                    self.counters.add(run_user, inc * f64::from(run_growths));
-                }
-                run_user = user;
-                run_growths = 0;
-            }
-            if grew[i] {
-                run_growths += 1;
-                Q::fold_growth(&mut q_acc, old[i], values[i]);
-            }
-        }
-        if run_growths > 0 {
-            self.counters.add(run_user, inc * f64::from(run_growths));
+            .update_block(slots, values, &mut s.grew[..k], &mut s.old[..k]);
+        let growths = s.list_growths(chunk, values, S::RANKED);
+        let (old, new, numerators) = s.growth_values(growths);
+        let q_acc = Q::block_numerators(start, old, new, numerators);
+        let (users, credits) = s.credits(self.store.len(), growths);
+        for (&user, &credit) in users.iter().zip(credits) {
+            self.counters.add(user, credit);
         }
         self.q.commit(q_acc);
     }
@@ -357,22 +370,19 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
     /// Observes a slice of edges — the batched fast path; callable
     /// concurrently. The slice is cut into blocks of
     /// [`crate::INGEST_BLOCK`] edges, each run as a load-only warm pass and
-    /// then a write pass (see [`CardinalityEstimator::process_batch`]) over
-    /// compile-time sized stack scratch. Freezing `q` per block adds at
-    /// most `block/M` relative staleness — the same order as the
-    /// concurrency skew already tolerated.
+    /// then a write pass over compile-time sized stack scratch. A lone
+    /// writer's store and counters end as per-edge ingest leaves them.
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     pub fn process_batch(&self, edges: &[(u64, u64)]) {
         const BLOCK: usize = crate::INGEST_BLOCK;
         let mut hashes = [0u64; BLOCK];
         let mut slots = [0usize; BLOCK];
         let mut values = [1u16; BLOCK];
-        let mut grew = [false; BLOCK];
-        let mut old = [0u16; BLOCK];
+        let mut scratch = BlockScratch::new();
         for chunk in edges.chunks(BLOCK) {
             let k = chunk.len();
             self.warm_block(chunk, &mut hashes[..k], &mut slots[..k], &mut values[..k]);
-            self.apply_block(chunk, &slots[..k], &values[..k], &mut grew, &mut old);
+            self.apply_block(chunk, &slots[..k], &values[..k], &mut scratch);
         }
     }
 
@@ -625,12 +635,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_bits_single_thread() {
-        // Same stream through batch and scalar concurrent estimators: the
-        // bit arrays must be identical; estimates agree within the
-        // block-granularity q drift. The scalar engine's block path is the
-        // exact reference for one writer: the zero count, settled once per
-        // block, gives every block the same frozen q as `FreeBS`.
+    fn batch_matches_scalar_single_thread() {
+        // One writer: the batch path leaves the bit array and every counter
+        // exactly as per-edge ingest does, and as the scalar engine's.
         let batch = ConcurrentFreeBS::new(1 << 14, 7);
         let scalar = ConcurrentFreeBS::new(1 << 14, 7);
         let mut reference = FreeBS::new(1 << 14, 7);
@@ -642,27 +649,16 @@ mod tests {
         for &(u, d) in &edges {
             scalar.process(u, d);
         }
-        assert_eq!(
-            batch.store().recount_zeros(),
-            scalar.store().recount_zeros()
-        );
         let bits = reference.store();
         assert_eq!(batch.store().word_count(), bits.words().len());
         for (i, &w) in bits.words().iter().enumerate() {
             assert_eq!(batch.store().word(i), w, "word {i}");
+            assert_eq!(scalar.store().word(i), w, "word {i}");
         }
         assert_eq!(batch.store().zeros(), bits.zeros());
         for u in 0..17u64 {
-            let (b, s) = (batch.estimate(u), scalar.estimate(u));
-            assert!(
-                (b - s).abs() <= s * 0.02 + 1e-9,
-                "user {u}: batch {b} vs scalar {s}"
-            );
-            let r = reference.estimate(u);
-            assert!(
-                (b - r).abs() <= r * 1e-12,
-                "user {u}: batch {b} vs FreeBS::process_batch {r}"
-            );
+            assert_eq!(batch.estimate(u), scalar.estimate(u), "user {u}");
+            assert_eq!(batch.estimate(u), reference.estimate(u), "user {u}");
         }
     }
 
@@ -755,6 +751,13 @@ mod tests {
         for &(u, d) in &edges {
             scalar.process(u, d);
         }
+        for i in 0..batch.store().len() {
+            assert_eq!(
+                batch.store().load(i),
+                scalar.store().load(i),
+                "register {i}"
+            );
+        }
         assert!(
             batch.z_discrepancy() < 1e-9,
             "batch Z drift {}",
@@ -763,7 +766,7 @@ mod tests {
         for u in 0..13u64 {
             let (b, s) = (batch.estimate(u), scalar.estimate(u));
             assert!(
-                (b - s).abs() <= s * 0.05 + 1e-9,
+                (b - s).abs() <= s * 1e-12,
                 "user {u}: batch {b} vs scalar {s}"
             );
         }
@@ -840,8 +843,7 @@ mod tests {
         }
         b.process_batch(&edges);
         for u in 0..5u64 {
-            let (x, y) = (a.estimate(u), b.estimate(u));
-            assert!((x - y).abs() <= x * 0.05 + 1e-9, "user {u}: {x} vs {y}");
+            assert_eq!(a.estimate(u), b.estimate(u), "user {u}");
         }
         // And the &mut CardinalityEstimator view drives the same pipeline.
         let mut c = ConcurrentFreeBS::new(1 << 12, 3);

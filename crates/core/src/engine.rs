@@ -13,8 +13,8 @@
 //!
 //! so `FreeBS` and `FreeRS` are type aliases instantiating it, and the
 //! batched block pipeline (block hashing, load-only warm passes,
-//! word-level multi-update, frozen per-block `q`, run-coalesced counter
-//! writes) is written and maintained in exactly one place.
+//! word-level multi-update, per-growth credits) is written and maintained
+//! in exactly one place.
 //!
 //! The block pipeline has two halves. The pure half, [`BlockHasher`], maps
 //! pairs to slots (and ranks for register stores) and reads no sketch
@@ -22,6 +22,11 @@
 //! half, [`CardinalityEstimator::apply_hashed`], touches the block's store
 //! words, updates the store, accounts `q` and credits counters.
 //! `process_batch` runs both halves block by block on one thread.
+//!
+//! A block credits each of its growths at the numerator of `q` just before
+//! that growth, exactly as per-edge [`CardinalityEstimator::process`] does,
+//! so the batch path leaves the same store, counters and total as `process`
+//! wherever the stream is cut into blocks, slices or chunks.
 
 use crate::CardinalityEstimator;
 use bitpack::SlotStore;
@@ -50,10 +55,19 @@ pub trait QTracker<S: SlotStore> {
     /// maintains the numerator itself.
     fn on_growth(&mut self, old: u16, new: u16);
 
+    /// Accounts a block's growths `old[j] → new[j]`, in order, and writes
+    /// to `numerators[j]` the numerator just before growth `j`. `start` is
+    /// the numerator before the block, read before its store update.
+    fn block_numerators(&mut self, start: f64, old: &[u16], new: &[u16], numerators: &mut [f64]);
+
     /// Amortized exact resynchronisation against the store (FreeRS's
-    /// periodic `Z` rebuild). Called once per edge-growth (scalar path) or
-    /// once per block (batch path).
+    /// periodic `Z` rebuild). Called after every growth.
     fn maybe_rebuild(&mut self, store: &S);
+
+    /// Whether [`QTracker::maybe_rebuild`] may fire within the next
+    /// `growths` growths. The block pipeline applies such a block edge by
+    /// edge, so the rebuild reads the store as per-edge ingest leaves it.
+    fn rebuild_within(&self, growths: usize) -> bool;
 
     /// Unconditional exact resynchronisation against the store, called
     /// after an operation rewrote the store wholesale (a snapshot merge).
@@ -82,8 +96,21 @@ impl<S: SlotStore> QTracker<S> for ZeroQ {
     #[inline]
     fn on_growth(&mut self, _old: u16, _new: u16) {}
 
+    /// Growth `j` of a block finds `m₀ − j` zero bits: exact, as `m₀ < 2⁵³`.
+    #[inline]
+    fn block_numerators(&mut self, start: f64, _old: &[u16], _new: &[u16], numerators: &mut [f64]) {
+        for (j, n) in numerators.iter_mut().enumerate() {
+            *n = start - j as f64;
+        }
+    }
+
     #[inline]
     fn maybe_rebuild(&mut self, _store: &S) {}
+
+    #[inline]
+    fn rebuild_within(&self, _growths: usize) -> bool {
+        false
+    }
 
     #[inline]
     fn resync(&mut self, _store: &S) {}
@@ -139,11 +166,27 @@ impl<S: SlotStore> QTracker<S> for IncrementalZ {
         self.growths_since_rebuild += 1;
     }
 
+    /// The same additions to `Z`, in the same order, as one
+    /// [`QTracker::on_growth`] per growth.
+    #[inline]
+    fn block_numerators(&mut self, _start: f64, old: &[u16], new: &[u16], numerators: &mut [f64]) {
+        for ((n, &old), &new) in numerators.iter_mut().zip(old).zip(new) {
+            *n = self.z;
+            self.z += pow2_neg(new) - pow2_neg(old);
+        }
+        self.growths_since_rebuild += numerators.len() as u64;
+    }
+
     #[inline]
     fn maybe_rebuild(&mut self, store: &S) {
         if self.growths_since_rebuild >= Z_REBUILD_INTERVAL {
             self.rebuild(store);
         }
+    }
+
+    #[inline]
+    fn rebuild_within(&self, growths: usize) -> bool {
+        self.growths_since_rebuild + growths as u64 >= Z_REBUILD_INTERVAL
     }
 
     #[inline]
@@ -206,6 +249,84 @@ impl BlockHasher {
                 *r = u16::from(geometric_rank(splitmix64(h)).saturated(width));
             }
         }
+    }
+}
+
+/// Stack scratch of one block's apply pass: which updates grew the store
+/// and the grown slots' previous values, then each growth's user, previous
+/// and new value, and numerator of `q`, turned into its credit, in stream
+/// order.
+pub(crate) struct BlockScratch {
+    pub(crate) grew: [bool; crate::INGEST_BLOCK],
+    pub(crate) old: [u16; crate::INGEST_BLOCK],
+    new: [u16; crate::INGEST_BLOCK],
+    users: [u64; crate::INGEST_BLOCK],
+    credits: [f64; crate::INGEST_BLOCK],
+}
+
+impl BlockScratch {
+    pub(crate) fn new() -> Self {
+        Self {
+            grew: [false; crate::INGEST_BLOCK],
+            old: [0; crate::INGEST_BLOCK],
+            new: [0; crate::INGEST_BLOCK],
+            users: [0; crate::INGEST_BLOCK],
+            credits: [0.0; crate::INGEST_BLOCK],
+        }
+    }
+
+    /// Lists the block's growths in stream order once the store update
+    /// has filled `grew` and `old`, and returns how many there are: each
+    /// growth's user and, when `ranked`, its previous and new value
+    /// (`old` is compacted in place; bit stores need neither). Every edge
+    /// stores unconditionally, so the loop has no branch.
+    #[inline(always)]
+    pub(crate) fn list_growths(
+        &mut self,
+        chunk: &[(u64, u64)],
+        values: &[u16],
+        ranked: bool,
+    ) -> usize {
+        let mut growths = 0usize;
+        if ranked {
+            for (i, ((&(user, _), &grew), &new)) in
+                chunk.iter().zip(&self.grew).zip(values).enumerate()
+            {
+                self.users[growths] = user;
+                self.old[growths] = self.old[i];
+                self.new[growths] = new;
+                growths += usize::from(grew);
+            }
+        } else {
+            for (&(user, _), &grew) in chunk.iter().zip(&self.grew) {
+                self.users[growths] = user;
+                growths += usize::from(grew);
+            }
+        }
+        growths
+    }
+
+    /// The listed growths' previous and new values, and the slots their
+    /// numerators of `q` go to.
+    #[inline(always)]
+    pub(crate) fn growth_values(&mut self, growths: usize) -> (&[u16], &[u16], &mut [f64]) {
+        (
+            &self.old[..growths],
+            &self.new[..growths],
+            &mut self.credits[..growths],
+        )
+    }
+
+    /// Turns the filled numerators into Horvitz–Thompson credits
+    /// `M / numerator`, in a loop of their own so the divisions vectorize,
+    /// and returns the growths' users and credits.
+    #[inline(always)]
+    pub(crate) fn credits(&mut self, m: usize, growths: usize) -> (&[u64], &[f64]) {
+        let m = m as f64;
+        for c in &mut self.credits[..growths] {
+            *c = m / *c;
+        }
+        (&self.users[..growths], &self.credits[..growths])
     }
 }
 
@@ -366,82 +487,12 @@ impl<S: SlotStore, Q: QTracker<S>> SketchEngine<S, Q> {
         }
     }
 
-    /// The stateful half for one block whose slots and values are already
-    /// hashed. A load-only **warm** pass first touches every store word the
-    /// block needs; all loads fold into one accumulator kept alive by a
-    /// single `black_box`, so the compiler cannot drop them while the
-    /// hardware overlaps their misses. The **write** pass then freezes `q`
-    /// at its block-start value, multi-updates the store, accounts growths,
-    /// demand-warms the grown users' counter homes, and credits them with
-    /// run-coalesced counter adds. Counter homes are not warmed up front:
-    /// which users get credited is unknown until the store update, and
-    /// speculatively touching every user's counter measured slower than
-    /// demand-warming the grown ones (it roughly doubles the map traffic).
+    /// Applies one hashed edge as Algorithms 1 and 2 do: the numerator of
+    /// `q(t)` is read on the state at t−1, before the update (for bit
+    /// stores it equals the post-update zero count + 1, exactly Algorithm
+    /// 1's increment), and only an edge that changes the store is credited.
     #[inline(always)]
-    fn apply_block(
-        &mut self,
-        chunk: &[(u64, u64)],
-        slots: &[usize],
-        values: &[u16],
-        grew: &mut [bool],
-        old: &mut [u16],
-        grew_users: &mut [u64],
-    ) {
-        let mut acc = 0u64;
-        for &s in slots {
-            acc ^= self.store.warm(s);
-        }
-        std::hint::black_box(acc);
-        let k = chunk.len();
-        let m = self.store.len();
-        // q for the whole block is the numerator *before* any of its
-        // updates; frozen here, applied only if something grew (a zero
-        // numerator implies nothing can grow).
-        let qn = self.q.numerator(&self.store);
-        self.store
-            .update_many(slots, values, &mut grew[..k], &mut old[..k]);
-        let mut growths = 0usize;
-        for i in 0..k {
-            if grew[i] {
-                self.q.on_growth(old[i], values[i]);
-            }
-            grew_users[growths] = chunk[i].0;
-            growths += usize::from(grew[i]);
-        }
-        if growths == 0 {
-            return;
-        }
-        let mut acc = 0u64;
-        for &user in &grew_users[..growths] {
-            acc ^= self.estimates.warm(user);
-        }
-        std::hint::black_box(acc);
-        let inc = m as f64 / qn;
-        let mut i = 0usize;
-        while i < growths {
-            let user = grew_users[i];
-            let mut run = 1usize;
-            while i + run < growths && grew_users[i + run] == user {
-                run += 1;
-            }
-            self.estimates.add(user, inc * run as f64);
-            i += run;
-        }
-        self.total += inc * growths as f64;
-        self.q.maybe_rebuild(&self.store);
-    }
-}
-
-impl<S: SlotStore, Q: QTracker<S>> CardinalityEstimator for SketchEngine<S, Q> {
-    #[inline]
-    // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
-    fn process(&mut self, user: u64, item: u64) {
-        let h = self.hasher.hash_edge(user, item);
-        let slot = reduce64(h, self.store.len());
-        let value = self.value_of(h);
-        // q(t) is defined on the state at t−1, so the numerator is read
-        // before the update (for bit stores this equals the post-update
-        // zero count + 1, exactly Algorithm 1's increment).
+    fn apply_edge(&mut self, user: u64, slot: usize, value: u16) {
         let qn = self.q.numerator(&self.store);
         if let Some(old) = self.store.try_update(slot, value) {
             let inc = self.store.len() as f64 / qn;
@@ -455,33 +506,87 @@ impl<S: SlotStore, Q: QTracker<S>> CardinalityEstimator for SketchEngine<S, Q> {
         // in Algorithms 1 and 2: no counter write, no map lookup.
     }
 
+    /// The stateful half for one block whose slots and values are already
+    /// hashed. A load-only **warm** pass first touches every store word the
+    /// block needs; all loads fold into one accumulator kept alive by a
+    /// single `black_box`, so the compiler cannot drop them while the
+    /// hardware overlaps their misses. The **write** pass multi-updates the
+    /// store, lists each growth with its credit at the numerator just
+    /// before it, demand-warms the grown users' counter homes, and adds the
+    /// credits in stream order, so the result is the per-edge one. Counter
+    /// homes are not warmed up front: which users get credited is unknown
+    /// until the store update, and speculatively touching every user's
+    /// counter measured slower than demand-warming the grown ones (it
+    /// roughly doubles the map traffic).
+    ///
+    /// A block within which FreeRS's exact `Z` rebuild may fall is applied
+    /// edge by edge instead: about one block in 2¹¹.
+    #[inline(always)]
+    fn apply_block(
+        &mut self,
+        chunk: &[(u64, u64)],
+        slots: &[usize],
+        values: &[u16],
+        s: &mut BlockScratch,
+    ) {
+        let k = chunk.len();
+        if self.q.rebuild_within(k) {
+            for ((&(user, _), &slot), &value) in chunk.iter().zip(slots).zip(values) {
+                self.apply_edge(user, slot, value);
+            }
+            return;
+        }
+        let mut acc = 0u64;
+        for &slot in slots {
+            acc ^= self.store.warm(slot);
+        }
+        std::hint::black_box(acc);
+        let start = self.q.numerator(&self.store);
+        self.store
+            .update_many(slots, values, &mut s.grew[..k], &mut s.old[..k]);
+        let growths = s.list_growths(chunk, values, S::RANKED);
+        let (old, new, numerators) = s.growth_values(growths);
+        self.q.block_numerators(start, old, new, numerators);
+        let (users, credits) = s.credits(self.store.len(), growths);
+        let mut acc = 0u64;
+        for &user in users {
+            acc ^= self.estimates.warm(user);
+        }
+        std::hint::black_box(acc);
+        for (&user, &credit) in users.iter().zip(credits) {
+            self.estimates.add(user, credit);
+            self.total += credit;
+        }
+    }
+}
+
+impl<S: SlotStore, Q: QTracker<S>> CardinalityEstimator for SketchEngine<S, Q> {
+    #[inline]
+    // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
+    fn process(&mut self, user: u64, item: u64) {
+        let h = self.hasher.hash_edge(user, item);
+        let slot = reduce64(h, self.store.len());
+        let value = self.value_of(h);
+        self.apply_edge(user, slot, value);
+    }
+
     /// Phased batch ingest. The batch is cut into blocks of
     /// [`crate::INGEST_BLOCK`] edges; each block runs the pure half
     /// ([`BlockHasher::hash`]) and then the stateful half (warm pass,
-    /// frozen-`q` multi-update, run-coalesced counter credits; see
-    /// [`CardinalityEstimator::process_batch`] for the drift bound). The
-    /// scratch is compile-time sized stack arrays, so the compiler sees
-    /// every pass's trip count and drops the bounds checks.
+    /// multi-update, per-growth credits). The scratch is compile-time sized
+    /// stack arrays, so the compiler sees every pass's trip count and drops
+    /// the bounds checks.
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     fn process_batch(&mut self, edges: &[(u64, u64)]) {
         const BLOCK: usize = crate::INGEST_BLOCK;
         let hasher = self.split_hasher();
         let mut slots = [0usize; BLOCK];
         let mut values = [1u16; BLOCK];
-        let mut grew = [false; BLOCK];
-        let mut old = [0u16; BLOCK];
-        let mut grew_users = [0u64; BLOCK];
+        let mut scratch = BlockScratch::new();
         for chunk in edges.chunks(BLOCK) {
             let k = chunk.len();
             hasher.hash(chunk, &mut slots[..k], &mut values[..k]);
-            self.apply_block(
-                chunk,
-                &slots[..k],
-                &values[..k],
-                &mut grew,
-                &mut old,
-                &mut grew_users,
-            );
+            self.apply_block(chunk, &slots[..k], &values[..k], &mut scratch);
         }
     }
 
@@ -490,16 +595,13 @@ impl<S: SlotStore, Q: QTracker<S>> CardinalityEstimator for SketchEngine<S, Q> {
     }
 
     /// The stateful half of [`SketchEngine::process_batch`] over slots (and
-    /// ranks) that [`BlockHasher::hash`] computed, cut into the same
-    /// [`crate::INGEST_BLOCK`]-edge blocks, so the result is bit-identical
-    /// to `process_batch(edges)`.
+    /// ranks) that [`BlockHasher::hash`] computed, so the result is
+    /// bit-identical to `process_batch(edges)`.
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     fn apply_hashed(&mut self, edges: &[(u64, u64)], slots: &[usize], ranks: &[u16]) {
         const BLOCK: usize = crate::INGEST_BLOCK;
         let ones = [1u16; BLOCK];
-        let mut grew = [false; BLOCK];
-        let mut old = [0u16; BLOCK];
-        let mut grew_users = [0u64; BLOCK];
+        let mut scratch = BlockScratch::new();
         for (b, chunk) in edges.chunks(BLOCK).enumerate() {
             let (lo, hi) = (b * BLOCK, b * BLOCK + chunk.len());
             let values = if S::RANKED {
@@ -507,14 +609,7 @@ impl<S: SlotStore, Q: QTracker<S>> CardinalityEstimator for SketchEngine<S, Q> {
             } else {
                 &ones[..chunk.len()]
             };
-            self.apply_block(
-                chunk,
-                &slots[lo..hi],
-                values,
-                &mut grew,
-                &mut old,
-                &mut grew_users,
-            );
+            self.apply_block(chunk, &slots[lo..hi], values, &mut scratch);
         }
     }
 

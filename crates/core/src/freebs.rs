@@ -188,7 +188,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_bits_identical_estimates_within_drift() {
+    fn batch_is_per_edge_ingest_exactly() {
         let mut scalar = FreeBS::new(1 << 13, 21);
         let mut batch = FreeBS::new(1 << 13, 21);
         let edges: Vec<(u64, u64)> = (0..4_000u64)
@@ -198,24 +198,10 @@ mod tests {
             scalar.process(u, d);
         }
         batch.process_batch(&edges);
-        assert_eq!(
-            scalar.bit_array(),
-            batch.bit_array(),
-            "bit arrays must match"
-        );
-        // Drift bound: block size / final zero count, one-sided
-        // (batch <= scalar).
-        let tol = crate::INGEST_BLOCK as f64 / batch.zeros() as f64;
+        assert_eq!(scalar.bit_array(), batch.bit_array());
+        assert_eq!(scalar.total_estimate(), batch.total_estimate());
         for u in 0..9u64 {
-            let (s, b) = (scalar.estimate(u), batch.estimate(u));
-            assert!(
-                b <= s + 1e-9,
-                "user {u}: batch {b} must not exceed scalar {s}"
-            );
-            assert!(
-                (s - b) <= s * tol + 1e-9,
-                "user {u}: {s} vs {b} (tol {tol})"
-            );
+            assert_eq!(scalar.estimate(u), batch.estimate(u), "user {u}");
         }
     }
 

@@ -41,8 +41,8 @@
 //!
 //! [`ShardedSketch`] composes `P` concurrent engines behind one estimator
 //! (per-shard `q`, HT sums merged across shards) and [`Windowed`] rotates
-//! `Arc`-owned slices of any estimator — including the concurrent ones,
-//! under parallel ingest — for sliding-window semantics.
+//! `Arc`-owned slices of any cloneable estimator for sliding-window
+//! semantics.
 //!
 //! The `concurrent` module is public and its engines are re-exported at
 //! the crate root, so `freesketch::ConcurrentFreeBS` and
@@ -80,12 +80,9 @@ pub mod theory;
 mod vhll;
 mod window;
 
-/// Block depth of the batched ingest path: `process_batch` freezes the
-/// sampling probability `q` for one block of edges at a time (see
-/// [`CardinalityEstimator::process_batch`] for the resulting drift bound)
-/// and phases each block's memory traffic so cache misses overlap. The
-/// engines size their stack scratch by it, and tests and callers reason
-/// about the drift tolerance through it.
+/// Block depth of the batched ingest path: `process_batch` hashes, warms
+/// and updates one block of edges at a time, so each block's cache misses
+/// overlap. The engines size their stack scratch by it.
 pub const INGEST_BLOCK: usize = 512;
 
 pub use concurrent::{ConcurrentEstimator, ConcurrentFreeBS, ConcurrentFreeRS};
@@ -127,15 +124,13 @@ pub trait CardinalityEstimator {
     /// maintenance).
     ///
     /// **Contract:** the final shared-array state (bits/registers) is
-    /// *identical* to processing the same edges one at a time in order. The
-    /// per-user estimates agree with the scalar path up to the
-    /// block-granularity `q` drift: a batch implementation may freeze the
-    /// sampling probability `q` at the start of each internal block of `B`
-    /// edges, which perturbs each Horvitz–Thompson increment by a relative
-    /// factor of at most `B / m₀` (FreeBS, `m₀` = current zero bits) or
-    /// `B / Z` (FreeRS, `Z = Σ 2^{-R[j]}`) — one-sided and vanishing for
-    /// `M ≫ B`. Proptests in `crates/core/tests/proptests.rs` assert both
-    /// properties for every implementation.
+    /// *identical* to processing the same edges one at a time in order, and
+    /// every growth is credited at the `q` just before it, so the per-user
+    /// estimates are the per-edge ones too. The scalar FreeBS/FreeRS
+    /// engines, [`Cse`] and [`VHll`] match `process` exactly; the sharded
+    /// engines on one writer match it within rounding. Proptests in
+    /// `crates/core/tests/proptests.rs` assert both properties for every
+    /// implementation.
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     fn process_batch(&mut self, edges: &[(u64, u64)]) {
         for &(user, item) in edges {

@@ -35,7 +35,7 @@ use crate::concurrent::{
     ConcurrentEngine, ConcurrentEstimator, SharedQTracker, SharedZ, SharedZeroQ,
 };
 use crate::engine::{IncrementalZ, QTracker, SketchEngine, ZeroQ};
-use crate::ingest::{drive, ingest_parallel, ingest_slice, IngestError};
+use crate::ingest::{drive, ingest_parallel, ingest_slice, IngestError, DEFAULT_BATCH};
 use crate::{CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS, ShardedSketch};
 use bitpack::{ConcurrentSlotStore, SlotStore, WordStore};
 use graphstream::snapshot::{find_section, read_sections, write_sections, Section};
@@ -204,18 +204,12 @@ impl AnySketch {
     /// returning, so the sketch is quiescent afterwards — the property
     /// checkpointing relies on). `pairs` is a scratch buffer the caller
     /// reuses across chunks.
-    pub fn apply_chunk(
-        &mut self,
-        buf: &[Edge],
-        pairs: &mut Vec<(u64, u64)>,
-        batch: usize,
-        threads: usize,
-    ) {
+    pub fn apply_chunk(&mut self, buf: &[Edge], pairs: &mut Vec<(u64, u64)>, threads: usize) {
         match self {
-            Self::FreeBS(e) => ingest_slice(e, buf, pairs, batch),
-            Self::FreeRS(e) => ingest_slice(e, buf, pairs, batch),
-            Self::ShardedFreeBS(s) => ingest_parallel(s, buf, pairs, batch, threads),
-            Self::ShardedFreeRS(s) => ingest_parallel(s, buf, pairs, batch, threads),
+            Self::FreeBS(e) => ingest_slice(e, buf, pairs, DEFAULT_BATCH),
+            Self::FreeRS(e) => ingest_slice(e, buf, pairs, DEFAULT_BATCH),
+            Self::ShardedFreeBS(s) => ingest_parallel(s, buf, pairs, DEFAULT_BATCH, threads),
+            Self::ShardedFreeRS(s) => ingest_parallel(s, buf, pairs, DEFAULT_BATCH, threads),
         }
     }
 
@@ -274,7 +268,6 @@ impl AnySketch {
         &mut self,
         src: &mut (dyn EdgeSource + Send),
         chunk: usize,
-        batch: usize,
         threads: usize,
         mut ckpt: Option<&mut Checkpointer>,
         base_edges: u64,
@@ -286,7 +279,7 @@ impl AnySketch {
             Ok(())
         };
         let ingested = if self.as_concurrent().is_none() {
-            drive(self, src, chunk, batch, &mut hook)?
+            drive(self, src, chunk, DEFAULT_BATCH, &mut hook)?
         } else {
             let chunk = chunk.max(1);
             let mut buf: Vec<Edge> = Vec::with_capacity(chunk);
@@ -297,7 +290,7 @@ impl AnySketch {
                 if n == 0 {
                     break ingested;
                 }
-                self.apply_chunk(&buf, &mut pairs, batch, threads);
+                self.apply_chunk(&buf, &mut pairs, threads);
                 ingested += n as u64;
                 hook(self, ingested)?;
             }
@@ -1003,7 +996,7 @@ mod tests {
         // One ingest thread: bit-identity assertions need a deterministic
         // edge order even for the sharded kinds.
         let mut pairs = Vec::new();
-        sketch.apply_chunk(es, &mut pairs, 512, 1);
+        sketch.apply_chunk(es, &mut pairs, 1);
     }
 
     fn snapshot_bytes(sketch: &AnySketch, offset: u64) -> Vec<u8> {
@@ -1183,7 +1176,7 @@ mod tests {
         let mut ckpt = Checkpointer::new(&path, 4_000);
         let mut src = SliceSource::new(&es);
         let n = sketch
-            .ingest_stream(&mut src, 1_000, 512, 1, Some(&mut ckpt), 0)
+            .ingest_stream(&mut src, 1_000, 1, Some(&mut ckpt), 0)
             .expect("clean ingest");
         assert_eq!(n, 10_000);
         // Interval checkpoints at 4k and 8k, plus the final one at EOF.
@@ -1209,7 +1202,7 @@ mod tests {
         let mut ckpt = Checkpointer::new(&path, 3_000).with_crash_after(Some(1));
         let mut src = SliceSource::new(&es);
         let err = sketch
-            .ingest_stream(&mut src, 1_000, 0, 1, Some(&mut ckpt), 0)
+            .ingest_stream(&mut src, 1_000, 1, Some(&mut ckpt), 0)
             .expect_err("fault injection fires");
         assert!(err.to_string().contains("simulated crash"), "{err}");
         // Exactly one checkpoint (at 3k edges) landed before the crash and

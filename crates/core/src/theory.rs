@@ -41,19 +41,23 @@ pub fn freebs_variance_bound(n_s: f64, n: f64, m_bits: f64) -> f64 {
 }
 
 /// Theorem 2's approximation of `E[1/q_R]` for FreeRS with `M` registers:
-/// `≈ 1.386·n/M` for `n > 2.5M` (i.e. `n/(α_∞ M)`), and `≈ e^{n/M}` in the
-/// small-range regime where most registers are still zero (the paper's
-/// §IV-C discussion). The crossover is taken where the two branches meet.
+/// `≈ 1.386·n/M` for `n > 2.5M` (i.e. `n/(α_∞ M)`). Below that, where
+/// many registers are still zero, it is `1/E[q_R]` with `E[q_R]` under
+/// Poisson arrivals of `λ = n/M` distinct pairs per register:
+/// `E[q_R] = e^{-λ} + Σ_{r≥1} 2^{-r}(e^{-λ/2^r} − e^{-λ/2^{r-1}})`, since a
+/// register holds `R ≤ r` with probability `e^{-λ/2^r}`. The two meet near
+/// `n = 2.5M` (3.55 against 3.47).
 #[must_use]
 pub fn freers_e_inv_q(n: f64, m_regs: f64) -> f64 {
-    let small = (n / m_regs).exp();
-    let large = 1.386 * n / m_regs;
-    if n > 2.5 * m_regs {
-        large
-    } else {
-        // Below 2.5M the paper treats q_R like the zero-register fraction.
-        small.min(large.max(1.0))
+    let lambda = n / m_regs;
+    if lambda > 2.5 {
+        return 1.386 * lambda;
     }
+    let at_most = |r: i32| (-lambda / 2f64.powi(r)).exp();
+    let e_q: f64 = (1..64)
+        .map(|r| 2f64.powi(-r) * (at_most(r) - at_most(r - 1)))
+        .sum();
+    1.0 / (e_q + at_most(0))
 }
 
 /// Theorem 2's variance bound: `Var(n̂_s) ≤ n_s (E[1/q_R(t)] − 1)`.
@@ -147,6 +151,17 @@ mod tests {
             above / below < 1.5 && below / above < 1.5,
             "{below} vs {above}"
         );
+    }
+
+    #[test]
+    fn freers_e_inv_q_is_the_poissonized_inverse_below_2_5m() {
+        let m = 1e5;
+        for (lambda, want) in [(0.227, 1.16), (0.766, 1.60)] {
+            let got = freers_e_inv_q(lambda * m, m);
+            assert!((got - want).abs() < 0.005, "λ = {lambda}: {got} vs {want}");
+        }
+        assert_eq!(freers_e_inv_q(0.0, m), 1.0);
+        assert!(freers_variance_bound(100.0, 0.1 * m, m) > 0.0);
     }
 
     #[test]

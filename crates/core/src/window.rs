@@ -10,21 +10,9 @@
 //!
 //! Slices are held as `Arc`-owned values and handed out as snapshots
 //! ([`Windowed::snapshot`]) instead of being mutated through `&mut`
-//! borrows. That makes two modes possible:
-//!
-//! * **exclusive** ([`Windowed::process`], any `E: CardinalityEstimator +
-//!   Clone`): the current slice is mutated through `Arc::make_mut` —
-//!   copy-on-write, so an outstanding snapshot stays frozen while the
-//!   window moves on;
-//! * **shared** ([`Windowed::ingest`], any `E:` [`ConcurrentEstimator`],
-//!   e.g. `ConcurrentFreeBS` or [`crate::ShardedSketch`]): many threads
-//!   feed the window through `&self`; slice rotation is coordinated by a
-//!   monotone edge counter (exactly one thread performs each rotation) and
-//!   an `RwLock` around the slice deque that ingest only read-locks.
-//!   Edges already in flight when a rotation fires may land in the
-//!   just-retired slice — a bounded skew of at most the number of
-//!   in-flight edges, the same order as the concurrent estimators' `q`
-//!   staleness.
+//! borrows: [`Windowed::process`] mutates the current slice through
+//! `Arc::make_mut` — copy-on-write, so an outstanding snapshot stays frozen
+//! while the window moves on.
 //!
 //! Semantics: the window estimate counts a user–item pair once *per slice
 //! in which it appears as new*. For pairs that recur across slices this
@@ -34,11 +22,8 @@
 //! Within a slice the estimate is exactly as unbiased as the wrapped
 //! estimator. Tests pin both properties.
 
-use crate::concurrent::ConcurrentEstimator;
 use crate::CardinalityEstimator;
-use parking_lot::RwLock;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A slice-rotating window over any cardinality estimator.
@@ -60,14 +45,13 @@ use std::sync::Arc;
 /// ```
 pub struct Windowed<E> {
     factory: Box<dyn Fn(u64) -> E + Send + Sync>,
-    slices: RwLock<VecDeque<Arc<E>>>,
+    slices: VecDeque<Arc<E>>,
     max_slices: usize,
     edges_per_slice: u64,
     /// Total edges ever observed; rotation fires when this crosses a
-    /// multiple of `edges_per_slice` (the fetch-add makes each crossing
-    /// unique, so exactly one shared-mode thread rotates).
-    edges_seen: AtomicU64,
-    rotations: AtomicU64,
+    /// multiple of `edges_per_slice`.
+    edges_seen: u64,
+    rotations: u64,
 }
 
 impl<E> Windowed<E> {
@@ -88,57 +72,32 @@ impl<E> Windowed<E> {
         slices.push_back(Arc::new(factory(0)));
         Self {
             factory: Box::new(factory),
-            slices: RwLock::new(slices),
+            slices,
             max_slices,
             edges_per_slice,
-            edges_seen: AtomicU64::new(0),
-            rotations: AtomicU64::new(0),
+            edges_seen: 0,
+            rotations: 0,
         }
     }
 
-    /// Counts this edge and reports whether it opens a new slice.
-    #[inline]
-    fn tick(&self) -> bool {
-        // ORDERING: relaxed-ok — the fetch-add's RMW total order hands each
-        // caller a unique counter value (so each boundary fires exactly
-        // once); rotation itself synchronizes via the slices RwLock.
-        let t = self.edges_seen.fetch_add(1, Ordering::Relaxed);
-        t > 0 && t.is_multiple_of(self.edges_per_slice)
-    }
-
-    /// Appends a fresh slice and retires the oldest once over capacity.
-    fn rotate(&self, slices: &mut VecDeque<Arc<E>>) {
-        // ORDERING: relaxed-ok — callers hold the slices write lock, which
-        // already orders rotations; the atomic only feeds the factory seed
-        // and the advisory rotations() counter.
-        let r = self.rotations.fetch_add(1, Ordering::Relaxed) + 1;
-        slices.push_back(Arc::new((self.factory)(r)));
-        if slices.len() > self.max_slices {
-            slices.pop_front();
-        }
-    }
-
-    /// `Arc` snapshots of the live slices, oldest first. Cheap (`P` Arc
-    /// clones under a read lock); in exclusive mode later mutation
-    /// copies-on-write, in shared mode snapshots see concurrent updates to
-    /// still-live slices, as the concurrent estimators' anytime reads do.
+    /// `Arc` snapshots of the live slices, oldest first. Cheap (one `Arc`
+    /// clone per slice); later mutation copies-on-write, so a snapshot
+    /// stays frozen.
     #[must_use]
     pub fn snapshot(&self) -> Vec<Arc<E>> {
-        self.slices.read().iter().cloned().collect()
+        self.slices.iter().cloned().collect()
     }
 
     /// Number of live slices.
     #[must_use]
     pub fn live_slices(&self) -> usize {
-        self.slices.read().len()
+        self.slices.len()
     }
 
     /// Total slice rotations so far.
     #[must_use]
     pub fn rotations(&self) -> u64 {
-        // ORDERING: relaxed-ok — advisory monotone counter; exact only at
-        // quiescence, where thread join provides the happens-before edge.
-        self.rotations.load(Ordering::Relaxed)
+        self.rotations
     }
 
     /// Window span in edges (slices × slice length).
@@ -146,108 +105,53 @@ impl<E> Windowed<E> {
     pub fn span_edges(&self) -> u64 {
         self.max_slices as u64 * self.edges_per_slice
     }
+
+    /// Appends a fresh slice and retires the oldest once over capacity.
+    fn rotate(&mut self) {
+        self.rotations += 1;
+        self.slices
+            .push_back(Arc::new((self.factory)(self.rotations)));
+        if self.slices.len() > self.max_slices {
+            self.slices.pop_front();
+        }
+    }
 }
 
-/// Exclusive ingest: any cloneable estimator. `Clone` powers the
-/// copy-on-write isolation of outstanding [`Windowed::snapshot`]s.
+/// Ingest: any cloneable estimator. `Clone` powers the copy-on-write
+/// isolation of outstanding [`Windowed::snapshot`]s.
 impl<E: CardinalityEstimator + Clone> Windowed<E> {
-    /// Observes one edge, rotating slices at slice boundaries.
+    /// Observes one edge, opening a fresh slice (and retiring the oldest
+    /// once over capacity) at slice boundaries.
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     pub fn process(&mut self, user: u64, item: u64) {
-        if self.tick() {
-            let mut slices = std::mem::take(self.slices.get_mut());
-            self.rotate(&mut slices);
-            *self.slices.get_mut() = slices;
+        if self.edges_seen > 0 && self.edges_seen.is_multiple_of(self.edges_per_slice) {
+            self.rotate();
         }
-        let slices = self.slices.get_mut();
-        let current = slices.back_mut().expect("window never empty");
+        self.edges_seen += 1;
+        let current = self.slices.back_mut().expect("window never empty");
         Arc::make_mut(current).process(user, item);
     }
 }
 
-/// Shared ingest: any [`ConcurrentEstimator`] (lock-free or sharded), fed
-/// from many threads through `&self`.
-impl<E: ConcurrentEstimator> Windowed<E> {
-    /// Observes one edge; callable concurrently.
-    // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
-    pub fn ingest(&self, user: u64, item: u64) {
-        if self.tick() {
-            let mut slices = self.slices.write();
-            self.rotate(&mut slices);
-        }
-        let slices = self.slices.read();
-        slices
-            .back()
-            .expect("window never empty")
-            .ingest(user, item);
-    }
-
-    /// Observes a slice of edges; callable concurrently. Edges are
-    /// forwarded in sub-batches that respect slice boundaries, so a batch
-    /// spanning a rotation splits exactly as the per-edge path would.
-    // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
-    pub fn ingest_batch(&self, edges: &[(u64, u64)]) {
-        let mut rest = edges;
-        while !rest.is_empty() {
-            // ORDERING: relaxed-ok — advisory peek to size the sub-batch; the
-            // fetch-add below is the authoritative claim and the boundary
-            // math tolerates this value being stale.
-            let t = self.edges_seen.load(Ordering::Relaxed);
-            let until_boundary = self.edges_per_slice - (t % self.edges_per_slice);
-            let take = rest
-                .len()
-                .min(usize::try_from(until_boundary).unwrap_or(rest.len()));
-            let (head, tail) = rest.split_at(take);
-            // ORDERING: relaxed-ok — the RMW total order partitions the counter
-            // space into disjoint `[t, t+len)` intervals across racing
-            // callers; rotation synchronizes via the slices RwLock.
-            let t = self
-                .edges_seen
-                .fetch_add(head.len() as u64, Ordering::Relaxed);
-            // Rotate once per slice boundary *crossed* by this head's
-            // half-open counter interval `[t, t + len)` (boundary `b`
-            // fires when edge index `b` is processed, matching `tick`).
-            // The intervals partition the counter space across racing
-            // callers, so every boundary fires exactly once even when a
-            // concurrent fetch-add made the pre-split `until_boundary`
-            // stale and this head straddles a multiple.
-            let end = t + head.len() as u64;
-            let fires = (end - 1) / self.edges_per_slice - (t.max(1) - 1) / self.edges_per_slice;
-            for _ in 0..fires {
-                let mut slices = self.slices.write();
-                self.rotate(&mut slices);
-            }
-            {
-                let slices = self.slices.read();
-                slices
-                    .back()
-                    .expect("window never empty")
-                    .ingest_batch(head);
-            }
-            rest = tail;
-        }
-    }
-}
-
-/// Queries, available in both modes (`&self` throughout).
+/// Queries (`&self` throughout).
 impl<E: CardinalityEstimator> Windowed<E> {
     /// The user's estimated cardinality over the current window (sum of the
     /// live slices' estimates).
     #[must_use]
     pub fn estimate(&self, user: u64) -> f64 {
-        self.slices.read().iter().map(|s| s.estimate(user)).sum()
+        self.slices.iter().map(|s| s.estimate(user)).sum()
     }
 
     /// Estimated total cardinality over the window.
     #[must_use]
     pub fn total_estimate(&self) -> f64 {
-        self.slices.read().iter().map(|s| s.total_estimate()).sum()
+        self.slices.iter().map(|s| s.total_estimate()).sum()
     }
 
     /// Combined memory of all live slices, in bits.
     #[must_use]
     pub fn memory_bits(&self) -> usize {
-        self.slices.read().iter().map(|s| s.memory_bits()).sum()
+        self.slices.iter().map(|s| s.memory_bits()).sum()
     }
 }
 
@@ -256,7 +160,7 @@ impl<E> std::fmt::Debug for Windowed<E> {
         f.debug_struct("Windowed")
             .field("max_slices", &self.max_slices)
             .field("edges_per_slice", &self.edges_per_slice)
-            .field("live_slices", &self.slices.read().len())
+            .field("live_slices", &self.slices.len())
             .field("rotations", &self.rotations())
             .finish()
     }
@@ -265,7 +169,7 @@ impl<E> std::fmt::Debug for Windowed<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FreeBS, ShardedFreeBS};
+    use crate::FreeBS;
 
     fn window(slices: usize, per_slice: u64) -> Windowed<FreeBS> {
         Windowed::new(slices, per_slice, |i| FreeBS::new(1 << 14, 1000 + i))
@@ -403,76 +307,5 @@ mod tests {
         let frozen_after: f64 = snap.iter().map(|s| s.estimate(1)).sum();
         assert_eq!(frozen, frozen_after, "snapshot must not see later edges");
         assert!(w.estimate(1) > frozen, "window keeps counting");
-    }
-
-    #[test]
-    fn wraps_concurrent_estimator_with_shared_ingest_and_expiry() {
-        // The composition the ROADMAP asked for: a sliding window over a
-        // sharded concurrent estimator, fed from multiple threads, with
-        // working expiry.
-        let w = Windowed::new(2, 4_000, |i| ShardedFreeBS::new(1 << 16, 4, 900 + i));
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let w = &w;
-                s.spawn(move || {
-                    for d in 0..1_000u64 {
-                        w.ingest(1, t * 1_000 + d);
-                    }
-                });
-            }
-        });
-        let est = w.estimate(1);
-        assert!(
-            (est / 4_000.0 - 1.0).abs() < 0.1,
-            "windowed concurrent estimate {est} should be ~4000"
-        );
-        // Unrelated traffic ≥ 2 full slices expires user 1.
-        let filler: Vec<(u64, u64)> = (0..8_500u64).map(|d| (2, d)).collect();
-        w.ingest_batch(&filler);
-        assert_eq!(w.estimate(1), 0.0, "expired user must read zero");
-        assert!(w.estimate(2) > 0.0);
-        assert!(w.rotations() >= 2);
-    }
-
-    #[test]
-    fn racing_batches_never_lose_rotations() {
-        // Regression: boundary detection must count *crossings*, not exact
-        // counter hits — racing fetch-adds stride the counter past
-        // multiples, but the per-call intervals partition the counter
-        // space, so the total rotation count is exact regardless of
-        // interleaving: (N-1) / per_slice.
-        let per_slice = 100u64;
-        let w = Windowed::new(3, per_slice, |i| ShardedFreeBS::new(1 << 12, 2, i));
-        let n_threads = 4u64;
-        let per_thread = 2_500u64;
-        std::thread::scope(|s| {
-            for t in 0..n_threads {
-                let w = &w;
-                s.spawn(move || {
-                    // Odd batch sizes so heads rarely align with slice
-                    // boundaries and races straddle multiples.
-                    let edges: Vec<(u64, u64)> = (0..per_thread).map(|d| (t, d * 7 + t)).collect();
-                    for chunk in edges.chunks(33) {
-                        w.ingest_batch(chunk);
-                    }
-                });
-            }
-        });
-        let n = n_threads * per_thread;
-        assert_eq!(
-            w.rotations(),
-            (n - 1) / per_slice,
-            "lost or doubled rotations"
-        );
-        assert_eq!(w.live_slices(), 3);
-    }
-
-    #[test]
-    fn shared_batch_respects_slice_boundaries() {
-        let w = Windowed::new(3, 100, |i| ShardedFreeBS::new(1 << 14, 2, 40 + i));
-        let edges: Vec<(u64, u64)> = (0..250u64).map(|d| (1, d)).collect();
-        w.ingest_batch(&edges);
-        assert_eq!(w.rotations(), 2);
-        assert_eq!(w.live_slices(), 3);
     }
 }

@@ -2,7 +2,7 @@
 
 use freesketch::{
     load_snapshot, save_snapshot, AnySketch, CardinalityEstimator, Cse, FreeBS, FreeRS,
-    PerUserHllpp, PerUserLpc, VHll,
+    PerUserHllpp, PerUserLpc, ShardedFreeBS, ShardedFreeRS, VHll,
 };
 use proptest::prelude::*;
 
@@ -69,44 +69,61 @@ proptest! {
     }
 
     /// The batched ingest contract (`CardinalityEstimator::process_batch`):
-    /// for every estimator, one `process_batch` call leaves the shared
-    /// array *identical* to per-edge processing, and the per-user estimates
-    /// agree within the documented block-granularity q drift — exactly for
-    /// the estimators whose batch path introduces no q freezing (CSE, vHLL,
-    /// per-user baselines via the default implementation), and within
-    /// `INGEST_BLOCK / m₀` (FreeBS) resp. `INGEST_BLOCK / Z` (FreeRS),
-    /// one-sided (batch never exceeds scalar), for the HT estimators.
+    /// for every estimator, `process_batch` leaves the shared array
+    /// *identical* to per-edge processing and credits every growth at its
+    /// own `q`. The scalar FreeBS/FreeRS engines match per-edge ingest
+    /// exactly (counters and total compared with `==`) wherever the stream
+    /// is cut into batches; the sharded engines on one writer keep the same
+    /// store words, with estimates within rounding.
     #[test]
-    fn batch_matches_scalar_within_documented_drift(stream in edges(), seed: u64) {
-        // FreeBS: identical bits, bounded one-sided estimate drift.
+    fn batch_matches_scalar_exactly(stream in edges(), seed: u64, cut in 1usize..1300) {
         let mut scalar = FreeBS::new(1 << 14, seed);
         let mut batch = FreeBS::new(1 << 14, seed);
         for &(u, d) in &stream {
             scalar.process(u, d);
         }
-        batch.process_batch(&stream);
+        for slice in stream.chunks(cut) {
+            batch.process_batch(slice);
+        }
         prop_assert_eq!(scalar.bit_array(), batch.bit_array());
-        let tol_b = freesketch::INGEST_BLOCK as f64 / batch.zeros().max(1) as f64;
+        prop_assert_eq!(scalar.total_estimate(), batch.total_estimate());
         for u in 0..32u64 {
-            let (s, b) = (scalar.estimate(u), batch.estimate(u));
-            prop_assert!(b <= s + 1e-9, "FreeBS user {}: batch {} > scalar {}", u, b, s);
-            prop_assert!(s - b <= s * tol_b + 1e-9, "FreeBS user {}: {} vs {}", u, s, b);
+            prop_assert_eq!(scalar.estimate(u), batch.estimate(u), "FreeBS user {}", u);
         }
 
-        // FreeRS: identical registers, bounded one-sided estimate drift.
         let mut scalar = FreeRS::new(1 << 11, seed);
         let mut batch = FreeRS::new(1 << 11, seed);
         for &(u, d) in &stream {
             scalar.process(u, d);
         }
-        batch.process_batch(&stream);
+        for slice in stream.chunks(cut) {
+            batch.process_batch(slice);
+        }
         prop_assert_eq!(scalar.registers(), batch.registers());
-        let z = batch.q() * batch.capacity() as f64;
-        let tol_r = freesketch::INGEST_BLOCK as f64 / z;
+        prop_assert_eq!(scalar.total_estimate(), batch.total_estimate());
         for u in 0..32u64 {
-            let (s, b) = (scalar.estimate(u), batch.estimate(u));
-            prop_assert!(b <= s + 1e-9, "FreeRS user {}: batch {} > scalar {}", u, b, s);
-            prop_assert!(s - b <= s * tol_r + 1e-9, "FreeRS user {}: {} vs {}", u, s, b);
+            prop_assert_eq!(scalar.estimate(u), batch.estimate(u), "FreeRS user {}", u);
+        }
+
+        for shards in [1usize, 4] {
+            let per_edge = AnySketch::from(ShardedFreeBS::new(1 << 14, shards, seed));
+            let batched = AnySketch::from(ShardedFreeBS::new(1 << 14, shards, seed));
+            let rs_per_edge = AnySketch::from(ShardedFreeRS::new(1 << 11, shards, seed));
+            let rs_batched = AnySketch::from(ShardedFreeRS::new(1 << 11, shards, seed));
+            for (a, b) in [(&per_edge, &batched), (&rs_per_edge, &rs_batched)] {
+                let (a_in, b_in) = (a.as_concurrent().expect("sharded"), b.as_concurrent().expect("sharded"));
+                for &(u, d) in &stream {
+                    a_in.ingest(u, d);
+                }
+                for slice in stream.chunks(cut) {
+                    b_in.ingest_batch(slice);
+                }
+                prop_assert_eq!(arry_section(a), arry_section(b), "{} P = {}", a.name(), shards);
+                for u in 0..32u64 {
+                    let (x, y) = (a.estimate(u), b.estimate(u));
+                    prop_assert!((x - y).abs() <= x * 1e-12, "{} user {}: {} vs {}", a.name(), u, x, y);
+                }
+            }
         }
 
         // CSE / vHLL: run-grouped batch refresh is exactly the scalar final
@@ -402,6 +419,16 @@ fn sharded_parallel_ingest_bounds_skew_vs_sequential() {
         parallel.total_estimate(),
         sequential.total_estimate()
     );
+}
+
+/// The `ARRY` section of `sketch`'s snapshot: every store's raw words.
+fn arry_section(sketch: &AnySketch) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    save_snapshot(&mut bytes, sketch, 0).expect("in-memory write");
+    let sections = graphstream::snapshot::read_sections(&mut bytes.as_slice()).expect("sections");
+    graphstream::snapshot::find_section(&sections, b"ARRY")
+        .expect("ARRY section")
+        .to_vec()
 }
 
 fn snapshot_round(sketch: &AnySketch) -> AnySketch {

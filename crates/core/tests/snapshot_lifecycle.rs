@@ -77,20 +77,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Checkpoint → restore mid-stream resumes bit-identically to the
-    /// uninterrupted run, for the scalar per-edge path and for
-    /// block-aligned batch sizes (cut points fall on chunk boundaries,
-    /// which are block boundaries too, so the restored run reproduces the
-    /// exact same block partitioning and q trajectory).
+    /// uninterrupted run, at any cut offset and any batch size: every
+    /// growth is credited at its own q, so where the cut falls relative to
+    /// the chunks and blocks of either run moves nothing.
     #[test]
     fn restore_resumes_bit_identically(
         edges in stream(),
         seed: u64,
-        batch_sel in 0usize..3,
-        chunks_before in 1usize..4,
+        batch_sel in 0usize..5,
+        chunk in 1usize..3000,
+        cut_sel: usize,
     ) {
-        let batch = [0usize, 512, 1024][batch_sel];
-        let chunk = 512 * chunks_before; // multiple of every batch above
-        let cut = chunk.min(edges.len());
+        let batch = [0usize, 1, 100, 512, 8192][batch_sel];
+        let cut = cut_sel % (edges.len() + 1);
         let trace: Vec<Edge> = edges.iter().map(|&(u, d)| Edge::new(u, d)).collect();
 
         for sketch in [
@@ -126,6 +125,8 @@ proptest! {
                 );
             }
             prop_assert_eq!(resumed.total_estimate(), whole.total_estimate());
+            let end = trace.len() as u64;
+            prop_assert_eq!(snapshot_bytes(&resumed, end), snapshot_bytes(&whole, end));
         }
     }
 
@@ -199,18 +200,19 @@ fn crash_restore_resume_equals_uninterrupted() {
     let trace: Vec<Edge> = (0..50_000u64)
         .map(|i| Edge::new(i % 64, hashkit::splitmix64(i) >> 18))
         .collect();
-    let (chunk, batch, every) = (4096usize, 512usize, 10_000u64);
+    let (chunk, every) = (4096usize, 10_000u64);
 
+    // The uninterrupted reference ingests edge by edge.
     let mut whole = AnySketch::FreeBS(FreeBS::new(1 << 16, 11));
     let mut src = SliceSource::new(&trace);
-    stream_into(&mut whole, &mut src, chunk, batch).expect("clean source");
+    stream_into(&mut whole, &mut src, chunk, 0).expect("clean source");
 
     // First attempt dies after two checkpoints.
     let mut sketch = AnySketch::FreeBS(FreeBS::new(1 << 16, 11));
     let mut ckpt = Checkpointer::new(&path, every).with_crash_after(Some(2));
     let mut src = SliceSource::new(&trace);
     let err = sketch
-        .ingest_stream(&mut src, chunk, batch, 1, Some(&mut ckpt), 0)
+        .ingest_stream(&mut src, chunk, 1, Some(&mut ckpt), 0)
         .expect_err("simulated crash fires");
     assert!(err.to_string().contains("simulated crash"), "{err}");
 
@@ -231,7 +233,7 @@ fn crash_restore_resume_equals_uninterrupted() {
     assert_eq!(skipped, offset);
     let mut ckpt = Checkpointer::new(&path, every).starting_from(offset);
     resumed
-        .ingest_stream(&mut src, chunk, batch, 1, Some(&mut ckpt), offset)
+        .ingest_stream(&mut src, chunk, 1, Some(&mut ckpt), offset)
         .expect("clean resume");
 
     for u in 0..64u64 {

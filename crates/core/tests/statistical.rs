@@ -6,38 +6,43 @@
 //! of FreeBS/FreeRS estimates matches Theorems 1 and 2 — unbiased, with
 //! variance at (or below) the stated bound.
 
-use freesketch::theory;
+use freesketch::ingest::{DEFAULT_BATCH, DEFAULT_CHUNK};
+use freesketch::{stream_into, theory};
 use freesketch::{CardinalityEstimator, FreeBS, FreeRS};
+use graphstream::{Edge, SliceSource};
 
-/// Builds a two-user stream: the probe user with `n_probe` items plus a
-/// background user with `n_bg` items, interleaved, and returns the probe
-/// estimate.
-fn run_freebs(m_bits: usize, n_probe: u64, n_bg: u64, seed: u64) -> f64 {
-    let mut f = FreeBS::new(m_bits, seed);
-    let steps = n_probe.max(n_bg);
-    for i in 0..steps {
+/// A two-user stream: the probe user's `n_probe` items interleaved with a
+/// background user's `n_bg` items.
+fn two_user_stream(n_probe: u64, n_bg: u64) -> Vec<Edge> {
+    let mut edges = Vec::new();
+    for i in 0..n_probe.max(n_bg) {
         if i < n_probe {
-            f.process(1, i);
+            edges.push(Edge::new(1, i));
         }
         if i < n_bg {
-            f.process(2, i.wrapping_mul(0x9E37_79B9) ^ 0xF00D);
+            edges.push(Edge::new(2, i.wrapping_mul(0x9E37_79B9) ^ 0xF00D));
         }
     }
-    f.estimate(1)
+    edges
 }
 
-fn run_freers(m_regs: usize, n_probe: u64, n_bg: u64, seed: u64) -> f64 {
-    let mut f = FreeRS::new(m_regs, seed);
-    let steps = n_probe.max(n_bg);
-    for i in 0..steps {
-        if i < n_probe {
-            f.process(1, i);
-        }
-        if i < n_bg {
-            f.process(2, i.wrapping_mul(0x9E37_79B9) ^ 0xF00D);
-        }
+/// The probe's estimate from each ingest path a user can select: edge by
+/// edge through `process`, and batched through `stream_into` at the CLI's
+/// chunk and batch defaults.
+fn probe_estimates<E: CardinalityEstimator>(fresh: impl Fn() -> E, edges: &[Edge]) -> (f64, f64) {
+    let mut per_edge = fresh();
+    for e in edges {
+        per_edge.process(e.user, e.item);
     }
-    f.estimate(1)
+    let mut batched = fresh();
+    stream_into(
+        &mut batched,
+        &mut SliceSource::new(edges),
+        DEFAULT_CHUNK,
+        DEFAULT_BATCH,
+    )
+    .expect("an in-memory source cannot fail");
+    (per_edge.estimate(1), batched.estimate(1))
 }
 
 fn moments(samples: &[f64]) -> (f64, f64) {
@@ -49,61 +54,67 @@ fn moments(samples: &[f64]) -> (f64, f64) {
 
 #[test]
 fn freebs_unbiased_and_variance_bounded() {
-    // Theorem 1: E[n̂] = n, Var(n̂) ≤ n_s (E[1/q_B(t)] − 1).
+    // Theorem 1: E[n̂] = n, Var(n̂) ≤ n_s (E[1/q_B(t)] − 1), on both
+    // ingest paths.
     let m_bits = 4096usize;
     let n_probe = 600u64;
     let n_bg = 1400u64;
     let trials = 400;
-    let samples: Vec<f64> = (0..trials)
-        .map(|t| run_freebs(m_bits, n_probe, n_bg, 1000 + t))
-        .collect();
-    let (mean, var) = moments(&samples);
-
+    let edges = two_user_stream(n_probe, n_bg);
     let bound =
         theory::freebs_variance_bound(n_probe as f64, (n_probe + n_bg) as f64, m_bits as f64);
-    // Unbiasedness: grand mean within 4 standard errors of the truth.
-    let se = (var / trials as f64).sqrt();
-    assert!(
-        (mean - n_probe as f64).abs() < 4.0 * se + 1.0,
-        "mean {mean} vs {n_probe} (se {se:.2})"
-    );
-    // Variance at or below the Theorem 1 bound, with sampling slack: the
-    // χ²(399) spread allows ~±20% at 4σ.
-    assert!(
-        var < bound * 1.35,
-        "measured var {var:.1} exceeds Theorem 1 bound {bound:.1}"
-    );
-    // And the bound is not vacuous: variance should be within an order of
-    // magnitude of it for this geometry.
-    assert!(
-        var > bound * 0.1,
-        "var {var:.1} suspiciously far below bound {bound:.1}"
-    );
+    let (per_edge, batched): (Vec<f64>, Vec<f64>) = (0..trials)
+        .map(|t| probe_estimates(|| FreeBS::new(m_bits, 1000 + t), &edges))
+        .unzip();
+    for (path, samples) in [("per edge", per_edge), ("batched", batched)] {
+        let (mean, var) = moments(&samples);
+        // Unbiasedness: grand mean within 4 standard errors of the truth.
+        let se = (var / trials as f64).sqrt();
+        assert!(
+            (mean - n_probe as f64).abs() < 4.0 * se + 1.0,
+            "{path}: mean {mean} vs {n_probe} (se {se:.2})"
+        );
+        // Variance at or below the Theorem 1 bound, with sampling slack:
+        // the χ²(399) spread allows ~±20% at 4σ.
+        assert!(
+            var < bound * 1.35,
+            "{path}: measured var {var:.1} exceeds Theorem 1 bound {bound:.1}"
+        );
+        // And the bound is not vacuous: variance should be within an order
+        // of magnitude of it for this geometry.
+        assert!(
+            var > bound * 0.1,
+            "{path}: var {var:.1} suspiciously far below bound {bound:.1}"
+        );
+    }
 }
 
 #[test]
 fn freers_unbiased_and_variance_bounded() {
-    // Theorem 2: E[n̂] = n, Var(n̂) ≤ n_s (E[1/q_R(t)] − 1).
+    // Theorem 2: E[n̂] = n, Var(n̂) ≤ n_s (E[1/q_R(t)] − 1), on both
+    // ingest paths.
     let m_regs = 1024usize;
     let n_probe = 1500u64;
     let n_bg = 2500u64;
     let trials = 400;
-    let samples: Vec<f64> = (0..trials)
-        .map(|t| run_freers(m_regs, n_probe, n_bg, 9000 + t))
-        .collect();
-    let (mean, var) = moments(&samples);
-
+    let edges = two_user_stream(n_probe, n_bg);
     let bound =
         theory::freers_variance_bound(n_probe as f64, (n_probe + n_bg) as f64, m_regs as f64);
-    let se = (var / trials as f64).sqrt();
-    assert!(
-        (mean - n_probe as f64).abs() < 4.0 * se + 1.0,
-        "mean {mean} vs {n_probe} (se {se:.2})"
-    );
-    assert!(
-        var < bound * 1.35,
-        "measured var {var:.1} exceeds Theorem 2 bound {bound:.1}"
-    );
+    let (per_edge, batched): (Vec<f64>, Vec<f64>) = (0..trials)
+        .map(|t| probe_estimates(|| FreeRS::new(m_regs, 9000 + t), &edges))
+        .unzip();
+    for (path, samples) in [("per edge", per_edge), ("batched", batched)] {
+        let (mean, var) = moments(&samples);
+        let se = (var / trials as f64).sqrt();
+        assert!(
+            (mean - n_probe as f64).abs() < 4.0 * se + 1.0,
+            "{path}: mean {mean} vs {n_probe} (se {se:.2})"
+        );
+        assert!(
+            var < bound * 1.35,
+            "{path}: measured var {var:.1} exceeds Theorem 2 bound {bound:.1}"
+        );
+    }
 }
 
 #[test]

@@ -55,8 +55,6 @@ printf 'alice a\nalice b\nalice b\nbob a\n' > "$tmp/edges.tsv"
 # hangs must fail the gate (exit 124) instead of stalling it.
 ingest() { timeout 120 ./target/release/freesketch "$@"; }
 ingest estimate "$tmp/edges.tsv" --top 2 > /dev/null
-# Batch and scalar ingest paths must agree through the CLI.
-ingest estimate "$tmp/edges.tsv" --batch 0 > /dev/null
 # Sharded parallel ingest drives the same report.
 ingest estimate "$tmp/edges.tsv" --threads 2 > /dev/null
 # Out-of-range values are usage errors (exit 2), raised before the trace
@@ -68,6 +66,9 @@ expect_usage_error() {
 }
 expect_usage_error spreaders "$tmp/edges.tsv" --delta 5
 expect_usage_error estimate "$tmp/edges.tsv" --threads 100000
+expect_usage_error synth orkut --scale 0
+# Batch output equals per-edge output, so there is no --batch to choose.
+expect_usage_error estimate "$tmp/edges.tsv" --batch 0
 
 echo "==> convert -> estimate roundtrip smoke (TSV and fedge must be identical)"
 ./target/release/freesketch convert "$tmp/edges.tsv" "$tmp/edges.fedge" > /dev/null
@@ -90,6 +91,17 @@ diff -u "$tmp/synth-tsv.txt" "$tmp/synth-fedge.txt" || {
 grep -q "edges processed" "$tmp/synth-tsv.txt" || {
   echo "streaming estimate produced no report"; exit 1;
 }
+# Every growth is credited at its own q, so where chunks (and the blocks
+# inside them) cut the stream moves nothing: the checkpoint files of two
+# chunk sizes must be byte-identical.
+for method in freebs freers; do
+  ingest checkpoint "$tmp/synth.fedge" "$tmp/cut-$method-default.fsnp" --method "$method" > /dev/null
+  ingest checkpoint "$tmp/synth.fedge" "$tmp/cut-$method-1000.fsnp" --method "$method" \
+    --chunk 1000 > /dev/null
+  cmp "$tmp/cut-$method-default.fsnp" "$tmp/cut-$method-1000.fsnp" || {
+    echo "$method checkpoint depends on --chunk"; exit 1;
+  }
+done
 # A record cut short in the last chunk is read by the stage thread, after
 # the earlier chunks were applied: it must still fail as a typed error
 # (exit 1), not hang or panic.

@@ -39,8 +39,10 @@ fn sketch() -> AnySketch {
     AnySketch::ShardedFreeBS(ShardedFreeBS::new(MEMORY_BITS, 1, SEED))
 }
 
-/// The exact ingest order the single daemon writer applies: chunk off the
-/// source, then `ingest_batch` in `BATCH`-sized blocks.
+/// The single daemon writer's stream order, chunk off the source, fed
+/// through `ingest_batch` in `BATCH`-edge slices: a lone writer credits
+/// every growth at its own `q`, so where the daemon cuts its slices does
+/// not move a byte.
 fn offline_run(edges: &[Edge]) -> AnySketch {
     let sketch = sketch();
     {
@@ -81,7 +83,6 @@ fn serve_round_trip_restores_bit_identical_state() {
         ServeConfig {
             writers: 1,
             chunk: CHUNK,
-            batch: BATCH,
             checkpoint: Some(snap.clone()),
             checkpoint_every: 1_000_000,
             ..ServeConfig::default()

@@ -1,7 +1,7 @@
 //! Moment checks for the sharded estimators over many seeds: unbiased per
-//! edge, one-sided block drift in batches on one writer and on two, and
-//! variance within the per-shard Theorem 1/2 bound summed over shards (see
-//! the `sharded` module docs).
+//! edge and in batches on one writer, one-sided drift in batches on two
+//! writers, and variance within the per-shard Theorem 1/2 bound summed
+//! over shards (see the `sharded` module docs).
 //!
 //! The streams are the two-user streams of the scalar moment tests in
 //! `crates/core/tests/statistical.rs`: a probe user's `n` items
@@ -142,12 +142,11 @@ fn per_edge_ingest_is_unbiased_within_the_summed_bound() {
 
 #[test]
 fn batched_ingest_drifts_one_sided_within_the_block_bound() {
-    // A batch freezes each shard's q for up to `batch` of a writer's edges,
-    // which shrinks a credit by a relative factor of at most batch/m₀ and
-    // by about half that on average. A second writer's flips reach the
-    // zero count once per block of its own, so a credit can also miss up
-    // to one block of them; on average that shrinks credits about as much
-    // again, still within batch/m₀.
+    // One writer credits every growth at the q just before it, as per-edge
+    // ingest does, so its batches are unbiased. A second writer's flips
+    // reach the zero count once per block of its own, so a credit can miss
+    // up to one block of them: that shrinks a credit by a relative factor
+    // of at most batch/m₀, one-sided.
     let batch = 64usize;
     for (shards, threads) in [(4usize, 1usize), (1, 2), (4, 2)] {
         let mut min_zeros = usize::MAX;
@@ -164,14 +163,21 @@ fn batched_ingest_drifts_one_sided_within_the_block_bound() {
         );
         let (mean, var, se) = moments(&samples);
         let n = FREEBS.n_probe as f64;
-        let drift = n * batch as f64 / min_zeros as f64;
         let what = format!("P = {shards}, {threads} thread(s), batch {batch}");
-        assert!(
-            mean > n - drift - 4.0 * se && mean < n + 4.0 * se,
-            "{what}: mean {mean:.1} outside [{:.1}, {:.1}]",
-            n - drift - 4.0 * se,
-            n + 4.0 * se
-        );
+        if threads == 1 {
+            assert!(
+                (mean - n).abs() < 4.0 * se + 1.0,
+                "{what}: mean {mean:.1} vs {n} (se {se:.2})"
+            );
+        } else {
+            let drift = n * batch as f64 / min_zeros as f64;
+            assert!(
+                mean > n - drift - 4.0 * se && mean < n + 4.0 * se,
+                "{what}: mean {mean:.1} outside [{:.1}, {:.1}]",
+                n - drift - 4.0 * se,
+                n + 4.0 * se
+            );
+        }
         assert_variance_within_bound(var, FREEBS.summed_bound(shards), &what);
     }
 }
