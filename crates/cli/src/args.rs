@@ -1,6 +1,6 @@
 //! Hand-rolled argument parsing (no CLI crates in the offline set).
 
-use crate::input::InputFormat;
+use freesketch::ingest::DEFAULT_CHUNK;
 
 /// Largest accepted `--chunk`: 16M edges. One-thread ingest keeps about
 /// 64–68 B per chunk edge resident (two prepared chunks plus the stage
@@ -14,6 +14,11 @@ pub const MAX_CHUNK: usize = 1 << 24;
 /// with the value whatever the trace: far above any core count, a huge
 /// value must be a CLI error, not minutes of set-up.
 pub const MAX_THREADS: usize = 1024;
+
+/// Largest accepted `--memory`: 2^32 bits (512 MiB of shared array), more
+/// than 8× the paper's 5·10⁸-bit budget. The array is allocated up front,
+/// so a larger value must be a CLI error, not an allocation abort.
+pub const MAX_MEMORY_BITS: usize = 1 << 32;
 
 /// Which estimator to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,9 +65,6 @@ pub struct Cli {
     /// edge at `--threads 1` (two prepared chunks plus the stage thread's
     /// decode buffer), 32 B above that (one chunk and its pairs).
     pub chunk: usize,
-    /// Input-format override (`--format tsv|fedge`); `None` (the `auto`
-    /// default) sniffs the file header.
-    pub format: Option<InputFormat>,
     /// Checkpoint snapshot path for the ingesting subcommands
     /// (`--checkpoint`): restore from it when present — falling back to
     /// `<path>.prev` when the newest snapshot is corrupt — and write a new
@@ -173,6 +175,8 @@ pub enum ParseError {
     },
     /// An unrecognized flag.
     UnknownFlag(String),
+    /// A positional argument left over after the subcommand's own.
+    ExtraArg(String),
 }
 
 impl std::fmt::Display for ParseError {
@@ -196,6 +200,7 @@ impl std::fmt::Display for ParseError {
                 write!(f, "bad value `{value}` for {flag} (expected {expected})")
             }
             Self::UnknownFlag(flag) => write!(f, "unknown flag `{flag}`"),
+            Self::ExtraArg(a) => write!(f, "unexpected argument `{a}`"),
         }
     }
 }
@@ -219,7 +224,8 @@ USAGE:
 
 COMMON FLAGS:
   --method freebs|freers   estimator (default freebs)
-  --memory BITS            shared-array budget in bits (default 8388608)
+  --memory BITS            shared-array budget in bits, at most 2^32
+                           (default 8388608)
   --seed N                 hash seed (default 42)
   --threads N              parallel ingest threads, at most 1024; >1 uses
                            the sharded concurrent estimator (default 1;
@@ -228,7 +234,6 @@ COMMON FLAGS:
   --chunk N                edges read from the file per streaming chunk —
                            the resident-edge bound: ~68 bytes per chunk
                            edge at --threads 1, 32 above (default 65536)
-  --format auto|tsv|fedge  input format (default auto: sniff the header)
   --checkpoint FILE        crash-safe ingest for estimate/spreaders/track:
                            restore FILE if present (FILE.prev when the
                            newest snapshot is corrupt), resume the trace at
@@ -238,12 +243,14 @@ COMMON FLAGS:
   --port P                 serve: TCP port on 127.0.0.1; 0 picks an
                            ephemeral port, printed on startup (default 0)
 
-Edge files are read streaming (bounded memory) in either format,
-auto-detected: TSV — one `user item` pair per line, `#` comments
-ignored — or binary fedge (`convert` writes it; ~3x smaller than TSV
-and parse-free to replay). Ingest is batched, and every edge that
-changes the array is credited at the q just before it, so at
---threads 1 the estimates equal edge-by-edge ingest whatever --chunk is.
+Edge files are read streaming (bounded memory) and once, so <edges> may
+be a pipe (`<(zcat edges.tsv.gz)`); only `track`, which reads its input
+twice, needs a regular file. The format is detected from the first
+bytes: TSV — one `user item` pair per line, `#` comments ignored — or
+binary fedge (`convert` writes it; ~3x smaller than TSV and parse-free
+to replay). Ingest is batched, and every edge that changes the array is
+credited at the q just before it, so at --threads 1 the estimates equal
+edge-by-edge ingest whatever --chunk is.
 
 Snapshots (*.fsnp) are versioned, per-section checksummed images of a
 sketch plus its stream offset; `checkpoint`, `restore` and `merge`
@@ -261,8 +268,7 @@ impl Cli {
         let mut memory_bits = 1usize << 23;
         let mut seed = 42u64;
         let mut threads = 1usize;
-        let mut chunk = 1usize << 16;
-        let mut format: Option<InputFormat> = None;
+        let mut chunk = DEFAULT_CHUNK;
         let mut top = 10usize;
         let mut delta: Option<f64> = None;
         let mut scale: Option<u64> = None;
@@ -279,7 +285,15 @@ impl Cli {
             match a {
                 "--method" => method = Method::parse(value(args, &mut i, "--method")?)?,
                 "--memory" => {
-                    memory_bits = parse_num(value(args, &mut i, "--memory")?, "--memory")?
+                    let v = value(args, &mut i, "--memory")?;
+                    memory_bits = parse_num(v, "--memory")?;
+                    if memory_bits > MAX_MEMORY_BITS {
+                        return Err(ParseError::BadValue {
+                            flag: "--memory",
+                            value: v.to_string(),
+                            expected: "an integer in 0..=4294967296",
+                        });
+                    }
                 }
                 "--seed" => seed = parse_num(value(args, &mut i, "--seed")?, "--seed")?,
                 "--threads" => {
@@ -306,20 +320,6 @@ impl Cli {
                             value: v.to_string(),
                             expected: "an integer in 1..=16777216",
                         });
-                    }
-                }
-                "--format" => {
-                    format = match value(args, &mut i, "--format")? {
-                        "auto" => None,
-                        "tsv" => Some(InputFormat::Tsv),
-                        "fedge" => Some(InputFormat::Fedge),
-                        other => {
-                            return Err(ParseError::BadValue {
-                                flag: "--format",
-                                value: other.to_string(),
-                                expected: "auto|tsv|fedge",
-                            })
-                        }
                     }
                 }
                 "--top" => top = parse_num(value(args, &mut i, "--top")?, "--top")?,
@@ -466,6 +466,9 @@ impl Cli {
             }
             other => return Err(ParseError::UnknownCommand(other.to_string())),
         };
+        if let Some(extra) = pos.next() {
+            return Err(ParseError::ExtraArg(extra.to_string()));
+        }
 
         Ok(Self {
             command,
@@ -474,7 +477,6 @@ impl Cli {
             seed,
             threads,
             chunk,
-            format,
             checkpoint,
             checkpoint_every,
         })
@@ -581,7 +583,8 @@ mod tests {
     #[test]
     fn chunk_flag_parses_and_rejects_zero() {
         let cli = Cli::parse(&["estimate", "x.tsv"]).expect("parse");
-        assert_eq!(cli.chunk, 1 << 16);
+        assert_eq!(cli.chunk, 1 << 16, "USAGE and README document 65536");
+        assert_eq!(cli.chunk, DEFAULT_CHUNK);
         let cli = Cli::parse(&["estimate", "x.tsv", "--chunk", "1024"]).expect("parse");
         assert_eq!(cli.chunk, 1024);
         for bad in ["0", "16777217", "2305843009213693952"] {
@@ -599,22 +602,64 @@ mod tests {
     }
 
     #[test]
-    fn format_flag_parses_and_rejects_junk() {
-        let cli = Cli::parse(&["estimate", "x"]).expect("parse");
-        assert_eq!(cli.format, None);
-        let cli = Cli::parse(&["estimate", "x", "--format", "auto"]).expect("parse");
-        assert_eq!(cli.format, None);
-        let cli = Cli::parse(&["estimate", "x", "--format", "tsv"]).expect("parse");
-        assert_eq!(cli.format, Some(InputFormat::Tsv));
-        let cli = Cli::parse(&["estimate", "x", "--format", "fedge"]).expect("parse");
-        assert_eq!(cli.format, Some(InputFormat::Fedge));
-        assert!(matches!(
-            Cli::parse(&["estimate", "x", "--format", "csv"]).unwrap_err(),
-            ParseError::BadValue {
-                flag: "--format",
-                ..
+    fn format_flag_is_unknown() {
+        // The format is always read from the input's first bytes.
+        for v in ["auto", "tsv", "fedge"] {
+            assert_eq!(
+                Cli::parse(&["estimate", "x", "--format", v]).unwrap_err(),
+                ParseError::UnknownFlag("--format".into())
+            );
+        }
+    }
+
+    #[test]
+    fn memory_flag_rejects_more_than_max_memory_bits() {
+        let cli = Cli::parse(&["estimate", "x", "--memory", "4294967296"]).expect("parse");
+        assert_eq!(cli.memory_bits, MAX_MEMORY_BITS);
+        for cmd in [&["estimate", "x"][..], &["serve", "x"]] {
+            for bad in ["4294967297", "99999999999999"] {
+                assert_eq!(
+                    Cli::parse(&[cmd, &["--memory", bad]].concat()).unwrap_err(),
+                    ParseError::BadValue {
+                        flag: "--memory",
+                        value: bad.into(),
+                        expected: "an integer in 0..=4294967296",
+                    },
+                    "{cmd:?} --memory {bad}"
+                );
             }
-        ));
+        }
+    }
+
+    #[test]
+    fn surplus_positional_arguments_are_rejected() {
+        // Each subcommand with exactly the positionals it takes, then one
+        // more; merge takes any number (two or more inputs, then the
+        // output), so it has none left over.
+        for full in [
+            &["estimate", "e.tsv"][..],
+            &["spreaders", "e.tsv", "--delta", "0.1"],
+            &["synth", "orkut"],
+            &["convert", "e.tsv", "e.fedge"],
+            &["track", "e.tsv", "--user", "u"],
+            &["checkpoint", "e.tsv", "s.fsnp"],
+            &["restore", "s.fsnp", "e.tsv"],
+            &["serve", "e.tsv"],
+        ] {
+            Cli::parse(full).unwrap_or_else(|e| panic!("{full:?}: {e}"));
+            assert_eq!(
+                Cli::parse(&[full, &["extra"]].concat()).unwrap_err(),
+                ParseError::ExtraArg("extra".into()),
+                "{full:?} extra"
+            );
+        }
+        // The leftover may sit before the flags too.
+        assert_eq!(
+            Cli::parse(&["estimate", "e.tsv", "10", "--top", "3"]).unwrap_err(),
+            ParseError::ExtraArg("10".into())
+        );
+        let cli = Cli::parse(&["merge", "a", "b", "c", "d", "out"]).expect("parse");
+        assert!(matches!(cli.command, Command::Merge { ref inputs, .. } if inputs.len() == 4));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! larger than RAM replay with resident edge buffers of O(`--chunk`) edges.
 
 use crate::args::{Cli, Command, MethodChoice};
-use crate::input::{hash_id, open_source, InputFormat};
+use crate::input::{hash_id, open_source, InputFormat, NotRegularFile};
 use freesketch::ingest::skip_edges;
 use freesketch::snapshot::{
     fallback_path, load_snapshot, load_with_fallback, save_snapshot_file, AnySketch, Checkpointer,
@@ -81,7 +81,7 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
             input,
             out: out_path,
         } => {
-            let (mut src, format) = open_source(input, cli.format)?;
+            let (mut src, format) = open_source(input)?;
             if format == InputFormat::Fedge {
                 return Err(format!("`{input}` is already fedge — nothing to convert").into());
             }
@@ -133,6 +133,10 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
             user,
             checkpoints,
         } => {
+            // Two passes over the input: a pipe would be empty for the second.
+            if std::fs::metadata(path).is_ok_and(|m| !m.is_file()) {
+                return Err(NotRegularFile { path: path.clone() }.into());
+            }
             let (total, uid) = scan_total_and_user(cli, path, user)?;
             let mut runner = Runner::build(cli, out)?;
             let step = (total / (*checkpoints).max(1) as u64).max(1);
@@ -182,7 +186,7 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
             out: snap_out,
         } => {
             let mut sketch = build_sketch(cli, false);
-            let (mut src, _) = open_source(input, cli.format)?;
+            let (mut src, _) = open_source(input)?;
             let mut ckpt = Checkpointer::new(Path::new(snap_out.as_str()), cli.checkpoint_every)
                 .with_crash_after(crash_after_env());
             let total =
@@ -333,7 +337,7 @@ fn scan_total_and_user(
 ) -> Result<(u64, u64), Box<dyn std::error::Error>> {
     let string_hash = hash_id(user);
     let numeric: Option<u64> = user.parse().ok();
-    let (mut src, _) = open_source(path, cli.format)?;
+    let (mut src, _) = open_source(path)?;
     let mut buf: Vec<Edge> = Vec::with_capacity(cli.chunk);
     let mut total = 0u64;
     let mut string_seen = false;
@@ -437,7 +441,7 @@ fn open_at(
     path: &str,
     base: u64,
 ) -> Result<Box<dyn EdgeSource + Send>, Box<dyn std::error::Error>> {
-    let (mut src, _) = open_source(path, cli.format)?;
+    let (mut src, _) = open_source(path)?;
     if base == 0 {
         return Ok(src);
     }
@@ -512,11 +516,12 @@ impl Runner {
     }
 }
 
-/// Fault-injection knob for the crash/restore smoke test: when
+/// Fault-injection knob for the crash/restore smoke test, read by every
+/// checkpointing path (the ingesting commands and the serve daemon): when
 /// `FREESKETCH_CRASH_AFTER_CHECKPOINTS=n` is set, the n-th checkpoint
 /// write (0-based) of this process fails as an abrupt kill would.
 /// Unset or unparsable values disarm it.
-fn crash_after_env() -> Option<u64> {
+pub(crate) fn crash_after_env() -> Option<u64> {
     std::env::var("FREESKETCH_CRASH_AFTER_CHECKPOINTS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -1009,20 +1014,30 @@ mod tests {
     #[test]
     fn tsv_starting_with_magic_letters_stays_tsv() {
         // Regression: detection must not misread a text trace whose first
-        // user id begins with "FEDG"; --format tsv also forces it.
+        // user id begins with "FEDG".
         let path = write_temp("FEDGE-host1 item1\nFEDGE-host1 item2\nFEDGE-host2 item1\n");
-        let p = path.to_str().expect("utf8 path");
-        for extra in [&[][..], &["--format", "tsv"]] {
-            let mut args = vec!["estimate", p, "--top", "2"];
-            args.extend_from_slice(extra);
-            let out = run_to_string(&args);
-            assert!(out.contains("3 edges processed"), "{extra:?}: {out}");
-            assert!(
-                out.contains(&format!("{:016x}", hash_id("FEDGE-host1"))),
-                "{out}"
-            );
-        }
+        let out = run_to_string(&["estimate", path.to_str().expect("utf8 path"), "--top", "2"]);
+        assert!(out.contains("3 edges processed"), "{out}");
+        assert!(
+            out.contains(&format!("{:016x}", hash_id("FEDGE-host1"))),
+            "{out}"
+        );
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn track_rejects_an_input_it_cannot_read_twice() {
+        let cli = Cli::parse(&["track", "/dev/null", "--user", "u"]).expect("parse");
+        let mut buf = Vec::new();
+        let err = run(&cli, &mut buf).unwrap_err();
+        assert_eq!(
+            err.downcast_ref::<NotRegularFile>(),
+            Some(&NotRegularFile {
+                path: "/dev/null".into()
+            }),
+            "{err}"
+        );
+        assert!(buf.is_empty(), "no table for an unreadable input");
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Edge-file input for the CLI: on-disk format auto-detection and the
-//! [`open_source`] entry point that hands every command a bounded-memory
-//! [`EdgeSource`] reader.
+//! Edge-file input for the CLI: the [`open_source`] entry point that
+//! opens a trace once, detects its format and hands every command a
+//! bounded-memory [`EdgeSource`] reader.
 //!
 //! The readers themselves live in `graphstream` ([`TsvEdgeSource`] for
 //! text, [`FedgeReader`] for binary) — command paths never materialize a
 //! trace; peak resident edge memory is O(chunk) regardless of file size.
+//! The input is read front to back exactly once, so a pipe, a FIFO or a
+//! process substitution (`<(zcat trace.tsv.gz)`) works like a file.
 
 use graphstream::fedge::{is_fedge_prefix, FEDGE_HEADER_LEN};
 use graphstream::{EdgeSource, FedgeReader, TsvEdgeSource};
-use std::io::Read;
+use std::io::{Cursor, Read};
 
 pub use graphstream::tsv::{parse_edge_line, read_edges};
 
@@ -25,57 +27,32 @@ pub enum InputFormat {
     Fedge,
 }
 
-impl std::fmt::Display for InputFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Tsv => "tsv",
-            Self::Fedge => "fedge",
-        })
-    }
-}
-
-/// Sniffs a file's format from its header bytes (see
-/// [`is_fedge_prefix`] for the exact rule — a text line that merely
-/// starts with the magic letters stays TSV). Anything that doesn't look
-/// like a `fedge` header is treated as TSV.
+/// Opens a trace for streaming: reads its first [`FEDGE_HEADER_LEN`] bytes
+/// (fewer if it is shorter), decides the format from them — `fedge` if
+/// they look like its header ([`is_fedge_prefix`]: a text line that merely
+/// starts with the magic letters does not), TSV otherwise — and returns
+/// the matching bounded-memory reader over those bytes followed by the
+/// rest of the input. Nothing is read twice, so the input may be a pipe.
 ///
 /// # Errors
-/// Propagates open/read failures.
-pub fn detect_format(path: &str) -> std::io::Result<InputFormat> {
-    let mut file = std::fs::File::open(path)?;
-    let mut prefix = [0u8; FEDGE_HEADER_LEN];
-    let mut got = 0usize;
-    while got < prefix.len() {
-        let n = file.read(&mut prefix[got..])?;
-        if n == 0 {
-            break;
-        }
-        got += n;
-    }
-    Ok(if is_fedge_prefix(&prefix[..got]) {
+/// Open and read failures are reported with the path; a corrupt `fedge`
+/// header surfaces as its typed [`graphstream::FedgeError`].
+pub fn open_source(
+    path: &str,
+) -> Result<(Box<dyn EdgeSource + Send>, InputFormat), Box<dyn std::error::Error>> {
+    let cannot_open = |e: std::io::Error| format!("cannot open `{path}`: {e}");
+    let mut file = std::fs::File::open(path).map_err(cannot_open)?;
+    let mut head = Vec::with_capacity(FEDGE_HEADER_LEN);
+    (&mut file)
+        .take(FEDGE_HEADER_LEN as u64)
+        .read_to_end(&mut head)
+        .map_err(cannot_open)?;
+    let format = if is_fedge_prefix(&head) {
         InputFormat::Fedge
     } else {
         InputFormat::Tsv
-    })
-}
-
-/// Opens a trace for streaming: picks the format (forced by `--format`,
-/// auto-detected otherwise) and returns the matching bounded-memory
-/// reader.
-///
-/// # Errors
-/// Open failures are reported with the path; a corrupt `fedge` header
-/// surfaces as its typed [`graphstream::FedgeError`].
-pub fn open_source(
-    path: &str,
-    force: Option<InputFormat>,
-) -> Result<(Box<dyn EdgeSource + Send>, InputFormat), Box<dyn std::error::Error>> {
-    let format = match force {
-        Some(f) => f,
-        None => detect_format(path).map_err(|e| format!("cannot open `{path}`: {e}"))?,
     };
-    let file = std::fs::File::open(path).map_err(|e| format!("cannot open `{path}`: {e}"))?;
-    let reader = std::io::BufReader::new(file);
+    let reader = std::io::BufReader::new(Cursor::new(head).chain(file));
     // `+ Send` so the serve daemon can hand the reader to a writer thread;
     // both concrete readers are plain owned state over a `File`.
     let source: Box<dyn EdgeSource + Send> = match format {
@@ -84,6 +61,27 @@ pub fn open_source(
     };
     Ok((source, format))
 }
+
+/// A command that reads its input twice (`track`: once to count it, once
+/// to replay it) was given something other than a regular file. A pipe
+/// or FIFO is read once; its second pass would find no edges.
+#[derive(Debug, PartialEq, Eq)]
+pub struct NotRegularFile {
+    /// The rejected input path.
+    pub path: String,
+}
+
+impl std::fmt::Display for NotRegularFile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "`{}` is not a regular file (track reads its input twice)",
+            self.path
+        )
+    }
+}
+
+impl std::error::Error for NotRegularFile {}
 
 #[cfg(test)]
 mod tests {
@@ -96,40 +94,34 @@ mod tests {
         p
     }
 
+    fn drain(src: &mut dyn EdgeSource) -> Vec<Edge> {
+        let mut all = Vec::new();
+        let mut buf = Vec::new();
+        while src.next_chunk(&mut buf, 16).expect("clean") > 0 {
+            all.extend_from_slice(&buf);
+        }
+        all
+    }
+
+    fn fedge_bytes(edges: &[Edge]) -> Vec<u8> {
+        let mut w = graphstream::FedgeWriter::new(Vec::new()).expect("header");
+        w.write_edges(edges).expect("records");
+        w.finish().expect("flush")
+    }
+
     #[test]
     fn format_detection_and_open() {
         let tsv = temp_path("detect.tsv");
         std::fs::write(&tsv, "alice item1\nbob item2\n").expect("write");
-        assert_eq!(
-            detect_format(tsv.to_str().expect("utf8")).expect("detect"),
-            InputFormat::Tsv
-        );
-
         let fedge = temp_path("detect.fedge");
-        let mut w = graphstream::FedgeWriter::new(Vec::new()).expect("header");
-        w.write_edge(Edge::new(1, 2)).expect("record");
-        std::fs::write(&fedge, w.finish().expect("flush")).expect("write");
-        assert_eq!(
-            detect_format(fedge.to_str().expect("utf8")).expect("detect"),
-            InputFormat::Fedge
-        );
-
+        std::fs::write(&fedge, fedge_bytes(&[Edge::new(1, 2)])).expect("write");
         // Short and empty files are TSV (and parse to empty streams).
         let empty = temp_path("detect.empty");
         std::fs::write(&empty, "").expect("write");
-        assert_eq!(
-            detect_format(empty.to_str().expect("utf8")).expect("detect"),
-            InputFormat::Tsv
-        );
-
         // A text trace whose first id starts with the magic letters must
         // stay TSV — the regression the reserved-byte check prevents.
         let tricky = temp_path("detect.tricky");
         std::fs::write(&tricky, "FEDGE-host1 item1\nFEDGE-host1 item2\n").expect("write");
-        assert_eq!(
-            detect_format(tricky.to_str().expect("utf8")).expect("detect"),
-            InputFormat::Tsv
-        );
 
         for (path, want_fmt, want_edges) in [
             (&tsv, InputFormat::Tsv, 2usize),
@@ -137,28 +129,10 @@ mod tests {
             (&empty, InputFormat::Tsv, 0),
             (&tricky, InputFormat::Tsv, 2),
         ] {
-            let (mut src, fmt) = open_source(path.to_str().expect("utf8"), None).expect("open");
-            assert_eq!(fmt, want_fmt);
-            let mut buf = Vec::new();
-            let mut total = 0;
-            loop {
-                let n = src.next_chunk(&mut buf, 16).expect("clean");
-                if n == 0 {
-                    break;
-                }
-                total += n;
-            }
-            assert_eq!(total, want_edges, "{path:?}");
+            let (mut src, fmt) = open_source(path.to_str().expect("utf8")).expect("open");
+            assert_eq!(fmt, want_fmt, "{path:?}");
+            assert_eq!(drain(src.as_mut()).len(), want_edges, "{path:?}");
         }
-
-        // Forcing a format overrides detection entirely.
-        let (_, fmt) =
-            open_source(tsv.to_str().expect("utf8"), Some(InputFormat::Tsv)).expect("open");
-        assert_eq!(fmt, InputFormat::Tsv);
-        let Err(err) = open_source(tsv.to_str().expect("utf8"), Some(InputFormat::Fedge)) else {
-            panic!("forcing fedge on a text file must fail in the reader")
-        };
-        assert!(err.to_string().contains("not a fedge file"), "{err}");
 
         for p in [tsv, fedge, empty, tricky] {
             std::fs::remove_file(p).ok();
@@ -166,8 +140,45 @@ mod tests {
     }
 
     #[test]
+    fn open_source_reads_every_edge_through_a_pipe() {
+        // The bytes format detection reads must reach the reader: a pipe
+        // cannot be reopened or rewound.
+        let edges = [Edge::new(7, 8), Edge::new(9, 10)];
+        for (bytes, want) in [
+            // The first line is exactly the 8 header bytes.
+            (b"abc def\nxyz uvw\n".to_vec(), ("abc", "def", "xyz", "uvw")),
+            (b"abcdefgh ij\nk l\n".to_vec(), ("abcdefgh", "ij", "k", "l")),
+        ] {
+            let got = read_through_pipe(bytes);
+            let want = vec![
+                Edge::new(hash_id(want.0), hash_id(want.1)),
+                Edge::new(hash_id(want.2), hash_id(want.3)),
+            ];
+            assert_eq!(got, (InputFormat::Tsv, want));
+        }
+        assert_eq!(
+            read_through_pipe(fedge_bytes(&edges)),
+            (InputFormat::Fedge, edges.to_vec())
+        );
+    }
+
+    /// Writes `bytes` into an anonymous pipe from another thread and
+    /// streams the read end through [`open_source`].
+    fn read_through_pipe(bytes: Vec<u8>) -> (InputFormat, Vec<Edge>) {
+        use std::io::Write;
+        use std::os::fd::AsRawFd;
+        let (reader, mut writer) = std::io::pipe().expect("pipe");
+        let feeder = std::thread::spawn(move || writer.write_all(&bytes).expect("feed"));
+        let path = format!("/dev/fd/{}", reader.as_raw_fd());
+        let (mut src, format) = open_source(&path).expect("open pipe");
+        let edges = drain(src.as_mut());
+        feeder.join().expect("feeder");
+        (format, edges)
+    }
+
+    #[test]
     fn open_source_missing_file_mentions_path() {
-        let Err(err) = open_source("/definitely/not/here.tsv", None) else {
+        let Err(err) = open_source("/definitely/not/here.tsv") else {
             panic!("must fail")
         };
         assert!(err.to_string().contains("cannot open"));
@@ -180,7 +191,7 @@ mod tests {
         // reader then reports the typed truncation instead of panicking.
         let p = temp_path("corrupt.fedge");
         std::fs::write(&p, b"FEDG\x01").expect("write");
-        let Err(err) = open_source(p.to_str().expect("utf8"), None) else {
+        let Err(err) = open_source(p.to_str().expect("utf8")) else {
             panic!("must fail")
         };
         assert!(err.to_string().contains("truncated fedge header"), "{err}");

@@ -1,8 +1,9 @@
 //! Library half of the `freesketch` CLI: argument parsing, edge-file
 //! input, and the five subcommands, all testable without a process spawn.
 //!
-//! Input formats (auto-detected per file, both streamed chunk-at-a-time in
-//! bounded memory):
+//! Input formats (detected from each input's first bytes, both streamed
+//! chunk-at-a-time in bounded memory and read once, so an input may be a
+//! pipe; only `track` reads its input twice and needs a regular file):
 //!
 //! * **TSV** — one edge per line, `user <whitespace> item`, `#` comments
 //!   and blank lines ignored. Identifiers may be arbitrary strings — they
@@ -22,5 +23,5 @@ pub mod serve;
 
 pub use args::{Cli, Command, ParseError, USAGE};
 pub use commands::run;
-pub use input::{detect_format, open_source, parse_edge_line, read_edges, InputFormat};
+pub use input::{open_source, parse_edge_line, read_edges, InputFormat, NotRegularFile};
 pub use serve::{ServeConfig, ServeError, ServeReport, ServerHandle};

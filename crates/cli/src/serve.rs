@@ -27,8 +27,9 @@
 //!   (staged `.part` → fsync → rename) before [`ServerHandle::join`]
 //!   returns. A truncated snapshot is never visible at the target path.
 
+use crate::commands::crash_after_env;
 use crate::protocol::{parse_request, LineReader, LineStatus, ProtocolError, Request};
-use freesketch::ingest::{ingest_pairs, DEFAULT_BATCH};
+use freesketch::ingest::{ingest_pairs, DEFAULT_BATCH, DEFAULT_CHUNK};
 use freesketch::snapshot::{AnySketch, Checkpointer, SnapshotImage};
 use freesketch::CardinalityEstimator;
 use graphstream::{Edge, EdgeSource};
@@ -76,7 +77,7 @@ impl Default for ServeConfig {
         Self {
             port: 0,
             writers: 1,
-            chunk: 1 << 16,
+            chunk: DEFAULT_CHUNK,
             base_edges: 0,
             checkpoint: None,
             checkpoint_every: 1_000_000,
@@ -310,14 +311,6 @@ pub fn spawn(
         .name("fs-serve-accept".to_string())
         .spawn(move || run_daemon(&daemon_shared, &listener, &config))?;
     Ok(ServerHandle { addr, shared, main })
-}
-
-/// Re-reads the same fault-injection knob the CLI checkpoint paths honor,
-/// so crash/restore drills cover the daemon too.
-fn crash_after_env() -> Option<u64> {
-    std::env::var("FREESKETCH_CRASH_AFTER_CHECKPOINTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
 }
 
 /// The accept loop plus the shutdown/drain sequence; runs on the daemon

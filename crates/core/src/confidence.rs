@@ -13,7 +13,9 @@
 //! Implemented as a wrapper so the plain estimators keep their lean hot
 //! path; the wrapper pays one extra map update per *sampled* edge only.
 
+use crate::engine::{QTracker, SketchEngine};
 use crate::CardinalityEstimator;
+use bitpack::SlotStore;
 use hashkit::FxHashMap;
 
 /// An estimate together with an uncertainty quantification.
@@ -69,11 +71,11 @@ pub fn anytime_ci(estimate: f64, q: f64, z: f64) -> EstimateWithCi {
     }
 }
 
-/// Wraps [`crate::FreeBS`] or [`crate::FreeRS`] with per-user variance
-/// accumulators.
+/// Wraps a [`SketchEngine`] ([`crate::FreeBS`] or [`crate::FreeRS`]) with
+/// per-user variance accumulators.
 ///
-/// The inner estimator is consulted for `q` *before* each edge is applied
-/// (both expose `q()`), and the indicator "did this edge change the array"
+/// The inner engine is consulted for `q` *before* each edge is applied
+/// ([`SketchEngine::q`]), and the indicator "did this edge change the array"
 /// is recovered by comparing the user's estimate before and after — which
 /// keeps this wrapper independent of estimator internals.
 #[derive(Debug, Clone)]
@@ -82,29 +84,9 @@ pub struct ConfidenceTracking<E> {
     variances: FxHashMap<u64, f64>,
 }
 
-/// The interface the wrapper needs beyond [`CardinalityEstimator`]:
-/// the current sampling probability.
-pub trait SamplingProbability: CardinalityEstimator {
-    /// The probability that the *next* brand-new pair changes the shared
-    /// array (the paper's `q(t)`).
-    fn sampling_q(&self) -> f64;
-}
-
-impl SamplingProbability for crate::FreeBS {
-    fn sampling_q(&self) -> f64 {
-        self.q()
-    }
-}
-
-impl SamplingProbability for crate::FreeRS {
-    fn sampling_q(&self) -> f64 {
-        self.q()
-    }
-}
-
-impl<E: SamplingProbability> ConfidenceTracking<E> {
-    /// Wraps an estimator (typically freshly constructed).
-    pub fn new(inner: E) -> Self {
+impl<S: SlotStore, Q: QTracker<S>> ConfidenceTracking<SketchEngine<S, Q>> {
+    /// Wraps an engine (typically freshly constructed).
+    pub fn new(inner: SketchEngine<S, Q>) -> Self {
         Self {
             inner,
             variances: FxHashMap::default(),
@@ -114,7 +96,7 @@ impl<E: SamplingProbability> ConfidenceTracking<E> {
     /// Observes one edge, updating both the estimate and the user's
     /// variance accumulator.
     pub fn process(&mut self, user: u64, item: u64) {
-        let q = self.inner.sampling_q();
+        let q = self.inner.q();
         let before = self.inner.estimate(user);
         self.inner.process(user, item);
         if self.inner.estimate(user) > before {
@@ -154,9 +136,9 @@ impl<E: SamplingProbability> ConfidenceTracking<E> {
         }
     }
 
-    /// Access to the wrapped estimator.
+    /// Access to the wrapped engine.
     #[must_use]
-    pub fn inner(&self) -> &E {
+    pub fn inner(&self) -> &SketchEngine<S, Q> {
         &self.inner
     }
 }

@@ -8,14 +8,22 @@
 //! at its own `q`, so the scalar engines end bit-identical whatever
 //! `batch` and `chunk` are, and the CLI passes [`DEFAULT_BATCH`].
 //!
-//! [`stream_into`] runs two stages. A stage thread owns the source: it
-//! decodes chunk k+1, converts it to pairs and, when the estimator splits
-//! its block pipeline ([`CardinalityEstimator::block_hasher`]), hashes the
-//! pairs to slots, while the calling thread applies chunk k. Two prepared
-//! chunk units (pairs, slots, ranks: 24–26 B per edge each) and the stage
-//! thread's decode buffer (16 B per edge) are resident, about 64–68 B per
-//! chunk edge. A stream whose first chunk comes back short (at most one
-//! chunk) starts no thread.
+//! Each entry point that reads a source is one call to `drive`, the one
+//! loop that applies chunks read from a source. It reads a chunk and
+//! prepares it into a unit: the chunk's pairs and, when the estimator
+//! splits its block pipeline ([`CardinalityEstimator::block_hasher`]),
+//! their slots and ranks. The caller's closure then applies the unit and
+//! runs its per-chunk step (checkpointing, in
+//! [`crate::AnySketch::ingest_stream`]).
+//!
+//! With a block hasher and a first chunk that came back full, a stage
+//! thread owns the source and prepares chunk k+1 while the calling thread
+//! applies chunk k. Two units (pairs, slots, ranks: 24–26 B per edge
+//! each) and the stage thread's decode buffer (16 B per edge) are
+//! resident, about 64–68 B per chunk edge. Otherwise (the sharded
+//! estimators, the per-edge path, a stream of at most one chunk) the
+//! calling thread reads and applies each chunk in turn, with one unit of
+//! pairs and the decode buffer: 32 B per chunk edge.
 
 use crate::concurrent::ConcurrentEstimator;
 use crate::engine::BlockHasher;
@@ -36,10 +44,11 @@ pub const DEFAULT_BATCH: usize = 8192;
 /// caller: one being applied, one being prepared.
 const UNITS: usize = 2;
 
-/// Drives `src` to exhaustion through an exclusive estimator, decoding and
-/// hashing the next chunk on a stage thread while this thread applies the
-/// current one (see the module docs). The result is bit-identical to
-/// applying the chunks one after another with [`ingest_slice`].
+/// Drives `src` to exhaustion through an exclusive estimator. With a
+/// [`BlockHasher`] and `batch > 0` it decodes and hashes the next chunk on
+/// a stage thread while this thread applies the current one (see the
+/// module docs). The result is bit-identical to applying the chunks one
+/// after another with [`ingest_slice`].
 ///
 /// Returns the number of edges processed.
 ///
@@ -53,30 +62,55 @@ pub fn stream_into(
     chunk: usize,
     batch: usize,
 ) -> Result<u64, EdgeStreamError> {
-    drive(est, src, chunk, batch, |_, _| Ok(()))
+    let hasher = if batch == 0 { None } else { est.block_hasher() };
+    drive(src, chunk, hasher, |unit, _| {
+        unit.apply_into(est, batch);
+        Ok(())
+    })
 }
 
-/// The two-stage driver behind [`stream_into`] and
-/// [`crate::AnySketch::ingest_stream`]: after each chunk is applied it runs
-/// `hook` with the edges ingested so far (checkpointing), on this thread
-/// while the estimator is quiescent.
+/// Drives `src` to exhaustion through a concurrent estimator with
+/// `threads` ingest threads per chunk (see [`ingest_parallel`]). The next
+/// chunk is read only after the previous one is fully applied, so peak
+/// memory stays O(chunk).
 ///
-/// The caller reads and prepares the first chunk itself (an empty stream
-/// allocates only the decode buffer) and starts the stage thread only if
-/// that chunk came back full. A source error on chunk
-/// k+1 surfaces after chunk k is applied and hooked; a hook error stops
-/// and joins the stage thread before it is returned; a stage-thread panic
-/// resumes on this thread.
+/// # Errors
+/// Stops at the first source error; earlier chunks have been applied.
 // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
-pub(crate) fn drive<T, E>(
-    est: &mut T,
+pub fn stream_into_parallel(
+    est: &dyn ConcurrentEstimator,
     src: &mut (dyn EdgeSource + Send),
     chunk: usize,
     batch: usize,
-    mut hook: impl FnMut(&T, u64) -> Result<(), E>,
+    threads: usize,
+) -> Result<u64, EdgeStreamError> {
+    drive(src, chunk, None, |unit, _| {
+        ingest_parallel(est, unit.pairs(), batch, threads);
+        Ok(())
+    })
+}
+
+/// The one chunk loop behind every streaming entry point: reads `src` to
+/// exhaustion in `chunk`-edge reads, prepares each chunk into a [`Unit`]
+/// (hashed when `hasher` is set) and runs `step` on it with the edges
+/// read so far, this one included. `step` applies the unit and does any
+/// per-chunk work, on this thread, between two applies.
+///
+/// The first chunk is read here (an empty stream allocates only the
+/// decode buffer). Only with a `hasher` and a full first chunk does a
+/// stage thread take over the reading (see [`pipelined`]); otherwise each
+/// chunk is read and applied in turn. A source error on chunk k+1 surfaces
+/// after chunk k is stepped; a `step` error stops and joins the stage
+/// thread before it is returned; a stage-thread panic resumes on this
+/// thread.
+// HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
+pub(crate) fn drive<E>(
+    src: &mut (dyn EdgeSource + Send),
+    chunk: usize,
+    hasher: Option<BlockHasher>,
+    mut step: impl FnMut(&Unit, u64) -> Result<(), E>,
 ) -> Result<u64, E>
 where
-    T: CardinalityEstimator + ?Sized,
     E: From<EdgeStreamError>,
 {
     let chunk = chunk.max(1);
@@ -84,37 +118,33 @@ where
     if src.next_chunk(&mut buf, chunk)? == 0 {
         return Ok(0);
     }
-    let hasher = if batch == 0 { None } else { est.block_hasher() };
     let mut unit = Unit::new(chunk, hasher);
+    unit.prepare(&buf);
+    if hasher.is_some() && buf.len() == chunk {
+        return pipelined(src, chunk, buf, unit, step);
+    }
     let mut total = 0u64;
     loop {
-        unit.prepare(&buf);
-        if total == 0 && buf.len() == chunk {
-            return pipelined(est, src, chunk, batch, buf, unit, hook);
-        }
-        unit.apply_into(est, batch);
-        total += buf.len() as u64;
-        hook(est, total)?;
+        total += unit.pairs.len() as u64;
+        step(&unit, total)?;
         if src.next_chunk(&mut buf, chunk)? == 0 {
             return Ok(total);
         }
+        unit.prepare(&buf);
     }
 }
 
 /// The steady state of [`drive`] once its first chunk came back full:
-/// `first` is applied while a scoped stage thread prepares the next chunk
+/// `first` is stepped while a scoped stage thread prepares the next chunk
 /// into the second unit, and the two units swap until the source ends.
-fn pipelined<T, E>(
-    est: &mut T,
+fn pipelined<E>(
     src: &mut (dyn EdgeSource + Send),
     chunk: usize,
-    batch: usize,
     buf: Vec<Edge>,
     first: Unit,
-    hook: impl FnMut(&T, u64) -> Result<(), E>,
+    step: impl FnMut(&Unit, u64) -> Result<(), E>,
 ) -> Result<u64, E>
 where
-    T: CardinalityEstimator + ?Sized,
     E: From<EdgeStreamError>,
 {
     // Each channel holds at most the UNITS units that exist, so no send
@@ -127,7 +157,7 @@ where
             let unit = Unit::new(chunk, hasher);
             prepare_ahead(src, buf, chunk, unit, &free_rx, &ready_tx);
         });
-        let result = apply_ready(est, batch, first, hook, &free_tx, &ready_rx);
+        let result = step_ready(first, step, &free_tx, &ready_rx);
         drop((free_tx, ready_rx));
         match stage.join() {
             Ok(()) => result,
@@ -136,25 +166,21 @@ where
     })
 }
 
-/// The calling thread's side of [`pipelined`]: applies each unit, runs
-/// the hook, hands the unit back to the stage and takes the next one.
-fn apply_ready<T, E>(
-    est: &mut T,
-    batch: usize,
+/// The calling thread's side of [`pipelined`]: steps each unit, hands it
+/// back to the stage and takes the next one.
+fn step_ready<E>(
     mut unit: Unit,
-    mut hook: impl FnMut(&T, u64) -> Result<(), E>,
+    mut step: impl FnMut(&Unit, u64) -> Result<(), E>,
     free: &SyncSender<Unit>,
     ready: &Receiver<Result<Unit, EdgeStreamError>>,
 ) -> Result<u64, E>
 where
-    T: CardinalityEstimator + ?Sized,
     E: From<EdgeStreamError>,
 {
     let mut total = 0u64;
     loop {
-        unit.apply_into(est, batch);
         total += unit.pairs.len() as u64;
-        hook(est, total)?;
+        step(&unit, total)?;
         // After the end of the stream the stage is gone and the unit is
         // dropped.
         let _ = free.send(unit);
@@ -199,7 +225,7 @@ fn prepare_ahead(
 /// One prepared chunk: its pairs and, when the estimator has a
 /// [`BlockHasher`], their slots (and ranks for register stores). The
 /// buffers are sized once per stream and reused.
-struct Unit {
+pub(crate) struct Unit {
     pairs: Vec<(u64, u64)>,
     slots: Vec<usize>,
     ranks: Vec<u16>,
@@ -216,6 +242,11 @@ impl Unit {
             ranks: Vec::with_capacity(ranked),
             hasher,
         }
+    }
+
+    /// The chunk's `(user, item)` pairs, in stream order.
+    pub(crate) fn pairs(&self) -> &[(u64, u64)] {
+        &self.pairs
     }
 
     /// The pure half: decoded edges to pairs, pairs to slots and ranks.
@@ -235,7 +266,7 @@ impl Unit {
     /// The stateful half, with the cuts [`ingest_slice`] makes: `batch`-edge
     /// slices (the engine cuts each into `INGEST_BLOCK` blocks), or per-edge
     /// `process` when `batch` is 0.
-    fn apply_into<T: CardinalityEstimator + ?Sized>(&self, est: &mut T, batch: usize) {
+    pub(crate) fn apply_into<T: CardinalityEstimator + ?Sized>(&self, est: &mut T, batch: usize) {
         if batch == 0 {
             for &(user, item) in &self.pairs {
                 est.process(user, item);
@@ -281,51 +312,18 @@ pub fn ingest_slice(
     }
 }
 
-/// Drives `src` to exhaustion through a concurrent estimator with
-/// `threads` ingest threads per chunk (see [`ingest_parallel`]). The next
-/// chunk is read only after the previous one is fully applied, so peak
-/// memory stays O(chunk) and the source needs no synchronization.
-///
-/// # Errors
-/// Stops at the first source error; earlier chunks have been applied.
-// HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
-pub fn stream_into_parallel(
-    est: &dyn ConcurrentEstimator,
-    src: &mut dyn EdgeSource,
-    chunk: usize,
-    batch: usize,
-    threads: usize,
-) -> Result<u64, EdgeStreamError> {
-    let chunk = chunk.max(1);
-    let mut buf: Vec<Edge> = Vec::with_capacity(chunk);
-    let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(chunk);
-    let mut total = 0u64;
-    loop {
-        let n = src.next_chunk(&mut buf, chunk)?;
-        if n == 0 {
-            return Ok(total);
-        }
-        ingest_parallel(est, &buf, &mut pairs, batch, threads);
-        total += n as u64;
-    }
-}
-
-/// Applies one in-memory chunk through the `&self` ingest path on
-/// `threads` threads: the chunk is converted to bare pairs once (into the
-/// caller's reused `pairs` buffer), split into `threads` contiguous
+/// Applies one in-memory chunk of pairs through the `&self` ingest path
+/// on `threads` threads: the pairs are split into `threads` contiguous
 /// parts, and each part is fed by [`ingest_pairs`] on its own scoped
 /// thread. Every thread is joined before this returns, so the estimator
 /// is quiescent afterwards — the point checkpointing relies on.
 // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
 pub fn ingest_parallel(
     est: &dyn ConcurrentEstimator,
-    edges: &[Edge],
-    pairs: &mut Vec<(u64, u64)>,
+    pairs: &[(u64, u64)],
     batch: usize,
     threads: usize,
 ) {
-    pairs.clear();
-    pairs.extend(edges.iter().map(|e| e.pair()));
     let part_len = pairs.len().div_ceil(threads.max(1)).max(1);
     std::thread::scope(|s| {
         for part in pairs.chunks(part_len) {
@@ -416,7 +414,7 @@ impl From<SnapshotError> for IngestError {
 mod tests {
     use super::*;
     use crate::engine::{QTracker, SketchEngine};
-    use crate::{FreeBS, FreeRS, ShardedFreeBS};
+    use crate::{AnySketch, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS};
     use bitpack::SlotStore;
     use graphstream::SliceSource;
 
@@ -518,30 +516,49 @@ mod tests {
         let edges = test_edges(10_000);
         for (chunk, batch) in [(1000usize, 512usize), (1, 64), (1000, 0)] {
             for fail_at in [2usize, 3, 7] {
-                let mut src = FailsAt {
+                let failing = || FailsAt {
                     inner: SliceSource::new(&edges),
                     calls: 0,
                     fail_at,
                 };
+                let what = format!("chunk {chunk} batch {batch} fail_at {fail_at}");
+                let applied = &edges[..chunk * (fail_at - 1)];
+
+                // A scalar engine, pipelined whenever it hashes: the step
+                // runs after every chunk before the failing one.
                 let mut est = FreeRS::new(1 << 12, 5);
-                // The hook runs after every chunk before the failing one.
-                let mut hooked = Vec::new();
-                let err = drive(&mut est, &mut src, chunk, batch, |_, n| {
-                    hooked.push(n);
+                let hasher = if batch == 0 { None } else { est.block_hasher() };
+                let mut stepped = Vec::new();
+                let err = drive(&mut failing(), chunk, hasher, |unit, n| {
+                    unit.apply_into(&mut est, batch);
+                    stepped.push(n);
                     Ok::<(), EdgeStreamError>(())
                 })
                 .expect_err("must fail");
                 assert!(err.to_string().contains("disk gone"), "{err}");
                 let want: Vec<u64> = (1..fail_at as u64).map(|k| k * chunk as u64).collect();
-                assert_eq!(hooked, want, "chunk {chunk} fail_at {fail_at}");
-                let applied = &edges[..chunk * (fail_at - 1)];
+                assert_eq!(stepped, want, "{what}");
                 let reference = serial(FreeRS::new(1 << 12, 5), applied, chunk, batch);
-                assert!(
-                    reference.store() == est.store(),
-                    "chunk {chunk} fail_at {fail_at}"
-                );
-                assert_eq!(estimates(&reference), estimates(&est));
+                assert!(reference.store() == est.store(), "{what}");
+                assert_eq!(estimates(&reference), estimates(&est), "{what}");
                 assert_eq!(reference.total_estimate(), est.total_estimate());
+
+                // A sharded sketch has no block hasher, so `ingest_stream`
+                // reads and applies on this thread; at one ingest thread it
+                // matches the same chunks applied one by one.
+                let fresh = || AnySketch::from(ShardedFreeRS::new(1 << 12, 4, 5));
+                let mut sharded = fresh();
+                let err = sharded
+                    .ingest_stream(&mut failing(), chunk, 1, None, 0)
+                    .expect_err("must fail");
+                assert!(err.to_string().contains("disk gone"), "{err}");
+                let mut reference = fresh();
+                let mut pairs = Vec::new();
+                for c in applied.chunks(chunk) {
+                    reference.apply_chunk(c, &mut pairs, 1);
+                }
+                assert_eq!(estimates(&reference), estimates(&sharded), "{what}");
+                assert_eq!(reference.total_estimate(), sharded.total_estimate());
             }
         }
     }

@@ -41,7 +41,7 @@
 //!
 //! [`ShardedSketch`] composes `P` concurrent engines behind one estimator
 //! (per-shard `q`, HT sums merged across shards) and [`Windowed`] rotates
-//! `Arc`-owned slices of any cloneable estimator for sliding-window
+//! slices of any estimator, each a fresh instance, for sliding-window
 //! semantics.
 //!
 //! The `concurrent` module is public and its engines are re-exported at
@@ -86,7 +86,7 @@ mod window;
 pub const INGEST_BLOCK: usize = 512;
 
 pub use concurrent::{ConcurrentEstimator, ConcurrentFreeBS, ConcurrentFreeRS};
-pub use confidence::{anytime_ci, ConfidenceTracking, EstimateWithCi, SamplingProbability};
+pub use confidence::{anytime_ci, ConfidenceTracking, EstimateWithCi};
 pub use cse::Cse;
 pub use engine::{BlockHasher, IncrementalZ, QTracker, SketchEngine, ZeroQ};
 pub use freebs::FreeBS;

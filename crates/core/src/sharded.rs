@@ -133,9 +133,8 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ShardedSketch<S, Q> {
 
     /// Observes a slice of edges — the batched fast path; callable
     /// concurrently. The slice is partitioned by shard in one routing
-    /// pass (stable, so in-shard user runs survive for the engines'
-    /// lock-coalescing), then each shard ingests its sub-batch through
-    /// the phased block pipeline.
+    /// pass (stable, so each shard sees its edges in stream order), then
+    /// each shard ingests its sub-batch through the phased block pipeline.
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     pub fn process_batch(&self, edges: &[(u64, u64)]) {
         let p = self.shards.len();

@@ -205,11 +205,13 @@ impl AnySketch {
     /// checkpointing relies on). `pairs` is a scratch buffer the caller
     /// reuses across chunks.
     pub fn apply_chunk(&mut self, buf: &[Edge], pairs: &mut Vec<(u64, u64)>, threads: usize) {
-        match self {
-            Self::FreeBS(e) => ingest_slice(e, buf, pairs, DEFAULT_BATCH),
-            Self::FreeRS(e) => ingest_slice(e, buf, pairs, DEFAULT_BATCH),
-            Self::ShardedFreeBS(s) => ingest_parallel(s, buf, pairs, DEFAULT_BATCH, threads),
-            Self::ShardedFreeRS(s) => ingest_parallel(s, buf, pairs, DEFAULT_BATCH, threads),
+        match self.as_concurrent() {
+            Some(s) => {
+                pairs.clear();
+                pairs.extend(buf.iter().map(|e| e.pair()));
+                ingest_parallel(s, pairs, DEFAULT_BATCH, threads);
+            }
+            None => ingest_slice(self, buf, pairs, DEFAULT_BATCH),
         }
     }
 
@@ -246,16 +248,18 @@ impl AnySketch {
         dispatch!(self, e => e.user_count())
     }
 
-    /// Drives `src` to exhaustion. Scalar kinds run the two-stage driver
-    /// of [`crate::ingest::stream_into`] (a stage thread decodes and hashes
-    /// the next chunk while this thread applies the current one); sharded
-    /// kinds read and apply one chunk at a time through
-    /// [`AnySketch::apply_chunk`]. With a checkpointer, it checkpoints at
-    /// chunk boundaries (the quiescent points) once at least its
-    /// interval's worth of new edges has accumulated, plus a final
-    /// checkpoint at stream end. `base_edges` is the stream offset already
-    /// applied to this sketch (non-zero when resuming from a restored
-    /// checkpoint), so recorded offsets are absolute.
+    /// Drives `src` to exhaustion through the chunk loop that every
+    /// streaming entry point of [`crate::ingest`] shares. Scalar kinds
+    /// decode and hash the next chunk on a stage thread while this thread
+    /// applies the current one, as [`crate::ingest::stream_into`] does;
+    /// sharded kinds have no block hasher, so each chunk is read and then
+    /// split over `threads` ingest threads ([`ingest_parallel`]). With a
+    /// checkpointer, it checkpoints at chunk boundaries (the quiescent
+    /// points) once at least its interval's worth of new edges has
+    /// accumulated, plus a final checkpoint at stream end. `base_edges` is
+    /// the stream offset already applied to this sketch (non-zero when
+    /// resuming from a restored checkpoint), so recorded offsets are
+    /// absolute.
     ///
     /// Returns the number of edges ingested by *this* call.
     ///
@@ -272,29 +276,16 @@ impl AnySketch {
         mut ckpt: Option<&mut Checkpointer>,
         base_edges: u64,
     ) -> Result<u64, IngestError> {
-        let mut hook = |sketch: &Self, ingested: u64| -> Result<(), IngestError> {
+        let ingested = drive(src, chunk, self.block_hasher(), |unit, n| {
+            match self.as_concurrent() {
+                Some(s) => ingest_parallel(s, unit.pairs(), DEFAULT_BATCH, threads),
+                None => unit.apply_into(self, DEFAULT_BATCH),
+            }
             if let Some(ckpt) = ckpt.as_deref_mut() {
-                ckpt.maybe_checkpoint(sketch, base_edges + ingested)?;
+                ckpt.maybe_checkpoint(self, base_edges + n)?;
             }
-            Ok(())
-        };
-        let ingested = if self.as_concurrent().is_none() {
-            drive(self, src, chunk, DEFAULT_BATCH, &mut hook)?
-        } else {
-            let chunk = chunk.max(1);
-            let mut buf: Vec<Edge> = Vec::with_capacity(chunk);
-            let mut pairs: Vec<(u64, u64)> = Vec::new();
-            let mut ingested = 0u64;
-            loop {
-                let n = src.next_chunk(&mut buf, chunk)?;
-                if n == 0 {
-                    break ingested;
-                }
-                self.apply_chunk(&buf, &mut pairs, threads);
-                ingested += n as u64;
-                hook(self, ingested)?;
-            }
-        };
+            Ok::<(), IngestError>(())
+        })?;
         if let Some(ckpt) = ckpt {
             ckpt.checkpoint_now(self, base_edges + ingested)?;
         }

@@ -8,12 +8,6 @@
 //! sums the per-user estimates of the `k` most recent slices. Old slices
 //! (and their memory) are dropped whole.
 //!
-//! Slices are held as `Arc`-owned values and handed out as snapshots
-//! ([`Windowed::snapshot`]) instead of being mutated through `&mut`
-//! borrows: [`Windowed::process`] mutates the current slice through
-//! `Arc::make_mut` — copy-on-write, so an outstanding snapshot stays frozen
-//! while the window moves on.
-//!
 //! Semantics: the window estimate counts a user–item pair once *per slice
 //! in which it appears as new*. For pairs that recur across slices this
 //! over-counts relative to the distinct count over the window — the
@@ -24,7 +18,6 @@
 
 use crate::CardinalityEstimator;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// A slice-rotating window over any cardinality estimator.
 ///
@@ -45,7 +38,7 @@ use std::sync::Arc;
 /// ```
 pub struct Windowed<E> {
     factory: Box<dyn Fn(u64) -> E + Send + Sync>,
-    slices: VecDeque<Arc<E>>,
+    slices: VecDeque<E>,
     max_slices: usize,
     edges_per_slice: u64,
     /// Total edges ever observed; rotation fires when this crosses a
@@ -69,7 +62,7 @@ impl<E> Windowed<E> {
         assert!(max_slices > 0, "window needs at least one slice");
         assert!(edges_per_slice > 0, "slices must hold at least one edge");
         let mut slices = VecDeque::with_capacity(max_slices + 1);
-        slices.push_back(Arc::new(factory(0)));
+        slices.push_back(factory(0));
         Self {
             factory: Box::new(factory),
             slices,
@@ -78,14 +71,6 @@ impl<E> Windowed<E> {
             edges_seen: 0,
             rotations: 0,
         }
-    }
-
-    /// `Arc` snapshots of the live slices, oldest first. Cheap (one `Arc`
-    /// clone per slice); later mutation copies-on-write, so a snapshot
-    /// stays frozen.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<Arc<E>> {
-        self.slices.iter().cloned().collect()
     }
 
     /// Number of live slices.
@@ -109,17 +94,14 @@ impl<E> Windowed<E> {
     /// Appends a fresh slice and retires the oldest once over capacity.
     fn rotate(&mut self) {
         self.rotations += 1;
-        self.slices
-            .push_back(Arc::new((self.factory)(self.rotations)));
+        self.slices.push_back((self.factory)(self.rotations));
         if self.slices.len() > self.max_slices {
             self.slices.pop_front();
         }
     }
 }
 
-/// Ingest: any cloneable estimator. `Clone` powers the copy-on-write
-/// isolation of outstanding [`Windowed::snapshot`]s.
-impl<E: CardinalityEstimator + Clone> Windowed<E> {
+impl<E: CardinalityEstimator> Windowed<E> {
     /// Observes one edge, opening a fresh slice (and retiring the oldest
     /// once over capacity) at slice boundaries.
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
@@ -129,12 +111,9 @@ impl<E: CardinalityEstimator + Clone> Windowed<E> {
         }
         self.edges_seen += 1;
         let current = self.slices.back_mut().expect("window never empty");
-        Arc::make_mut(current).process(user, item);
+        current.process(user, item);
     }
-}
 
-/// Queries (`&self` throughout).
-impl<E: CardinalityEstimator> Windowed<E> {
     /// The user's estimated cardinality over the current window (sum of the
     /// live slices' estimates).
     #[must_use]
@@ -291,21 +270,5 @@ mod tests {
         }
         let est = w.estimate(1);
         assert!((est / 150.0 - 1.0).abs() < 0.15, "estimate {est}");
-    }
-
-    #[test]
-    fn snapshots_are_isolated_from_later_mutation() {
-        let mut w = window(4, 10_000);
-        for d in 0..400u64 {
-            w.process(1, d);
-        }
-        let snap = w.snapshot();
-        let frozen: f64 = snap.iter().map(|s| s.estimate(1)).sum();
-        for d in 400..800u64 {
-            w.process(1, d);
-        }
-        let frozen_after: f64 = snap.iter().map(|s| s.estimate(1)).sum();
-        assert_eq!(frozen, frozen_after, "snapshot must not see later edges");
-        assert!(w.estimate(1) > frozen, "window keeps counting");
     }
 }

@@ -69,6 +69,13 @@ expect_usage_error estimate "$tmp/edges.tsv" --threads 100000
 expect_usage_error synth orkut --scale 0
 # Batch output equals per-edge output, so there is no --batch to choose.
 expect_usage_error estimate "$tmp/edges.tsv" --batch 0
+# The format is read from the input's first bytes; there is no --format.
+expect_usage_error estimate "$tmp/edges.tsv" --format tsv
+# A budget above 2^32 bits is refused before the array is allocated.
+expect_usage_error estimate "$tmp/edges.tsv" --memory 99999999999999
+# A positional argument the subcommand does not take is refused, not
+# dropped.
+expect_usage_error estimate "$tmp/edges.tsv" 10
 
 echo "==> convert -> estimate roundtrip smoke (TSV and fedge must be identical)"
 ./target/release/freesketch convert "$tmp/edges.tsv" "$tmp/edges.fedge" > /dev/null
@@ -90,6 +97,27 @@ diff -u "$tmp/synth-tsv.txt" "$tmp/synth-fedge.txt" || {
 }
 grep -q "edges processed" "$tmp/synth-tsv.txt" || {
   echo "streaming estimate produced no report"; exit 1;
+}
+
+echo "==> pipe smoke (each input is read once, so a pipe equals the file)"
+for f in synth.tsv synth.fedge; do
+  ingest estimate "$tmp/$f" > "$tmp/file-$f.txt"
+  ingest estimate <(cat "$tmp/$f") > "$tmp/pipe-$f.txt"
+  diff -u "$tmp/file-$f.txt" "$tmp/pipe-$f.txt" || {
+    echo "estimate through a pipe differs from the file for $f"; exit 1;
+  }
+done
+./target/release/freesketch convert <(cat "$tmp/synth.tsv") "$tmp/pipe.fedge" > /dev/null
+cmp "$tmp/synth.fedge" "$tmp/pipe.fedge" || {
+  echo "convert through a pipe differs from the file"; exit 1;
+}
+# track reads its input twice, which a pipe cannot serve: a typed error
+# (exit 1), not an empty table.
+code=0
+ingest track <(cat "$tmp/synth.tsv") --user 1 > /dev/null 2> "$tmp/track-pipe-err.txt" || code=$?
+[ "$code" -eq 1 ] || { echo "track on a pipe exited $code, not 1"; exit 1; }
+grep -q "is not a regular file" "$tmp/track-pipe-err.txt" || {
+  echo "track on a pipe: error not typed:"; cat "$tmp/track-pipe-err.txt"; exit 1;
 }
 # Every growth is credited at its own q, so where chunks (and the blocks
 # inside them) cut the stream moves nothing: the checkpoint files of two

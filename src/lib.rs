@@ -7,7 +7,7 @@
 //!
 //! * [`hashkit`] — hashing substrate.
 //! * [`bitpack`] — bit arrays and packed register arrays.
-//! * [`cardsketch`] — single-stream sketches (LPC, FM, HLL, HLL++).
+//! * [`cardsketch`] — single-stream sketches (LPC, HLL, HLL++).
 //! * [`graphstream`] — graph-stream substrate and synthetic workloads.
 //! * [`freesketch`] — the paper's estimators (FreeBS, FreeRS) and the shared
 //!   baselines (CSE, vHLL), plus super-spreader detection.
