@@ -175,6 +175,13 @@ pub enum ParseError {
     },
     /// An unrecognized flag.
     UnknownFlag(String),
+    /// A flag the subcommand does not read.
+    FlagNotRead {
+        /// The flag at fault.
+        flag: String,
+        /// The subcommand that does not read it.
+        command: String,
+    },
     /// A positional argument left over after the subcommand's own.
     ExtraArg(String),
 }
@@ -200,12 +207,37 @@ impl std::fmt::Display for ParseError {
                 write!(f, "bad value `{value}` for {flag} (expected {expected})")
             }
             Self::UnknownFlag(flag) => write!(f, "unknown flag `{flag}`"),
+            Self::FlagNotRead { flag, command } => {
+                write!(f, "flag `{flag}` does not apply to `{command}`")
+            }
             Self::ExtraArg(a) => write!(f, "unexpected argument `{a}`"),
         }
     }
 }
 
 impl std::error::Error for ParseError {}
+
+/// The flags `command` reads, in groups: what `commands::run` and `serve`
+/// take from a parsed [`Cli`]. `None` for an unknown subcommand. Any other
+/// flag is a [`ParseError::FlagNotRead`], so a flag is never parsed and
+/// then silently ignored.
+fn flags_read(command: &str) -> Option<&'static [&'static [&'static str]]> {
+    const SKETCH: &[&str] = &["--method", "--memory", "--seed", "--threads", "--chunk"];
+    const CHECKPOINTS: &[&str] = &["--checkpoint", "--checkpoint-every"];
+    Some(match command {
+        "estimate" => &[SKETCH, CHECKPOINTS, &["--top"]],
+        "spreaders" => &[SKETCH, CHECKPOINTS, &["--delta"]],
+        "synth" => &[&["--scale", "--out"]],
+        "track" => &[SKETCH, CHECKPOINTS, &["--user", "--checkpoints"]],
+        "convert" => &[&["--chunk"]],
+        "checkpoint" => &[SKETCH, &["--checkpoint-every"]],
+        // The sketch comes from the snapshot; a resumed trace is ingested.
+        "restore" => &[&["--top", "--threads", "--chunk"]],
+        "merge" => &[],
+        "serve" => &[SKETCH, CHECKPOINTS, &["--port"]],
+        _ => return None,
+    })
+}
 
 /// Usage text printed on `--help` or parse failure.
 pub const USAGE: &str = "\
@@ -217,10 +249,12 @@ USAGE:
   freesketch-cli synth     <profile> [--scale N] [--out FILE]
   freesketch-cli track     <edges> --user ID [--checkpoints K] [common flags]
   freesketch-cli convert   <edges.tsv> <out.fedge> [--chunk N]
-  freesketch-cli checkpoint <edges> <out.fsnp> [common flags]
-  freesketch-cli restore   <snap.fsnp> [<edges>] [--top N] [common flags]
+  freesketch-cli checkpoint <edges> <out.fsnp> [common flags but --checkpoint]
+  freesketch-cli restore   <snap.fsnp> [<edges>] [--top N] [--threads N] [--chunk N]
   freesketch-cli merge     <snap.fsnp>... <out.fsnp>
   freesketch-cli serve     <edges> [--port P] [common flags]
+
+A flag that a subcommand does not list is a usage error.
 
 COMMON FLAGS:
   --method freebs|freers   estimator (default freebs)
@@ -234,14 +268,16 @@ COMMON FLAGS:
   --chunk N                edges read from the file per streaming chunk —
                            the resident-edge bound: ~68 bytes per chunk
                            edge at --threads 1, 32 above (default 65536)
-  --checkpoint FILE        crash-safe ingest for estimate/spreaders/track:
+  --checkpoint FILE        crash-safe ingest for estimate/spreaders/track/serve:
                            restore FILE if present (FILE.prev when the
                            newest snapshot is corrupt), resume the trace at
                            the recorded offset, and keep checkpointing
   --checkpoint-every N     edges between incremental checkpoints
                            (default 1000000)
-  --port P                 serve: TCP port on 127.0.0.1; 0 picks an
-                           ephemeral port, printed on startup (default 0)
+
+SERVE FLAGS:
+  --port P                 TCP port on 127.0.0.1; 0 picks an ephemeral
+                           port, printed on startup (default 0)
 
 Edge files are read streaming (bounded memory) and once, so <edges> may
 be a pipe (`<(zcat edges.tsv.gz)`); only `track`, which reads its input
@@ -264,6 +300,7 @@ impl Cli {
     /// Returns a [`ParseError`] describing the first problem found.
     pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Self, ParseError> {
         let mut pos: Vec<&str> = Vec::new();
+        let mut flags: Vec<&str> = Vec::new();
         let mut method = Method::FreeBS;
         let mut memory_bits = 1usize << 23;
         let mut seed = 42u64;
@@ -282,6 +319,9 @@ impl Cli {
         let mut i = 0usize;
         while i < args.len() {
             let a = args[i].as_ref();
+            if a.starts_with("--") {
+                flags.push(a);
+            }
             match a {
                 "--method" => method = Method::parse(value(args, &mut i, "--method")?)?,
                 "--memory" => {
@@ -387,7 +427,16 @@ impl Cli {
         }
 
         let mut pos = pos.into_iter();
-        let command = match pos.next().ok_or(ParseError::MissingCommand)? {
+        let name = pos.next().ok_or(ParseError::MissingCommand)?;
+        if let Some(read) = flags_read(name) {
+            if let Some(flag) = flags.iter().find(|f| !read.iter().any(|g| g.contains(f))) {
+                return Err(ParseError::FlagNotRead {
+                    flag: (*flag).to_string(),
+                    command: name.to_string(),
+                });
+            }
+        }
+        let command = match name {
             "estimate" => Command::Estimate {
                 path: pos
                     .next()
@@ -660,6 +709,94 @@ mod tests {
         );
         let cli = Cli::parse(&["merge", "a", "b", "c", "d", "out"]).expect("parse");
         assert!(matches!(cli.command, Command::Merge { ref inputs, .. } if inputs.len() == 4));
+    }
+
+    #[test]
+    fn each_subcommand_rejects_the_flags_it_does_not_read() {
+        let commands = [
+            "estimate",
+            "spreaders",
+            "synth",
+            "track",
+            "convert",
+            "checkpoint",
+            "restore",
+            "merge",
+            "serve",
+        ];
+        let value = |flag: &str| match flag {
+            "--method" => "freers",
+            "--delta" => "0.1",
+            "--out" | "--checkpoint" | "--user" => "x",
+            _ => "2",
+        };
+        let read = |command: &str| -> Vec<&str> {
+            let groups = flags_read(command).expect("a subcommand");
+            groups.iter().flat_map(|g| g.iter().copied()).collect()
+        };
+        let mut every: Vec<&str> = commands.iter().flat_map(|c| read(c)).collect();
+        every.sort_unstable();
+        every.dedup();
+        for command in commands {
+            let positionals = match command {
+                "convert" | "checkpoint" => 2,
+                "merge" => 3,
+                _ => 1,
+            };
+            let mut args = vec![command];
+            args.extend(["p"].repeat(positionals));
+            let own = read(command);
+            for flag in &own {
+                args.extend([flag, value(flag)]);
+            }
+            Cli::parse(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            let foreign = every
+                .iter()
+                .find(|f| !own.contains(f))
+                .expect("no subcommand reads every flag");
+            args.extend([foreign, value(foreign)]);
+            assert_eq!(
+                Cli::parse(&args).unwrap_err(),
+                ParseError::FlagNotRead {
+                    flag: foreign.to_string(),
+                    command: command.into(),
+                },
+                "{args:?}"
+            );
+        }
+        // The first flag the subcommand does not read is the one named.
+        let cases = [
+            (
+                &[
+                    "synth",
+                    "orkut",
+                    "--scale",
+                    "100000",
+                    "--checkpoint",
+                    "x.fsnp",
+                    "--out",
+                    "o",
+                ][..],
+                "--checkpoint",
+            ),
+            (
+                &[
+                    "estimate", "e.fedge", "--scale", "3", "--user", "bob", "--port", "9",
+                ],
+                "--scale",
+            ),
+            (&["restore", "s.fsnp", "--method", "freers"], "--method"),
+        ];
+        for (args, flag) in cases {
+            assert_eq!(
+                Cli::parse(args).unwrap_err(),
+                ParseError::FlagNotRead {
+                    flag: flag.into(),
+                    command: args[0].into(),
+                },
+                "{args:?}"
+            );
+        }
     }
 
     #[test]

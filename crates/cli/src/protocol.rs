@@ -22,6 +22,14 @@
 //! `<user>` is either a raw post-hash id `#<hex>` (the form every reply
 //! prints) or an arbitrary string id hashed exactly as TSV ingestion
 //! hashes it, so `ESTIMATE alice` matches the edges of `alice a` lines.
+//!
+//! `STATS` reads values the daemon and the sketch keep as they go: the
+//! edge, query and error counts, and the sketch's running total (one per
+//! shard, summed), smallest shard `q`, memory, kind and user count. At
+//! one shard (`serve --threads 1`) that is O(P) work, with no scan of the
+//! users: the user count is the shard's counter-map length. With more
+//! shards `users=` still merges every shard's users into one map, since a
+//! user's pairs route to several shards.
 
 use crate::input::hash_id;
 use std::io::BufRead;

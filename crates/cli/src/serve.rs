@@ -13,7 +13,10 @@
 //! * **Live queries** (`ESTIMATE`, `TOPK`, `STATS`, `CONFIDENCE`) read
 //!   the concurrent stores directly. Per-user estimates are monotone
 //!   non-decreasing (counters only accumulate) and never torn (each
-//!   counter read locks its shard).
+//!   counter read locks its shard). `STATS` reads the engines' running
+//!   totals and, at one shard, the shard's user count: O(P) work, no
+//!   scan of the users. With more shards its `users=` merges every
+//!   shard's users (see [`protocol`](crate::protocol)).
 //! * **`SNAPSHOT` / periodic checkpoints** quiesce ingest through the
 //!   `gate` RwLock (writers hold it shared per chunk, snapshotters take it
 //!   exclusively) only while they copy the state out, so every image is a

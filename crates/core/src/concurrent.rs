@@ -20,6 +20,15 @@
 //! estimators empirically. A lone writer credits every growth at the `q`
 //! per-edge ingest reads. `Z` (register sharing) is CAS-accumulated with
 //! each winner's exact delta, so it is exact once writers quiesce.
+//!
+//! Each engine keeps its running total `n̂(t) = Σ_s n̂_s(t)` beside the
+//! counters, as the scalar engine does, so reading it is O(1). A block
+//! adds its credits to the total it loaded, in stream order, and publishes
+//! the sum with one compare-exchange; if another writer published in
+//! between, it adds its own credit sum instead. A lone writer's total is
+//! therefore the per-growth sum in stream order wherever the stream is cut
+//! into blocks, slices or chunks; under contention it equals the sum of
+//! the counters up to rounding.
 
 use crate::engine::{pow2_neg, BlockScratch};
 use crate::CardinalityEstimator;
@@ -126,29 +135,55 @@ impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZeroQ {
     fn resync(&self, _store: &S) {}
 }
 
-/// `q_R = Z/M` for atomic register stores: `Z = Σ 2^{-R[j]}` stored as
-/// f64 bits in an atomic, CAS-added with each winner's exact delta.
+/// An `f64` that many writers add to, kept as its bits in an
+/// [`AtomicU64`]: `SharedZ`'s `Z` and each engine's running total.
+///
+/// Both are pure accumulators: no other memory is published through
+/// them, and the RMW total order makes every added delta land exactly
+/// once, so every access is `Relaxed`. Exact reads happen at quiescence,
+/// where a thread join or the ingest gate's lock hand-off orders them
+/// after the writes.
 #[derive(Debug)]
-pub struct SharedZ {
-    /// `Z`, stored as f64 bits.
-    pub(crate) z_bits: AtomicU64,
+pub(crate) struct SharedF64 {
+    bits: AtomicU64,
 }
 
-impl SharedZ {
-    /// CAS-add `delta` onto the f64-encoded Z.
+impl SharedF64 {
+    pub(crate) fn new(value: f64) -> Self {
+        Self {
+            bits: AtomicU64::new(value.to_bits()),
+        }
+    }
+
+    /// The current value.
     #[inline]
-    fn add(&self, delta: f64) {
+    pub(crate) fn get(&self) -> f64 {
+        // ORDERING: relaxed-ok — a pure accumulator (see the type doc); a
+        // live read may lag, a quiescent one is ordered by join or lock.
+        f64::from_bits(self.bits.load(Ordering::Relaxed))
+    }
+
+    /// Overwrites the value (quiescent use only: a merge's resync).
+    pub(crate) fn set(&self, value: f64) {
+        // ORDERING: relaxed-ok — quiescent-only; the caller's
+        // synchronisation provides the happens-before edge.
+        self.bits.store(value.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Adds `delta`.
+    #[inline]
+    pub(crate) fn add(&self, delta: f64) {
         // ORDERING: relaxed-ok — optimistic first read; the CAS below
         // revalidates it, so staleness costs one retry, never a lost delta.
-        let mut current = self.z_bits.load(Ordering::Relaxed);
+        let mut current = self.bits.load(Ordering::Relaxed);
         loop {
             let updated = (f64::from_bits(current) + delta).to_bits();
-            match self.z_bits.compare_exchange_weak(
+            match self.bits.compare_exchange_weak(
                 current,
                 updated,
-                // ORDERING: relaxed-ok (Relaxed/Relaxed) — Z is a pure accumulator: the
-                // RMW total order makes every delta land exactly once, and
-                // no other memory is published through it.
+                // ORDERING: relaxed-ok (Relaxed/Relaxed) — a pure
+                // accumulator: the RMW total order makes every delta land
+                // exactly once, and no other memory is published through it.
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
@@ -157,6 +192,33 @@ impl SharedZ {
             }
         }
     }
+
+    /// Stores `sum`, which the caller built by adding `delta`'s terms one
+    /// by one to `seen` (a value [`SharedF64::get`] returned), if the cell
+    /// still holds `seen`. Otherwise another writer added in between, and
+    /// `delta()` is added to what the cell holds now.
+    #[inline]
+    pub(crate) fn exchange_or_add(&self, seen: f64, sum: f64, delta: impl FnOnce() -> f64) {
+        let exchanged = self.bits.compare_exchange(
+            seen.to_bits(),
+            sum.to_bits(),
+            // ORDERING: relaxed-ok (Relaxed/Relaxed) — a pure accumulator; a
+            // failed exchange falls back to `add`, so no delta is lost.
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
+        if exchanged.is_err() {
+            self.add(delta());
+        }
+    }
+}
+
+/// `q_R = Z/M` for atomic register stores: `Z = Σ 2^{-R[j]}` in a shared
+/// f64 cell, CAS-added with each winner's exact delta.
+#[derive(Debug)]
+pub struct SharedZ {
+    /// `Z`.
+    pub(crate) z: SharedF64,
 }
 
 impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZ {
@@ -166,16 +228,14 @@ impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZ {
     #[inline]
     fn fresh(store: &S) -> Self {
         Self {
-            z_bits: AtomicU64::new((store.len() as f64).to_bits()),
+            z: SharedF64::new(store.len() as f64),
         }
     }
 
     #[inline]
     fn numerator(&self, _store: &S) -> f64 {
-        // ORDERING: relaxed-ok — anytime estimate: a slightly stale Z is still
-        // a valid sketch state; exact reads happen at quiescence where the
-        // thread join provides the happens-before edge.
-        f64::from_bits(self.z_bits.load(Ordering::Relaxed)).max(f64::MIN_POSITIVE)
+        // A slightly stale Z is still a valid sketch state.
+        self.z.get().max(f64::MIN_POSITIVE)
     }
 
     #[inline]
@@ -198,29 +258,26 @@ impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZ {
         if acc != 0.0 {
             // Each winner's deltas are applied exactly once, so Z is exact
             // at quiescence.
-            self.add(acc);
+            self.z.add(acc);
         }
     }
 
     fn resync(&self, store: &S) {
-        // ORDERING: relaxed-ok — quiescent-only API (merge holds the only
-        // reference paths that could write); the caller's synchronisation
-        // provides the happens-before edge.
-        self.z_bits
-            .store(store.sum_pow2_neg().to_bits(), Ordering::Relaxed);
+        self.z.set(store.sum_pow2_neg());
     }
 }
 
 /// A thread-safe sharing estimator: `&self` processing from many threads.
 /// One shared atomic [`ConcurrentSlotStore`], per-user counters in a
 /// mutex-sharded [`ShardedCounterMap`], `q` maintained by a
-/// [`SharedQTracker`].
+/// [`SharedQTracker`], and the running total of every credit.
 #[derive(Debug)]
 pub struct ConcurrentEngine<S, Q> {
     store: S,
     hasher: EdgeHasher,
     q: Q,
     counters: ShardedCounterMap,
+    total: SharedF64,
 }
 
 impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
@@ -233,6 +290,7 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
             hasher: EdgeHasher::new(seed),
             q,
             counters: ShardedCounterMap::default(),
+            total: SharedF64::new(0.0),
         }
     }
 
@@ -248,9 +306,16 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         self.q.numerator(&self.store) / self.store.len() as f64
     }
 
-    /// Everything a snapshot records: store, hasher, tracker and counters.
-    pub(crate) fn parts(&self) -> (&S, &EdgeHasher, &Q, &ShardedCounterMap) {
-        (&self.store, &self.hasher, &self.q, &self.counters)
+    /// Everything a snapshot records: store, hasher, tracker, counters and
+    /// the running total.
+    pub(crate) fn parts(&self) -> (&S, &EdgeHasher, &Q, &ShardedCounterMap, f64) {
+        (
+            &self.store,
+            &self.hasher,
+            &self.q,
+            &self.counters,
+            self.total.get(),
+        )
     }
 
     /// Reassembles an engine from restored [`ConcurrentEngine::parts`].
@@ -259,12 +324,14 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         hasher: EdgeHasher,
         q: Q,
         counters: ShardedCounterMap,
+        total: f64,
     ) -> Self {
         Self {
             store,
             hasher,
             q,
             counters,
+            total: SharedF64::new(total),
         }
     }
 
@@ -296,6 +363,7 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         if let Some(old) = self.store.try_update(slot, value) {
             let inc = self.store.len() as f64 / qn;
             self.counters.add(user, inc);
+            self.total.add(inc);
             let mut acc = 0.0;
             Q::fold_growth(&mut acc, old, value);
             self.q.commit(acc);
@@ -343,8 +411,9 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
     /// Write pass over one warmed block: a word-level
     /// [`ConcurrentSlotStore::update_block`], each growth credited at the
     /// numerator of `q` just before it (this writer's earlier growths
-    /// counted) with one counter add, and one `q` commit for the whole
-    /// block.
+    /// counted) with one counter add and one addition to the total loaded
+    /// before the credits, then one [`SharedF64::exchange_or_add`] of that
+    /// total (see the module docs) and one `q` commit for the whole block.
     #[inline(always)]
     fn apply_block(
         &self,
@@ -361,8 +430,15 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         let (old, new, numerators) = s.growth_values(growths);
         let q_acc = Q::block_numerators(start, old, new, numerators);
         let (users, credits) = s.credits(self.store.len(), growths);
-        for (&user, &credit) in users.iter().zip(credits) {
-            self.counters.add(user, credit);
+        if !credits.is_empty() {
+            let seen = self.total.get();
+            let mut total = seen;
+            for (&user, &credit) in users.iter().zip(credits) {
+                self.counters.add(user, credit);
+                total += credit;
+            }
+            self.total
+                .exchange_or_add(seen, total, || credits.iter().sum());
         }
         self.q.commit(q_acc);
     }
@@ -392,10 +468,10 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         self.counters.get(user).unwrap_or(0.0)
     }
 
-    /// Sum of all user estimates (`n̂(t)`).
+    /// Sum of all user estimates (`n̂(t)`): the running total, O(1).
     #[must_use]
     pub fn total_estimate(&self) -> f64 {
-        self.counters.values_sum()
+        self.total.get()
     }
 
     /// Number of distinct users tracked.
@@ -412,9 +488,10 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
 
     /// Unions another engine's state into this one (quiescent state only):
     /// bitwise OR for bit stores, element-wise max for registers, per-user
-    /// counters added, then the `q` tracker resynchronised exactly against
-    /// the merged store. See [`crate::engine::SketchEngine::merge`] for the
-    /// disjoint-partition semantics.
+    /// counters and the running totals added, then the `q` tracker
+    /// resynchronised exactly against the merged store. See
+    /// [`crate::engine::SketchEngine::merge`] for the disjoint-partition
+    /// semantics.
     ///
     /// # Errors
     /// [`graphstream::SnapshotError::ConfigMismatch`] when the hasher
@@ -444,6 +521,7 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         other
             .counters
             .for_each(&mut |user, est| self.counters.add(user, est));
+        self.total.add(other.total_estimate());
         self.q.resync(&self.store);
         Ok(())
     }
@@ -568,7 +646,7 @@ mod tests {
         for u in 0..20u64 {
             assert_eq!(conc.estimate(u), seq.estimate(u), "user {u}");
         }
-        assert!((conc.total_estimate() - seq.total_estimate()).abs() < 1e-9);
+        assert_eq!(conc.total_estimate(), seq.total_estimate());
     }
 
     #[test]

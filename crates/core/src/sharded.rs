@@ -30,6 +30,12 @@
 //! `tests/sharded_moments.rs` checks mean and variance against it over
 //! many seeds: FreeBS and FreeRS per edge, and FreeBS in batches on one
 //! ingest thread and on two (`stream_into_parallel`).
+//!
+//! **Reads.** The total `n̂(t)` is the sum of the shards' running totals,
+//! O(P). The user count is the shard's counter-map length at `P = 1`; at
+//! `P > 1` it merges the shards' users into one map, as every per-user
+//! scan does ([`ShardedSketch::merged_estimates`]), because a user's
+//! pairs route to several shards.
 
 use crate::concurrent::{
     ConcurrentEngine, ConcurrentEstimator, ConcurrentFreeBS, ConcurrentFreeRS, SharedQTracker,
@@ -164,7 +170,7 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ShardedSketch<S, Q> {
         self.shards.iter().map(|s| s.estimate(user)).sum()
     }
 
-    /// Sum of all user estimates.
+    /// Sum of all user estimates: the shards' running totals, O(P).
     #[must_use]
     pub fn total_estimate(&self) -> f64 {
         self.shards
@@ -193,7 +199,8 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ShardedSketch<S, Q> {
     }
 
     /// Number of distinct users tracked: read off the shard when `P = 1`,
-    /// merged across shards otherwise.
+    /// merged across shards otherwise (a user's pairs route to several
+    /// shards, so per-shard counts would count it more than once).
     #[must_use]
     pub fn user_count(&self) -> usize {
         match &*self.shards {
@@ -466,6 +473,102 @@ mod tests {
             }
             assert_eq!(s.user_count(), s.merged_estimates().len(), "P = {p}");
             assert_eq!(s.user_count(), 40, "P = {p}");
+        }
+    }
+
+    /// A fresh sharded FreeBS or FreeRS sketch at `p` shards.
+    fn fresh(rs: bool, p: usize) -> crate::AnySketch {
+        if rs {
+            ShardedFreeRS::new(1 << 12, p, 21).into()
+        } else {
+            ShardedFreeBS::new(1 << 15, p, 21).into()
+        }
+    }
+
+    fn stream() -> Vec<(u64, u64)> {
+        (0..30_000u64)
+            .map(|i| (i % 101, hashkit::splitmix64(i) >> 24))
+            .collect()
+    }
+
+    #[test]
+    fn one_writer_totals_do_not_depend_on_the_cut() {
+        // A lone writer adds every credit to the running total in stream
+        // order, so per-edge ingest, batches of any size and
+        // `stream_into_parallel` all end on the same bits.
+        let pairs = stream();
+        let edges: Vec<graphstream::Edge> = pairs
+            .iter()
+            .map(|&(u, i)| graphstream::Edge::new(u, i))
+            .collect();
+        for rs in [false, true] {
+            for p in [1usize, 4] {
+                let per_edge = fresh(rs, p);
+                let est = per_edge.as_concurrent().expect("sharded");
+                for &(u, i) in &pairs {
+                    est.ingest(u, i);
+                }
+                let want = per_edge.total_estimate().to_bits();
+                let what = format!("{} P = {p}", per_edge.kind());
+                for slice in [1usize, 100, 512, 8192] {
+                    let batched = fresh(rs, p);
+                    let est = batched.as_concurrent().expect("sharded");
+                    for part in pairs.chunks(slice) {
+                        est.ingest_batch(part);
+                    }
+                    assert_eq!(batched.total_estimate().to_bits(), want, "{what}, {slice}");
+                }
+                let streamed = fresh(rs, p);
+                let mut src = graphstream::SliceSource::new(&edges);
+                let est = streamed.as_concurrent().expect("sharded");
+                crate::ingest::stream_into_parallel(
+                    est,
+                    &mut src,
+                    777,
+                    crate::ingest::DEFAULT_BATCH,
+                    1,
+                )
+                .expect("clean source");
+                assert_eq!(streamed.total_estimate().to_bits(), want, "{what}, stream");
+            }
+        }
+    }
+
+    #[test]
+    fn two_writer_totals_match_the_counters() {
+        // One writer ingests its half in blocks (one compare-exchange per
+        // block), the other edge by edge (one add per growth); they start
+        // together, so their publishes race.
+        let pairs = stream();
+        let (left, right) = pairs.split_at(pairs.len() / 2);
+        for rs in [false, true] {
+            for p in [1usize, 4] {
+                let sketch = fresh(rs, p);
+                let est = sketch.as_concurrent().expect("sharded");
+                let start = std::sync::Barrier::new(2);
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        start.wait();
+                        for part in left.chunks(64) {
+                            est.ingest_batch(part);
+                        }
+                    });
+                    s.spawn(|| {
+                        start.wait();
+                        for &(u, i) in right {
+                            est.ingest(u, i);
+                        }
+                    });
+                });
+                let mut sum = 0.0;
+                sketch.for_each_estimate(&mut |_, e| sum += e);
+                let total = sketch.total_estimate();
+                assert!(
+                    (total - sum).abs() <= 1e-9 * sum,
+                    "{} P = {p}: total {total} vs counters {sum}",
+                    sketch.kind()
+                );
+            }
         }
     }
 

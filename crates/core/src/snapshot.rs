@@ -1,7 +1,7 @@
 //! Crash-safe sketch lifecycle: checksummed snapshots, incremental
 //! checkpointing, and restore-with-fallback.
 //!
-//! A snapshot is a [`graphstream::snapshot`] FSNP container (version 2)
+//! A snapshot is a [`graphstream::snapshot`] FSNP container (version 3)
 //! with four typed sections, each independently CRC-protected so
 //! corruption is localized to a named section. Every field is a
 //! little-endian `u64` (`f64` fields as their bits):
@@ -9,14 +9,19 @@
 //! | tag    | contents                                                    |
 //! |--------|-------------------------------------------------------------|
 //! | `META` | sketch kind (1 FreeBS, 2 FreeRS, 3/4 their sharded forms), stream offset |
-//! | `CONF` | scalar: hasher seed, `M`, width, running total, `q` state; sharded: router seed, `P`, then per shard hasher seed, `M`, width, `q` state |
+//! | `CONF` | scalar: one engine record; sharded: router seed, `P`, then one engine record per shard |
 //! | `ARRY` | per store: word count, then the store's raw words          |
 //! | `CNTR` | per engine: user count `n`, then `n` (user, estimate) pairs in ascending user order |
 //!
-//! The `q` state is what cannot be rebuilt from the words: FreeRS's
-//! incremental `Z` and its growths since the last exact rebuild (one
-//! sharded FreeRS shard: `Z` alone); nothing for FreeBS, whose zero count
-//! is recounted.
+//! An engine record is the hasher seed, `M`, the slot width, the running
+//! total `n̂(t)` and the `q` state, whether the engine is a scalar sketch
+//! or a shard. The total is recorded rather than re-summed from `CNTR`:
+//! the loader re-inserts users in ascending order, so a sum over the
+//! rebuilt counter map would add them in another order and could differ
+//! in its last bits. The `q` state is what cannot be rebuilt from the
+//! words: FreeRS's incremental `Z` and its growths since the last exact
+//! rebuild (one sharded FreeRS shard: `Z` alone); nothing for FreeBS,
+//! whose zero count is recounted.
 //!
 //! [`AnySketch`] erases the four estimator configurations the CLI can
 //! build (FreeBS, FreeRS and their sharded variants) behind one
@@ -32,7 +37,7 @@
 //! merely claims, and never produce a silently-wrong estimator.
 
 use crate::concurrent::{
-    ConcurrentEngine, ConcurrentEstimator, SharedQTracker, SharedZ, SharedZeroQ,
+    ConcurrentEngine, ConcurrentEstimator, SharedF64, SharedQTracker, SharedZ, SharedZeroQ,
 };
 use crate::engine::{IncrementalZ, QTracker, SketchEngine, ZeroQ};
 use crate::ingest::{drive, ingest_parallel, ingest_slice, IngestError, DEFAULT_BATCH};
@@ -44,7 +49,6 @@ use hashkit::{CounterMap, EdgeHasher, ShardedCounterMap};
 use std::fs;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Section tag: sketch kind and stream offset.
 const TAG_META: [u8; 4] = *b"META";
@@ -385,14 +389,8 @@ impl SnapshotImage {
         Q: QTracker<S> + TrackerState,
     {
         let (store, hasher, q, estimates, total) = engine.parts();
-        put(&mut self.conf, hasher.seed());
-        put_geometry(&mut self.conf, store.len(), store.width());
-        put(&mut self.conf, total.to_bits());
-        q.put(&mut self.conf);
-        put_words(&mut self.arry, store);
-        let mut pairs = Vec::with_capacity(estimates.len());
-        estimates.for_each(&mut |user, est| pairs.push((user, est)));
-        self.counters.push(pairs);
+        let pairs = counter_pairs(estimates.len(), |f| estimates.for_each(f));
+        self.engine(store, (store.len(), store.width()), hasher, total, q, pairs);
     }
 
     fn sharded<S, Q>(&mut self, sketch: &ShardedSketch<S, Q>)
@@ -403,15 +401,31 @@ impl SnapshotImage {
         put(&mut self.conf, sketch.router().seed());
         put(&mut self.conf, sketch.shards().len() as u64);
         for shard in sketch.shards() {
-            let (store, hasher, q, counters) = shard.parts();
-            put(&mut self.conf, hasher.seed());
-            put_geometry(&mut self.conf, store.len(), store.width());
-            q.put(&mut self.conf);
-            put_words(&mut self.arry, store);
-            let mut pairs = Vec::with_capacity(counters.len());
-            counters.for_each(&mut |user, est| pairs.push((user, est)));
-            self.counters.push(pairs);
+            let (store, hasher, q, counters, total) = shard.parts();
+            let pairs = counter_pairs(counters.len(), |f| counters.for_each(f));
+            self.engine(store, (store.len(), store.width()), hasher, total, q, pairs);
         }
+    }
+
+    /// One engine, scalar or shard: its `CONF` record (hasher seed, `M`,
+    /// width, running total, `q` state), its store's words and its
+    /// counters. [`take_engine`] reads it back.
+    fn engine<S: WordStore>(
+        &mut self,
+        store: &S,
+        (len, width): (usize, u8),
+        hasher: &EdgeHasher,
+        total: f64,
+        q: &impl TrackerState,
+        pairs: Vec<(u64, f64)>,
+    ) {
+        put(&mut self.conf, hasher.seed());
+        put(&mut self.conf, len as u64);
+        put(&mut self.conf, u64::from(width));
+        put(&mut self.conf, total.to_bits());
+        q.put(&mut self.conf);
+        put_words(&mut self.arry, store);
+        self.counters.push(pairs);
     }
 
     /// The stream offset this image records.
@@ -475,13 +489,15 @@ impl SnapshotImage {
     }
 }
 
-fn put(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// The `users` pairs that `for_each` visits, unsorted.
+fn counter_pairs(users: usize, for_each: impl FnOnce(&mut dyn FnMut(u64, f64))) -> Vec<(u64, f64)> {
+    let mut pairs = Vec::with_capacity(users);
+    for_each(&mut |user, est| pairs.push((user, est)));
+    pairs
 }
 
-fn put_geometry(conf: &mut Vec<u8>, len: usize, width: u8) {
-    put(conf, len as u64);
-    put(conf, u64::from(width));
+fn put(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
 fn put_words<S: WordStore>(arry: &mut Vec<u8>, store: &S) {
@@ -596,7 +612,7 @@ impl TrackerState for IncrementalZ {
 
     fn take(conf: &mut Fields<'_>) -> Result<Self, SnapshotError> {
         Ok(Self {
-            z: take_z(conf)?,
+            z: take_sum(conf, "register sum Z")?,
             growths_since_rebuild: conf.u64()?,
         })
     }
@@ -604,43 +620,52 @@ impl TrackerState for IncrementalZ {
 
 impl TrackerState for SharedZ {
     fn put(&self, conf: &mut Vec<u8>) {
-        // ORDERING: relaxed-ok — captured at quiescence (the caller holds
-        // the ingest gate or owns the sketch); the lock handoff or thread
-        // join provides the happens-before edge.
-        put(conf, self.z_bits.load(Ordering::Relaxed));
+        // Captured at quiescence: the caller holds the ingest gate or owns
+        // the sketch.
+        put(conf, self.z.get().to_bits());
     }
 
     fn take(conf: &mut Fields<'_>) -> Result<Self, SnapshotError> {
         Ok(Self {
-            z_bits: AtomicU64::new(take_z(conf)?.to_bits()),
+            z: SharedF64::new(take_sum(conf, "register sum Z")?),
         })
     }
 }
 
-// `Z` must be a finite non-negative sum; [`AnySketch::validate`] then
-// bounds `q = Z/M` by 1.
-fn take_z(conf: &mut Fields<'_>) -> Result<f64, SnapshotError> {
-    let z = conf.f64()?;
-    if z.is_finite() && z >= 0.0 {
-        Ok(z)
+/// A sum of non-negative terms (a running total, or `Z`, whose `q = Z/M`
+/// [`AnySketch::validate`] then bounds by 1): finite and non-negative.
+fn take_sum(conf: &mut Fields<'_>, what: &str) -> Result<f64, SnapshotError> {
+    let v = conf.f64()?;
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
     } else {
         Err(malformed(format!(
-            "register sum Z = {z} is not a finite non-negative value"
+            "{what} = {v} is not a finite non-negative value"
         )))
     }
 }
 
-fn take_store<S: WordStore>(
+/// Reads one engine written by [`SnapshotImage::engine`]: its `CONF`
+/// record, its store from `ARRY`, and its counters from `CNTR`, each
+/// handed to `add`. Returns the hasher, store, running total and tracker.
+fn take_engine<S: WordStore, Q: TrackerState>(
     conf: &mut Fields<'_>,
     arry: &mut Fields<'_>,
-) -> Result<S, SnapshotError> {
+    cntr: &mut Fields<'_>,
+    add: &mut dyn FnMut(u64, f64),
+) -> Result<(EdgeHasher, S, f64, Q), SnapshotError> {
+    let hasher = EdgeHasher::from_mixed_seed(conf.u64()?);
     let len = conf.u64()?;
     let width = conf.u64()?;
     let len =
         usize::try_from(len).map_err(|_| malformed(format!("array length {len} overflows")))?;
     let width =
         u8::try_from(width).map_err(|_| malformed(format!("slot width {width} out of range")))?;
-    S::from_words(len, width, arry.words()?).map_err(malformed)
+    let store = S::from_words(len, width, arry.words()?).map_err(malformed)?;
+    let total = take_sum(conf, "running total")?;
+    let q = Q::take(conf)?;
+    take_counters(cntr, add)?;
+    Ok((hasher, store, total, q))
 }
 
 /// One engine's counters: `add` sees each pair of a list that must be
@@ -648,9 +673,9 @@ fn take_store<S: WordStore>(
 /// non-negative.
 fn take_counters(
     cntr: &mut Fields<'_>,
-    n: usize,
     add: &mut dyn FnMut(u64, f64),
 ) -> Result<(), SnapshotError> {
+    let n = cntr.count(16)?;
     let mut prev: Option<u64> = None;
     for _ in 0..n {
         let user = cntr.u64()?;
@@ -678,13 +703,9 @@ where
     S: SlotStore + WordStore,
     Q: QTracker<S> + TrackerState,
 {
-    let hasher = EdgeHasher::from_mixed_seed(conf.u64()?);
-    let store = take_store(conf, arry)?;
-    let total = conf.f64()?;
-    let q = Q::take(conf)?;
-    let n = cntr.count(16)?;
     let mut estimates = CounterMap::new();
-    take_counters(cntr, n, &mut |user, est| estimates.add(user, est))?;
+    let (hasher, store, total, q) =
+        take_engine(conf, arry, cntr, &mut |user, est| estimates.add(user, est))?;
     Ok(SketchEngine::from_parts(store, hasher, q, estimates, total))
 }
 
@@ -698,8 +719,9 @@ where
     Q: SharedQTracker<S> + TrackerState,
 {
     let router = EdgeHasher::from_mixed_seed(conf.u64()?);
-    // Each shard takes at least three CONF fields (seed, length, width).
-    let p = conf.count(24)?;
+    // Each shard takes at least four CONF fields (seed, length, width,
+    // total).
+    let p = conf.count(32)?;
     if p == 0 || !p.is_power_of_two() {
         return Err(malformed(format!(
             "shard count {p} must be a non-zero power of two"
@@ -707,13 +729,12 @@ where
     }
     let mut engines = Vec::with_capacity(p);
     for _ in 0..p {
-        let hasher = EdgeHasher::from_mixed_seed(conf.u64()?);
-        let store = take_store(conf, arry)?;
-        let q = Q::take(conf)?;
-        let n = cntr.count(16)?;
         let counters = ShardedCounterMap::default();
-        take_counters(cntr, n, &mut |user, est| counters.add(user, est))?;
-        engines.push(ConcurrentEngine::from_parts(store, hasher, q, counters));
+        let (hasher, store, total, q) =
+            take_engine(conf, arry, cntr, &mut |user, est| counters.add(user, est))?;
+        engines.push(ConcurrentEngine::from_parts(
+            store, hasher, q, counters, total,
+        ));
     }
     Ok(ShardedSketch::from_parts(engines, router))
 }
@@ -736,7 +757,7 @@ pub fn save_snapshot(
 /// taken at. The result has passed [`AnySketch::validate`].
 ///
 /// # Errors
-/// Any [`SnapshotError`]: bad magic, version skew (version 1 files
+/// Any [`SnapshotError`]: bad magic, version skew (version 1 and 2 files
 /// included), truncation, CRC mismatch, missing section, or a payload
 /// that checksums but decodes to an inconsistent sketch. Never panics on
 /// corrupt input.
@@ -1042,6 +1063,37 @@ mod tests {
     }
 
     #[test]
+    fn sharded_totals_survive_save_and_load_bit_for_bit() {
+        // 20,000 users put about 300 in each of a shard's 64 counter maps,
+        // so many share a home slot; the loader re-inserts them in
+        // ascending order, which moves colliding users to other slots. A
+        // total re-summed from the rebuilt maps would add them in another
+        // order, so only a recorded total survives bit for bit.
+        let es: Vec<Edge> = (0..100_000u64)
+            .map(|i| {
+                let h = hashkit::splitmix64(i);
+                Edge::new(h % 20_000, h >> 24)
+            })
+            .collect();
+        for p in [1usize, 2, 4] {
+            for mut sketch in [
+                AnySketch::from(ShardedFreeBS::new(1 << 20, p, 5)),
+                AnySketch::from(ShardedFreeRS::new(1 << 18, p, 5)),
+            ] {
+                ingest(&mut sketch, &es);
+                let bytes = snapshot_bytes(&sketch, es.len() as u64);
+                let (restored, _) = load_snapshot(&mut bytes.as_slice()).expect("round trip");
+                assert_eq!(
+                    restored.total_estimate().to_bits(),
+                    sketch.total_estimate().to_bits(),
+                    "{} P = {p}",
+                    sketch.kind()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn sampling_q_is_the_smallest_shard_q() {
         let pairs: Vec<(u64, u64)> = edges(4_000, 1).iter().map(|e| e.pair()).collect();
         for p in [1usize, 4] {
@@ -1251,6 +1303,17 @@ mod tests {
     }
 
     #[test]
+    fn version_two_files_are_rejected() {
+        let mut bytes = freebs_bytes(1 << 8);
+        bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+        let err = load_snapshot(&mut bytes.as_slice()).expect_err("v2");
+        assert!(
+            matches!(err, SnapshotError::UnsupportedVersion { found: 2 }),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn unknown_kind_is_malformed() {
         let bytes = with_section(&freebs_bytes(1 << 8), TAG_META, |m| set_u64(m, 0, 9));
         assert!(malformed_detail(&bytes).contains("unknown sketch kind 9"));
@@ -1295,6 +1358,27 @@ mod tests {
                 malformed_detail(&edited).contains("invalid estimate"),
                 "{bad}"
             );
+        }
+    }
+
+    #[test]
+    fn non_finite_or_negative_totals_are_malformed() {
+        // The running total is CONF field 3 of a scalar sketch (seed, M,
+        // width, total) and field 5 of a sharded one (router seed, P, then
+        // shard 0's record).
+        let mut sharded = AnySketch::ShardedFreeBS(ShardedFreeBS::new(1 << 12, 2, 3));
+        ingest(&mut sharded, &edges(300, 9));
+        for (bytes, field) in [
+            (freebs_bytes(1 << 8), 3),
+            (snapshot_bytes(&sharded, 300), 5),
+        ] {
+            for bad in [f64::NAN, f64::INFINITY, -1.0] {
+                let edited = with_section(&bytes, TAG_CONF, |c| set_u64(c, field, bad.to_bits()));
+                assert!(
+                    malformed_detail(&edited).contains("running total"),
+                    "field {field}: {bad}"
+                );
+            }
         }
     }
 

@@ -23,8 +23,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FSNP";
 
 /// Current container version. Version 1 wrapped each section in a
 /// generic tagged value encoding; version 2 sections are typed
-/// fixed-layout payloads. A reader accepts only its own version.
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// fixed-layout payloads; version 3 gives every engine one `CONF` record,
+/// so a sharded sketch's shards record their running totals as scalar
+/// engines do. A reader accepts only its own version.
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Container header length in bytes: magic + version + section count.
 pub const SNAPSHOT_HEADER_LEN: usize = 8;

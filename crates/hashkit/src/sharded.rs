@@ -98,12 +98,6 @@ impl ShardedCounterMap {
         self.len() == 0
     }
 
-    /// Sum of all counters across all shards.
-    #[must_use]
-    pub fn values_sum(&self) -> f64 {
-        self.shards.iter().map(|s| s.lock().values_sum()).sum()
-    }
-
     /// Visits every `(key, counter)` pair, one shard at a time (each shard
     /// is locked only while it is being visited).
     pub fn for_each(&self, f: &mut dyn FnMut(u64, f64)) {
@@ -157,7 +151,9 @@ mod tests {
         // 1.0 from the disjoint pass.
         assert_eq!(m.len(), 1600);
         assert!((m.get(42).unwrap_or(0.0) - (1.0 + 1600.0 * 0.5)).abs() < 1e-9);
-        assert!((m.values_sum() - (1600.0 + 800.0)).abs() < 1e-9);
+        let mut sum = 0.0;
+        m.for_each(&mut |_, v| sum += v);
+        assert!((sum - (1600.0 + 800.0)).abs() < 1e-9);
     }
 
     #[test]

@@ -73,9 +73,11 @@ expect_usage_error estimate "$tmp/edges.tsv" --batch 0
 expect_usage_error estimate "$tmp/edges.tsv" --format tsv
 # A budget above 2^32 bits is refused before the array is allocated.
 expect_usage_error estimate "$tmp/edges.tsv" --memory 99999999999999
-# A positional argument the subcommand does not take is refused, not
-# dropped.
+# A positional argument or a flag the subcommand does not take is
+# refused, not dropped.
 expect_usage_error estimate "$tmp/edges.tsv" 10
+expect_usage_error synth orkut --checkpoint "$tmp/never.fsnp"
+expect_usage_error estimate "$tmp/edges.tsv" --scale 3
 
 echo "==> convert -> estimate roundtrip smoke (TSV and fedge must be identical)"
 ./target/release/freesketch convert "$tmp/edges.tsv" "$tmp/edges.fedge" > /dev/null
@@ -185,6 +187,15 @@ grep -q "$edges edges in freebs snapshot" "$tmp/union.txt" || {
   echo "merged snapshot lost edges:"; cat "$tmp/union.txt"; exit 1;
 }
 
+# Prints the NAME=VALUE token of the STATS reply $1 whose NAME is $2.
+stats_token() {
+  local token
+  for token in $1; do
+    case "$token" in "$2="*) echo "$token"; return 0;; esac
+  done
+  return 1
+}
+
 # Prints the port that the serve daemon with pid $2 reports in its log $1;
 # fails (and stops the daemon) if it reports none within 10 s.
 serve_port() {
@@ -249,6 +260,7 @@ case "$reply" in "OK edges=$edges "*) ;; *)
   echo "one-writer daemon never reported all $edges edges: $reply"
   kill "$serve_pid" 2> /dev/null || true; exit 1;;
 esac
+drained="$reply"
 printf 'SHUTDOWN\n' >&3
 read -r reply <&3
 case "$reply" in "OK draining"*) ;; *) echo "bad SHUTDOWN reply: $reply"; exit 1;; esac
@@ -260,5 +272,32 @@ wait "$serve_pid" || {
 grep -q "$edges edges in sharded-freebs snapshot" "$tmp/serve1-restore.txt" || {
   echo "one-writer serve checkpoint lost edges:"; cat "$tmp/serve1-restore.txt"; exit 1;
 }
+# Restarted on the same trace and checkpoint, the daemon restores it,
+# skips every edge, and reports the drained daemon's edge count and total:
+# the snapshot records the running total instead of re-summing counters.
+./target/release/freesketch serve "$tmp/big.fedge" --port 0 --threads 1 \
+  --checkpoint "$tmp/serve1.fsnp" > "$tmp/serve1-again-out.txt" 2>&1 &
+serve_pid=$!
+port=$(serve_port "$tmp/serve1-again-out.txt" "$serve_pid") || exit 1
+grep -q "restored checkpoint" "$tmp/serve1-again-out.txt" || {
+  echo "restarted daemon did not restore:"; cat "$tmp/serve1-again-out.txt"
+  kill "$serve_pid" 2> /dev/null || true; exit 1;
+}
+exec 3<> "/dev/tcp/127.0.0.1/$port"
+printf 'STATS\nSHUTDOWN\n' >&3
+read -r restarted <&3
+read -r reply <&3
+case "$reply" in "OK draining"*) ;; *) echo "bad SHUTDOWN reply: $reply"; exit 1;; esac
+exec 3<&- 3>&-
+wait "$serve_pid" || {
+  echo "restarted serve daemon exited nonzero:"; cat "$tmp/serve1-again-out.txt"; exit 1;
+}
+for name in edges total; do
+  want=$(stats_token "$drained" "$name")
+  got=$(stats_token "$restarted" "$name") || got="no $name token"
+  [ "$got" = "$want" ] || {
+    echo "restarted daemon reports $got, the drained one $want: $restarted"; exit 1;
+  }
+done
 
 echo "verify: OK"
