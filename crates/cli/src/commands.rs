@@ -9,10 +9,10 @@ use crate::args::{Cli, Command, MethodChoice};
 use crate::input::{hash_id, open_source, InputFormat, NotRegularFile};
 use freesketch::ingest::skip_edges;
 use freesketch::snapshot::{
-    fallback_path, load_snapshot, load_with_fallback, save_snapshot_file, AnySketch, Checkpointer,
+    fallback_path, load_snapshot, load_with_fallback, AnySketch, Checkpointer, SnapshotImage,
 };
 use freesketch::{CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS};
-use graphstream::{Edge, EdgeSource, FedgeWriter, SnapshotError};
+use graphstream::{replace_file, Edge, EdgeSource, FedgeWriter, SnapshotError};
 use std::io::Write;
 use std::path::Path;
 
@@ -66,16 +66,18 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
             let p = graphstream::profiles::by_name(profile)
                 .ok_or_else(|| format!("unknown profile `{profile}` (see Table I)"))?;
             let stream = p.scaled(scale.unwrap_or(p.default_scale)).generate();
-            let mut sink: Box<dyn Write> = if out_path == "-" {
-                Box::new(out)
-            } else {
-                Box::new(std::io::BufWriter::new(std::fs::File::create(out_path)?))
+            let emit = |sink: &mut dyn Write| -> std::io::Result<()> {
+                writeln!(sink, "# synthetic {profile} stream, {} edges", stream.len())?;
+                for e in stream.edges() {
+                    writeln!(sink, "{} {}", e.user, e.item)?;
+                }
+                sink.flush()
             };
-            writeln!(sink, "# synthetic {profile} stream, {} edges", stream.len())?;
-            for e in stream.edges() {
-                writeln!(sink, "{} {}", e.user, e.item)?;
+            if out_path == "-" {
+                emit(out)?;
+            } else {
+                replace_file(Path::new(out_path), None, emit)?;
             }
-            sink.flush()?;
         }
         Command::Convert {
             input,
@@ -85,42 +87,21 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
             if format == InputFormat::Fedge {
                 return Err(format!("`{input}` is already fedge — nothing to convert").into());
             }
-            // Encode into a sibling temp file and rename only on success:
-            // a failed conversion must never leave a valid-looking partial
-            // .fedge behind (the format has no record count to catch it)
-            // nor clobber a previous good output.
-            let part_path = format!("{out_path}.part");
-            let encode =
-                |src: &mut dyn graphstream::EdgeSource| -> Result<u64, Box<dyn std::error::Error>> {
-                    let file = std::fs::File::create(&part_path)
-                        .map_err(|e| format!("cannot create `{part_path}`: {e}"))?;
-                    let mut writer = FedgeWriter::new(std::io::BufWriter::new(file))?;
+            // A failed conversion must neither leave a valid-looking partial
+            // .fedge behind (the format has no record count to catch it) nor
+            // clobber a previous good output.
+            let records = replace_file(
+                Path::new(out_path),
+                None,
+                |w| -> Result<u64, Box<dyn std::error::Error>> {
+                    let mut writer = FedgeWriter::new(w)?;
                     let mut buf: Vec<Edge> = Vec::with_capacity(cli.chunk);
-                    loop {
-                        let n = src.next_chunk(&mut buf, cli.chunk)?;
-                        if n == 0 {
-                            break;
-                        }
+                    while src.next_chunk(&mut buf, cli.chunk)? > 0 {
                         writer.write_edges(&buf)?;
                     }
-                    let records = writer.records_written();
-                    writer.finish()?;
-                    Ok(records)
-                };
-            let records = match encode(src.as_mut()) {
-                Ok(records) => records,
-                Err(e) => {
-                    std::fs::remove_file(&part_path).ok();
-                    return Err(e);
-                }
-            };
-            std::fs::rename(&part_path, out_path).map_err(|e| {
-                // The encode succeeded but the publish didn't (e.g. the
-                // destination is a directory): the temp file must not
-                // linger as if a conversion were still in flight.
-                std::fs::remove_file(&part_path).ok();
-                format!("cannot move `{part_path}` to `{out_path}`: {e}")
-            })?;
+                    Ok(writer.records_written())
+                },
+            )?;
             writeln!(
                 out,
                 "{records} edges → {out_path} (fedge, {} bytes)",
@@ -250,7 +231,7 @@ pub fn run(cli: &Cli, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Err
             let Some((sketch, total)) = merged else {
                 return Err("merge needs at least two input snapshots".into());
             };
-            save_snapshot_file(Path::new(snap_out.as_str()), &sketch, total)?;
+            SnapshotImage::capture(&sketch, total).write_file(Path::new(snap_out.as_str()))?;
             writeln!(
                 out,
                 "merged {} snapshots → `{snap_out}` ({total} edges, {}; \
@@ -532,12 +513,17 @@ mod tests {
     use super::*;
     use crate::args::Cli;
 
+    /// Writes `content` to a temp file of its own: tests run in parallel,
+    /// and each removes its files when done.
     fn write_temp(content: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        // ORDERING: relaxed-ok — only the uniqueness of each returned
+        // number matters, and fetch_add gives that at any ordering.
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut path = std::env::temp_dir();
         path.push(format!(
-            "freesketch-cli-test-{}-{}.tsv",
-            std::process::id(),
-            hashkit::splitmix64(content.len() as u64)
+            "freesketch-cli-test-{}-{n}.tsv",
+            std::process::id()
         ));
         std::fs::write(&path, content).expect("write temp file");
         path

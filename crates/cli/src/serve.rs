@@ -17,18 +17,22 @@
 //!   totals and, at one shard, the shard's user count: O(P) work, no
 //!   scan of the users. With more shards its `users=` merges every
 //!   shard's users (see [`protocol`](crate::protocol)).
-//! * **`SNAPSHOT` / periodic checkpoints** quiesce ingest through the
-//!   `gate` RwLock (writers hold it shared per chunk, snapshotters take it
-//!   exclusively) only while they copy the state out, so every image is a
-//!   chunk-boundary state — exactly the invariant `Checkpointer` relies
-//!   on. Encoding, checksumming, writing and fsync run after the gate is
+//! * **`SNAPSHOT` / periodic checkpoints** quiesce ingest only while
+//!   they copy the state out. A writer reads each chunk under the `gate`
+//!   RwLock, shared, and holds it until `edges_applied` counts the chunk.
+//!   A snapshot takes the `source` lock, so no new chunk is read, then the
+//!   gate exclusively, which waits out the chunks in flight. So every
+//!   image holds exactly the first `edges` edges of the stream that it
+//!   records — the invariant `Checkpointer` and a resume rely on.
+//!   Encoding, checksumming, writing and fsync run after both are
 //!   released, one snapshot at a time under the `ckpt` mutex (lock order:
-//!   `ckpt`, then `gate`).
+//!   `ckpt`, `source`, `gate`).
 //! * **Shutdown** (the `SHUTDOWN` verb, [`ServerHandle::shutdown`], or a
 //!   writer-thread panic) drains: writers finish their in-flight chunk
-//!   and exit, then the final checkpoint is published atomically
-//!   (staged `.part` → fsync → rename) before [`ServerHandle::join`]
-//!   returns. A truncated snapshot is never visible at the target path.
+//!   and exit, then the final checkpoint is published through
+//!   [`graphstream::replace_file`] (staged `.part` → fsync → rename →
+//!   directory fsync) before [`ServerHandle::join`] returns. A truncated
+//!   snapshot is never visible at the target path.
 
 use crate::commands::crash_after_env;
 use crate::protocol::{parse_request, LineReader, LineStatus, ProtocolError, Request};
@@ -178,9 +182,9 @@ impl ServerHandle {
 struct Shared {
     /// The live sketch; a sharded kind, so ingest is `&self`.
     sketch: AnySketch,
-    /// Ingest gate: writers hold it shared while applying a chunk;
-    /// snapshot/checkpoint paths take it exclusively to quiesce at a
-    /// chunk boundary.
+    /// Ingest gate: writers hold it shared from reading a chunk to
+    /// counting it applied; snapshot/checkpoint paths take it exclusively
+    /// (see [`quiesced`]) to stop at a stream prefix.
     gate: RwLock<()>,
     /// The one edge source all writers pull chunks from.
     source: Mutex<SourceSlot>,
@@ -370,21 +374,16 @@ fn run_daemon(shared: &Arc<Shared>, listener: &TcpListener, config: &ServeConfig
     writer_panicked |= shared.writer_panicked();
 
     // Final checkpoint at the drained offset. Checkpointer stages to
-    // `.part`, fsyncs, rotates the previous snapshot to `.prev` and
-    // renames — a crash mid-write never leaves a truncated snapshot at
-    // the target path.
+    // `.part`, fsyncs, rotates the previous snapshot to `.prev`, renames
+    // and fsyncs the directory — a crash mid-write never leaves a
+    // truncated snapshot at the target path.
     let mut checkpointed = false;
     {
         let mut slot = shared.ckpt.lock();
         if let Some(ckpt) = slot.as_mut() {
-            let image = {
-                let _quiet = shared.gate.write();
-                // ORDERING: relaxed-ok — writers are joined (happens-before
-                // via join) and the gate is held exclusively; the counter is
-                // stable.
-                let edges = shared.edges_applied.load(Ordering::Relaxed);
+            let image = quiesced(shared, |edges| {
                 SnapshotImage::capture(&shared.sketch, edges)
-            };
+            });
             match ckpt.publish(image) {
                 Ok(()) => checkpointed = true,
                 Err(e) => shared.record_error(format!("final checkpoint failed: {e}")),
@@ -410,9 +409,9 @@ fn run_daemon(shared: &Arc<Shared>, listener: &TcpListener, config: &ServeConfig
     }
 }
 
-/// One writer thread: pull a chunk from the shared source, apply it
-/// through the concurrent ingest pipeline under the shared gate, repeat
-/// until the source is dry or a drain is requested.
+/// One writer thread: pull a chunk from the shared source and apply it
+/// through the concurrent ingest pipeline, both under the shared gate;
+/// repeat until the source is dry or a drain is requested.
 fn writer_loop(shared: &Arc<Shared>, chunk: usize, ckpt_every: Option<u64>) {
     let _guard = PanicGuard { shared };
     let Some(est) = shared.sketch.as_concurrent() else {
@@ -422,34 +421,29 @@ fn writer_loop(shared: &Arc<Shared>, chunk: usize, ckpt_every: Option<u64>) {
     let mut buf: Vec<Edge> = Vec::with_capacity(chunk);
     let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(chunk);
     while !shared.shutting_down() {
-        let n = {
-            let mut slot = shared.source.lock();
-            if slot.done {
-                0
-            } else {
-                match slot.src.next_chunk(&mut buf, chunk) {
-                    Ok(0) => {
-                        slot.done = true;
-                        0
-                    }
-                    Ok(n) => n,
-                    Err(e) => {
-                        slot.done = true;
-                        shared.record_error(format!("stream error: {e}"));
-                        0
-                    }
-                }
-            }
-        };
-        if n == 0 {
-            // Source exhausted (or failed): this writer is done; queries
-            // keep being served until a drain is requested.
-            return;
-        }
-        pairs.clear();
-        pairs.extend(buf.iter().map(|e| e.pair()));
         {
+            // The gate covers the chunk from its read to its count, so a
+            // snapshot never holds a chunk read after one still unapplied.
+            let mut slot = shared.source.lock();
             let _ingesting = shared.gate.read();
+            let read = if slot.done {
+                Ok(0)
+            } else {
+                slot.src.next_chunk(&mut buf, chunk)
+            };
+            let n = read.unwrap_or_else(|e| {
+                shared.record_error(format!("stream error: {e}"));
+                0
+            });
+            slot.done |= n == 0;
+            drop(slot);
+            if n == 0 {
+                // Source exhausted (or failed): this writer is done;
+                // queries keep being served until a drain is requested.
+                return;
+            }
+            pairs.clear();
+            pairs.extend(buf.iter().map(|e| e.pair()));
             ingest_pairs(est, &pairs, DEFAULT_BATCH);
             // ORDERING: relaxed-ok — bumped inside the gate's read section;
             // the consistency-critical readers (snapshot, checkpoint, final
@@ -465,14 +459,14 @@ fn writer_loop(shared: &Arc<Shared>, chunk: usize, ckpt_every: Option<u64>) {
 }
 
 /// Writes a periodic checkpoint when the interval has elapsed. Lock-free
-/// pre-filter, then: `ckpt` mutex → `gate` exclusive for the copy only
-/// (the one nesting order every snapshot path uses). A checkpoint failure
+/// pre-filter, then: `ckpt` mutex → [`quiesced`] for the copy only (the
+/// one nesting order every snapshot path uses). A checkpoint failure
 /// requests a drain — a daemon that cannot persist must not pretend it
 /// can.
 fn maybe_periodic_checkpoint(shared: &Shared, every: u64) {
     // ORDERING: relaxed-ok — advisory pre-filter; the authoritative
     // interval check runs in Checkpointer::due under the ckpt mutex with
-    // the gate held exclusively.
+    // ingest quiesced.
     let edges = shared.edges_applied.load(Ordering::Relaxed);
     // ORDERING: relaxed-ok — same advisory pre-filter as above.
     let mark = shared.ckpt_watermark.load(Ordering::Relaxed);
@@ -486,23 +480,33 @@ fn maybe_periodic_checkpoint(shared: &Shared, every: u64) {
     let Some(ckpt) = slot.as_mut() else {
         return;
     };
-    let image = {
-        let _quiet = shared.gate.write();
-        // ORDERING: relaxed-ok — read with the gate held exclusively:
-        // every writer bumped the counter inside a read section, so the
-        // lock handoff orders those writes before this load.
-        let edges = shared.edges_applied.load(Ordering::Relaxed);
+    let image = quiesced(shared, |edges| {
         // ORDERING: relaxed-ok — advisory watermark for the pre-filter.
         shared.ckpt_watermark.store(edges, Ordering::Relaxed);
-        if !ckpt.due(edges) {
-            return;
-        }
-        SnapshotImage::capture(&shared.sketch, edges)
+        ckpt.due(edges)
+            .then(|| SnapshotImage::capture(&shared.sketch, edges))
+    });
+    let Some(image) = image else {
+        return;
     };
     if let Err(e) = ckpt.publish(image) {
         shared.record_error(format!("checkpoint failed: {e}"));
         shared.begin_shutdown();
     }
+}
+
+/// Runs `f` on the edge count of the stream prefix that ingest is stopped
+/// at. The `source` lock stops writers from reading a new chunk, and the
+/// gate's write lock waits out the chunks already read. The source comes
+/// first because a writer takes the gate again as soon as it releases it,
+/// so a snapshot waiting on the gate alone can wait out many chunks.
+fn quiesced<T>(shared: &Shared, f: impl FnOnce(u64) -> T) -> T {
+    let _no_reads = shared.source.lock();
+    let _quiet = shared.gate.write();
+    // ORDERING: relaxed-ok — read with the gate held exclusively: every
+    // writer bumped the counter inside a read section, so the lock handoff
+    // orders those writes before this load.
+    f(shared.edges_applied.load(Ordering::Relaxed))
 }
 
 /// One connection: read request lines, answer each with one reply line.
@@ -609,18 +613,11 @@ fn respond(shared: &Shared, req: &Request) -> (String, bool) {
         }
         Request::Snapshot { path } => {
             // One snapshot write at a time (two SNAPSHOTs to one path
-            // would share its staging file), in the ckpt → gate order.
+            // would share its staging file); lock order ckpt, source, gate.
             let _writing = shared.ckpt.lock();
-            let image = {
-                // Quiesce writers for the copy only, so the image is a
-                // chunk-boundary state (the same invariant the checkpoint
-                // paths maintain).
-                let _quiet = shared.gate.write();
-                // ORDERING: relaxed-ok — read with the gate held
-                // exclusively; see maybe_periodic_checkpoint.
-                let edges = shared.edges_applied.load(Ordering::Relaxed);
+            let image = quiesced(shared, |edges| {
                 SnapshotImage::capture(&shared.sketch, edges)
-            };
+            });
             let edges = image.edges();
             match image.write_file(Path::new(path)) {
                 Ok(()) => (format!("OK snapshot {path} edges={edges}"), false),
@@ -792,7 +789,7 @@ mod tests {
         let (sketch, _) = freesketch::load_snapshot(&mut std::io::BufReader::new(file))
             .expect("the last write left a loadable snapshot");
         assert_eq!(sketch.kind(), "sharded-freebs");
-        assert!(!freesketch::snapshot::staging_path(&path).exists());
+        assert!(!std::path::Path::new(&format!("{}.part", path.display())).exists());
         handle.shutdown();
         handle.join().expect("join");
         std::fs::remove_file(&path).ok();

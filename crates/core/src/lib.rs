@@ -96,8 +96,7 @@ pub use jointlpc::JointLpc;
 pub use peruser::{PerUserHllpp, PerUserLpc};
 pub use sharded::{ShardedFreeBS, ShardedFreeRS, ShardedSketch};
 pub use snapshot::{
-    load_snapshot, load_with_fallback, save_snapshot, save_snapshot_file, AnySketch, Checkpointer,
-    SnapshotImage,
+    load_snapshot, load_with_fallback, save_snapshot, AnySketch, Checkpointer, SnapshotImage,
 };
 pub use spreader::{detect_spreaders, SpreaderReport};
 pub use vhll::VHll;

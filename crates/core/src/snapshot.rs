@@ -44,10 +44,10 @@ use crate::ingest::{drive, ingest_parallel, ingest_slice, IngestError, DEFAULT_B
 use crate::{CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS, ShardedSketch};
 use bitpack::{ConcurrentSlotStore, SlotStore, WordStore};
 use graphstream::snapshot::{find_section, read_sections, write_sections, Section};
-use graphstream::{Edge, EdgeSource, SnapshotError};
+use graphstream::{replace_file, Edge, EdgeSource, SnapshotError};
 use hashkit::{CounterMap, EdgeHasher, ShardedCounterMap};
 use std::fs;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Section tag: sketch kind and stream offset.
@@ -460,32 +460,15 @@ impl SnapshotImage {
         )
     }
 
-    /// Writes the image to `path` atomically: the bytes are staged at
-    /// [`staging_path`], fsynced, and renamed over `path`, so a crash at
-    /// any byte offset leaves either the old file or the new one — never
-    /// a torn snapshot under the final name.
+    /// Writes the image to `path` through [`graphstream::replace_file`]:
+    /// staged at `{path}.part`, fsynced, renamed over `path`, and the
+    /// directory fsynced, so a crash at any byte offset leaves either the
+    /// old file or the new one under `path`, never a torn snapshot.
     ///
     /// # Errors
     /// I/O errors; on error the staging file is removed.
     pub fn write_file(self, path: &Path) -> Result<(), SnapshotError> {
-        let part = staging_path(path);
-        let result = self
-            .write_staged(&part)
-            .and_then(|()| fs::rename(&part, path).map_err(SnapshotError::Io));
-        if result.is_err() {
-            let _ = fs::remove_file(&part);
-        }
-        result
-    }
-
-    fn write_staged(self, part: &Path) -> Result<(), SnapshotError> {
-        let mut w = BufWriter::new(fs::File::create(part)?);
-        self.write(&mut w)?;
-        let file = w
-            .into_inner()
-            .map_err(|e| SnapshotError::Io(e.into_error()))?;
-        file.sync_all()?;
-        Ok(())
+        replace_file(path, None, |w| self.write(w))
     }
 }
 
@@ -789,33 +772,9 @@ pub fn load_snapshot(r: &mut dyn Read) -> Result<(AnySketch, u64), SnapshotError
 /// at: `{path}.prev`.
 #[must_use]
 pub fn fallback_path(path: &Path) -> PathBuf {
-    sibling(path, ".prev")
-}
-
-/// The sibling temp path snapshots are staged at before the atomic
-/// rename: `{path}.part`.
-#[must_use]
-pub fn staging_path(path: &Path) -> PathBuf {
-    sibling(path, ".part")
-}
-
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
-    os.push(suffix);
+    os.push(".prev");
     PathBuf::from(os)
-}
-
-/// Writes a snapshot to `path` atomically (see
-/// [`SnapshotImage::write_file`]).
-///
-/// # Errors
-/// I/O errors; on error the staging file is removed.
-pub fn save_snapshot_file(
-    path: &Path,
-    sketch: &AnySketch,
-    edges: u64,
-) -> Result<(), SnapshotError> {
-    SnapshotImage::capture(sketch, edges).write_file(path)
 }
 
 /// Periodic atomic checkpoint writer with last-good rotation.
@@ -912,13 +871,15 @@ impl Checkpointer {
         self.publish(SnapshotImage::capture(sketch, edges))
     }
 
-    /// Writes a captured image as the next checkpoint (stage → rotate →
-    /// rename) — the write half of [`Checkpointer::checkpoint_now`], for
-    /// callers that capture under a lock and write after releasing it.
+    /// Writes a captured image as the next checkpoint through
+    /// [`graphstream::replace_file`], rotating the current one to
+    /// [`fallback_path`] — the write half of
+    /// [`Checkpointer::checkpoint_now`], for callers that capture under a
+    /// lock and write after releasing it.
     ///
     /// # Errors
     /// I/O errors; the previously completed checkpoint files are never
-    /// left torn (only the staging file can be).
+    /// left torn, and the staging file is removed.
     pub fn publish(&mut self, image: SnapshotImage) -> Result<(), SnapshotError> {
         if self.crash_after == Some(self.written) {
             return Err(SnapshotError::Io(std::io::Error::other(format!(
@@ -927,34 +888,13 @@ impl Checkpointer {
             ))));
         }
         let edges = image.edges();
-        let part = staging_path(&self.path);
-        if let Err(e) = image.write_staged(&part) {
-            let _ = fs::remove_file(&part);
-            return Err(e);
-        }
-        if self.path.exists() {
-            fs::rename(&self.path, fallback_path(&self.path))?;
-        }
-        fs::rename(&part, &self.path)?;
-        sync_parent_dir(&self.path)?;
+        replace_file(&self.path, Some(&fallback_path(&self.path)), |w| {
+            image.write(w)
+        })?;
         self.written += 1;
         self.last_at = edges;
         Ok(())
     }
-}
-
-/// Fsyncs the directory holding `path`, so the renames that published it
-/// survive a power cut (on unix; elsewhere a no-op). A bare file name's
-/// parent is the current directory.
-fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-    let dir = match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir,
-        _ => Path::new("."),
-    };
-    if cfg!(unix) {
-        fs::File::open(dir)?.sync_all()?;
-    }
-    Ok(())
 }
 
 /// Restores from `path`, falling back to [`fallback_path`] when the
@@ -1112,21 +1052,6 @@ mod tests {
                 assert_eq!(min, mean);
             }
         }
-    }
-
-    #[test]
-    fn sync_parent_dir_handles_bare_and_nested_paths() {
-        // A bare name's parent is the empty path, which must mean `.`.
-        sync_parent_dir(Path::new("state.fsnp")).expect("bare name syncs the working directory");
-        let root = std::env::temp_dir().join(format!(
-            "freesketch-sync-{}-{}",
-            std::process::id(),
-            line!()
-        ));
-        let nested = root.join("a").join("b");
-        fs::create_dir_all(&nested).expect("temp dir");
-        sync_parent_dir(&nested.join("state.fsnp")).expect("nested path syncs its directory");
-        fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //!   per-section CRC32, typed [`SnapshotError`]) that sketch state
 //!   persists through;
 //! * [`fault`] — [`FaultWriter`]/[`FaultReader`] fault injection (torn
-//!   writes, truncation, bit flips) for durability tests.
+//!   writes, truncation, bit flips) for durability tests;
+//! * [`replace_file`] — the one way a written file reaches its final
+//!   name: staged at `{path}.part`, fsynced, renamed over `path` (after
+//!   rotating the old file, on request), and its directory fsynced.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +36,7 @@
 pub mod fault;
 pub mod fedge;
 pub mod profiles;
+mod replace;
 pub mod snapshot;
 pub mod source;
 pub mod synth;
@@ -42,6 +46,7 @@ pub mod tsv;
 pub use fault::{Fault, FaultReader, FaultWriter};
 pub use fedge::{FedgeError, FedgeReader, FedgeWriter};
 pub use profiles::{DatasetProfile, PROFILES};
+pub use replace::replace_file;
 pub use snapshot::SnapshotError;
 pub use source::{CycleSource, EdgeSource, EdgeStreamError, SliceSource};
 pub use synth::{SynthConfig, SynthStream};

@@ -187,6 +187,19 @@ grep -q "$edges edges in freebs snapshot" "$tmp/union.txt" || {
   echo "merged snapshot lost edges:"; cat "$tmp/union.txt"; exit 1;
 }
 
+echo "==> failed publish smoke (the output path is a directory)"
+# Every output is staged at `<out>.part` and renamed over `<out>`; when the
+# rename fails, the command exits 1 and removes the staging file.
+mkdir "$tmp/dest"
+expect_publish_failure() {
+  local code=0
+  ./target/release/freesketch "$@" > /dev/null 2>&1 || code=$?
+  [ "$code" -eq 1 ] || { echo "freesketch $* exited $code, not 1"; exit 1; }
+  [ ! -e "$tmp/dest.part" ] || { echo "freesketch $* left dest.part behind"; exit 1; }
+}
+expect_publish_failure merge "$tmp/h1.fsnp" "$tmp/h2.fsnp" "$tmp/dest"
+expect_publish_failure synth livejournal --scale 4000 --out "$tmp/dest"
+
 # Prints the NAME=VALUE token of the STATS reply $1 whose NAME is $2.
 stats_token() {
   local token
@@ -299,5 +312,9 @@ for name in edges total; do
     echo "restarted daemon reports $got, the drained one $want: $restarted"; exit 1;
   }
 done
+
+echo "==> no staging file left behind by any smoke"
+leftover=$(find "$tmp" -name '*.part')
+[ -z "$leftover" ] || { echo "staging files left behind: $leftover"; exit 1; }
 
 echo "verify: OK"
