@@ -117,24 +117,6 @@ impl BitArray {
         self.zeros -= flipped;
     }
 
-    /// Tests every bit named in `slots` into `out` — the word-level
-    /// multi-test companion of [`BitArray::set_many`].
-    ///
-    /// # Panics
-    /// Panics if `out.len() != slots.len()` or any slot is out of range.
-    #[inline]
-    pub fn test_many(&self, slots: &[usize], out: &mut [bool]) {
-        assert_eq!(slots.len(), out.len(), "output buffer length mismatch");
-        assert!(
-            slots.iter().all(|&s| s < self.len),
-            "slot out of range {}",
-            self.len
-        );
-        for (o, &slot) in out.iter_mut().zip(slots) {
-            *o = (self.words[slot >> 6] >> (slot & 63)) & 1 == 1;
-        }
-    }
-
     /// Load-only warm-up of the word holding bit `i`, returned so the
     /// caller can fold many warms into one accumulator and force the whole
     /// batch with a single `std::hint::black_box`. This is the crate's
@@ -418,16 +400,6 @@ mod tests {
         let mut b = BitArray::new(64);
         b.set_many(&[], &mut []);
         assert_eq!(b.zeros(), 64);
-    }
-
-    #[test]
-    fn test_many_reads_current_state() {
-        let mut b = BitArray::new(100);
-        b.set(5);
-        b.set(70);
-        let mut out = vec![false; 3];
-        b.test_many(&[5, 6, 70], &mut out);
-        assert_eq!(out, [true, false, true]);
     }
 
     #[test]

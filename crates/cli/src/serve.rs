@@ -573,11 +573,7 @@ fn respond(shared: &Shared, req: &Request) -> (String, bool) {
             (s, false)
         }
         Request::Confidence { user, level } => {
-            let ci = freesketch::anytime_ci(
-                shared.sketch.estimate(*user),
-                shared.sketch.sampling_q(),
-                level.z(),
-            );
+            let ci = shared.sketch.confidence(*user, level.z());
             (
                 format!(
                     "OK {:.3} {:.3} {:.3} z={:.4}",

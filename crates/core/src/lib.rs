@@ -40,9 +40,10 @@
 //!   `ConcurrentEngine<AtomicPackedArray, SharedZ>`;
 //!
 //! [`ShardedSketch`] composes `P` concurrent engines behind one estimator
-//! (per-shard `q`, HT sums merged across shards) and [`Windowed`] rotates
-//! slices of any estimator, each a fresh instance, for sliding-window
-//! semantics.
+//! (per-shard `q`, HT sums merged across shards). [`AnySketch`] puts the
+//! four configurations the CLI builds behind one surface, and
+//! [`AnySketch::confidence`] prices any user's anytime interval
+//! ([`anytime_ci`]) at the sketch's smallest `q`.
 //!
 //! The `concurrent` module is public and its engines are re-exported at
 //! the crate root, so `freesketch::ConcurrentFreeBS` and
@@ -78,7 +79,6 @@ pub mod snapshot;
 mod spreader;
 pub mod theory;
 mod vhll;
-mod window;
 
 /// Block depth of the batched ingest path: `process_batch` hashes, warms
 /// and updates one block of edges at a time, so each block's cache misses
@@ -86,7 +86,7 @@ mod window;
 pub const INGEST_BLOCK: usize = 512;
 
 pub use concurrent::{ConcurrentEstimator, ConcurrentFreeBS, ConcurrentFreeRS};
-pub use confidence::{anytime_ci, ConfidenceTracking, EstimateWithCi};
+pub use confidence::{anytime_ci, EstimateWithCi};
 pub use cse::Cse;
 pub use engine::{BlockHasher, IncrementalZ, QTracker, SketchEngine, ZeroQ};
 pub use freebs::FreeBS;
@@ -100,7 +100,6 @@ pub use snapshot::{
 };
 pub use spreader::{detect_spreaders, SpreaderReport};
 pub use vhll::VHll;
-pub use window::Windowed;
 
 /// A streaming estimator of all user cardinalities over time (§II).
 ///

@@ -39,6 +39,7 @@
 use crate::concurrent::{
     ConcurrentEngine, ConcurrentEstimator, SharedF64, SharedQTracker, SharedZ, SharedZeroQ,
 };
+use crate::confidence::{anytime_ci, EstimateWithCi};
 use crate::engine::{IncrementalZ, QTracker, SketchEngine, ZeroQ};
 use crate::ingest::{drive, ingest_parallel, ingest_slice, IngestError, DEFAULT_BATCH};
 use crate::{CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS, ShardedSketch};
@@ -243,6 +244,14 @@ impl AnySketch {
             Self::ShardedFreeBS(s) => min_shard_q(s),
             Self::ShardedFreeRS(s) => min_shard_q(s),
         }
+    }
+
+    /// `user`'s estimate with its anytime confidence interval at normal
+    /// quantile `z` ([`anytime_ci`]), priced at [`AnySketch::sampling_q`].
+    /// `serve`'s `CONFIDENCE` verb answers through this.
+    #[must_use]
+    pub fn confidence(&self, user: u64, z: f64) -> EstimateWithCi {
+        anytime_ci(self.estimate(user), self.sampling_q(), z)
     }
 
     /// Number of distinct users tracked: O(1) for the scalar kinds and a

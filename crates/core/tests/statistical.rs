@@ -4,11 +4,12 @@
 //! These tests are the reproduction's strongest correctness evidence: they
 //! check not just that estimates are "close", but that the *distribution*
 //! of FreeBS/FreeRS estimates matches Theorems 1 and 2 — unbiased, with
-//! variance at (or below) the stated bound.
+//! variance at (or below) the stated bound — and that the confidence
+//! interval `serve` answers with covers the truth.
 
 use freesketch::ingest::{DEFAULT_BATCH, DEFAULT_CHUNK};
 use freesketch::{stream_into, theory};
-use freesketch::{CardinalityEstimator, FreeBS, FreeRS};
+use freesketch::{AnySketch, CardinalityEstimator, FreeBS, FreeRS, ShardedFreeBS, ShardedFreeRS};
 use graphstream::{Edge, SliceSource};
 
 /// A two-user stream: the probe user's `n_probe` items interleaved with a
@@ -230,4 +231,119 @@ fn anytime_estimates_track_truth_throughout_stream() {
         worst_rel < 0.08,
         "worst checkpoint relative error {worst_rel} too high"
     );
+}
+
+/// A sketch kind the CLI builds, with the Theorem whose bound prices its
+/// interval.
+struct Kind {
+    name: &'static str,
+    /// `M`: bits for FreeBS, registers for FreeRS.
+    m: usize,
+    /// Shards `P`; 1 for the scalar kinds.
+    shards: usize,
+    bound: fn(f64, f64, f64) -> f64,
+    build: fn(usize, usize, u64) -> AnySketch,
+}
+
+/// The 95% interval that `AnySketch::confidence` gives a 400-item probe,
+/// over 200 seeds at each of two background loads: it covers the truth in
+/// at least 90% of seeds (the nominal 95%, less three binomial sds), and
+/// its mean std_dev is within 10% of the Theorem sd, so coverage is not
+/// bought with a uselessly wide interval.
+fn assert_served_interval_covers(kind: &Kind) {
+    const Z95: f64 = 1.959_963_984_540_054;
+    const SEEDS: u64 = 200;
+    let n_probe = 400u64;
+    let truth = n_probe as f64;
+    for n_bg in [400u64, 1200] {
+        let edges = two_user_stream(n_probe, n_bg);
+        let mut covered = 0u32;
+        let mut sd_sum = 0.0;
+        for seed in 0..SEEDS {
+            let mut sketch = (kind.build)(kind.m, kind.shards, 7000 + seed);
+            sketch
+                .ingest_stream(&mut SliceSource::new(&edges), DEFAULT_CHUNK, 1, None, 0)
+                .expect("an in-memory source cannot fail");
+            let ci = sketch.confidence(1, Z95);
+            covered += u32::from(ci.lower <= truth && truth <= ci.upper);
+            // The std_dev the interval was built with, as `upper` (never
+            // clamped) shows it.
+            sd_sum += (ci.upper - ci.estimate) / Z95;
+        }
+        // The Theorem sd summed over P shards of M/P slots, each with 1/P
+        // of the probe's and of the stream's pairs.
+        let p = kind.shards as f64;
+        let n_total = (n_probe + n_bg) as f64;
+        let theorem_sd = (p * (kind.bound)(truth / p, n_total / p, kind.m as f64 / p)).sqrt();
+        let coverage = f64::from(covered) / SEEDS as f64;
+        let mean_sd = sd_sum / SEEDS as f64;
+        let what = format!("{}, P = {}, background {n_bg}", kind.name, kind.shards);
+        assert!(coverage >= 0.90, "{what}: coverage {coverage}");
+        assert!(
+            (0.9..=1.1).contains(&(mean_sd / theorem_sd)),
+            "{what}: mean std_dev {mean_sd:.2} vs Theorem sd {theorem_sd:.2}"
+        );
+    }
+}
+
+#[test]
+fn served_confidence_interval_covers_the_truth() {
+    // `CONFIDENCE` answers with `AnySketch::confidence`: the Theorem 1/2
+    // bound priced at the sketch's estimate and smallest shard `q`. Each
+    // kind is fed as `estimate` feeds it (`ingest_stream` at the default
+    // chunk on one thread; for the sharded kinds that is the
+    // `ingest_pairs` call `serve`'s writer makes). The background user's
+    // 400 or 1,200 items take `q` from about 0.7 (FreeBS, light) to about
+    // 0.2 (FreeRS, heavy).
+    let kinds = [
+        Kind {
+            name: "freebs",
+            m: 2048,
+            shards: 1,
+            bound: theory::freebs_variance_bound,
+            build: |m, _, seed| FreeBS::new(m, seed).into(),
+        },
+        Kind {
+            name: "freers",
+            m: 512,
+            shards: 1,
+            bound: theory::freers_variance_bound,
+            build: |m, _, seed| FreeRS::new(m, seed).into(),
+        },
+        Kind {
+            name: "sharded-freebs",
+            m: 2048,
+            shards: 1,
+            bound: theory::freebs_variance_bound,
+            build: |m, p, seed| ShardedFreeBS::new(m, p, seed).into(),
+        },
+        Kind {
+            name: "sharded-freebs",
+            m: 2048,
+            shards: 2,
+            bound: theory::freebs_variance_bound,
+            build: |m, p, seed| ShardedFreeBS::new(m, p, seed).into(),
+        },
+        Kind {
+            name: "sharded-freers",
+            m: 512,
+            shards: 1,
+            bound: theory::freers_variance_bound,
+            build: |m, p, seed| ShardedFreeRS::new(m, p, seed).into(),
+        },
+        Kind {
+            name: "sharded-freers",
+            m: 512,
+            shards: 2,
+            bound: theory::freers_variance_bound,
+            build: |m, p, seed| ShardedFreeRS::new(m, p, seed).into(),
+        },
+    ];
+    // Side by side: the 2,400 ingests of a debug build take seconds in
+    // a row.
+    std::thread::scope(|s| {
+        for kind in &kinds {
+            s.spawn(move || assert_served_interval_covers(kind));
+        }
+    });
 }

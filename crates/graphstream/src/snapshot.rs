@@ -165,8 +165,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// `TABLES[0]` is the classic byte table; `TABLES[k][b]` advances the CRC
 /// of byte `b` through `k` further zero bytes, so eight lookups fold one
-/// 8-byte word.
-const TABLES: [[u32; 256]; 8] = crc32_tables();
+/// 8-byte word. A `static`, not a `const`: an unoptimized build copies an
+/// 8 KB `const` at every index.
+static TABLES: [[u32; 256]; 8] = crc32_tables();
 
 // Streaming form (pre/post inversion left to the caller) so a section's
 // checksum can cover its tag and payload without concatenating them.

@@ -9,11 +9,11 @@
 //! * `h(d)`/`ρ(d)` map an *item* to a slot/rank inside a per-user sketch
 //!   (LPC/HLL/HLL++).
 //!
-//! All of those are provided here on top of two from-scratch 64-bit mixers
-//! ([`splitmix64`] and the xxhash64-style [`XxHash64`]), with no third-party
-//! hashing crates. Determinism is part of the contract: the same seed and
-//! input always produce the same value, across platforms, so experiments are
-//! replayable.
+//! All of those are provided here on top of two from-scratch 64-bit hashes
+//! ([`splitmix64`] and [`xxhash64`], which hashes string identifiers), with
+//! no third-party hashing crates. Determinism is part of the contract: the
+//! same seed and input always produce the same value, across platforms, so
+//! experiments are replayable.
 //!
 //! ```
 //! use hashkit::{EdgeHasher, Rank};
@@ -41,7 +41,7 @@ pub use fxmap::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use mix::{mix64, mix64_pair, splitmix64, SplitMix64};
 pub use rank::{geometric_rank, Rank};
 pub use sharded::ShardedCounterMap;
-pub use xxhash::{xxhash64, XxHash64};
+pub use xxhash::xxhash64;
 
 /// Hashes one user–item pair into a `(slot, rank)` pair, the way FreeRS needs
 /// (`h*(e)`, `ρ*(e)`), or just into a slot, the way FreeBS needs (`h*(e)`).

@@ -99,36 +99,6 @@ fn read_u32(b: &[u8]) -> u32 {
     u32::from_le_bytes(w)
 }
 
-/// A streaming-free convenience wrapper implementing [`std::hash::Hasher`]
-/// over [`xxhash64`], so string/byte keys can be hashed through the standard
-/// `Hash` trait machinery.
-#[derive(Debug, Clone)]
-pub struct XxHash64 {
-    seed: u64,
-    buf: Vec<u8>,
-}
-
-impl XxHash64 {
-    /// Creates a hasher with the given seed.
-    #[must_use]
-    pub fn with_seed(seed: u64) -> Self {
-        Self {
-            seed,
-            buf: Vec::new(),
-        }
-    }
-}
-
-impl std::hash::Hasher for XxHash64 {
-    fn finish(&self) -> u64 {
-        xxhash64(self.seed, &self.buf)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,14 +144,5 @@ mod tests {
         for len in 0..=64 {
             assert!(seen.insert(xxhash64(7, &data[..len])));
         }
-    }
-
-    #[test]
-    fn hasher_trait_matches_direct_call() {
-        use std::hash::Hasher;
-        let mut h = XxHash64::with_seed(5);
-        h.write(b"hello ");
-        h.write(b"world");
-        assert_eq!(h.finish(), xxhash64(5, b"hello world"));
     }
 }

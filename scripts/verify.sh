@@ -232,15 +232,25 @@ port=$(serve_port "$tmp/serve-out.txt" "$serve_pid") || exit 1
 if ./target/release/freesketch serve "$tmp/edges.tsv" --port "$port" > /dev/null 2>&1; then
   echo "second daemon on a taken port should exit nonzero"; exit 1
 fi
-# Three queries, one malformed line, and a shutdown over bash /dev/tcp.
+# Four queries, one malformed line, and a shutdown over bash /dev/tcp.
 exec 3<> "/dev/tcp/127.0.0.1/$port"
-printf 'STATS\nESTIMATE alice\nTOPK 2\nBOGUS\nSHUTDOWN\n' >&3
+printf 'STATS\nESTIMATE alice\nTOPK 2\nCONFIDENCE alice 95\nBOGUS\nSHUTDOWN\n' >&3
 read -r reply <&3
 case "$reply" in "OK edges="*) ;; *) echo "bad STATS reply: $reply"; exit 1;; esac
 read -r reply <&3
 case "$reply" in "OK "*) ;; *) echo "bad ESTIMATE reply: $reply"; exit 1;; esac
 read -r reply <&3
 case "$reply" in "OK 2 #"*) ;; *) echo "bad TOPK reply: $reply"; exit 1;; esac
+# CONFIDENCE: `OK <est> <lower> <upper> z=1.9600`, lower <= est <= upper.
+read -r reply <&3
+num='([0-9]+\.[0-9]+)'
+[[ $reply =~ ^OK\ $num\ $num\ $num\ z=1\.9600$ ]] || {
+  echo "bad CONFIDENCE reply: $reply"; exit 1;
+}
+awk -v e="${BASH_REMATCH[1]}" -v l="${BASH_REMATCH[2]}" -v u="${BASH_REMATCH[3]}" \
+  'BEGIN { exit !(l + 0 <= e + 0 && e + 0 <= u + 0) }' || {
+  echo "CONFIDENCE interval does not bracket its estimate: $reply"; exit 1;
+}
 read -r reply <&3
 case "$reply" in "ERR unknown-command"*) ;; *) echo "bad error reply: $reply"; exit 1;; esac
 read -r reply <&3

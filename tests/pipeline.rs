@@ -1,9 +1,12 @@
 //! End-to-end integration: synthetic dataset → all six estimators →
 //! evaluation metrics, asserting the paper's headline qualitative results
-//! on a small profile.
+//! on a small profile, and that the bit-sharing generations (JointLPC,
+//! CSE, FreeBS) improve in order.
 
-use freesketch::{CardinalityEstimator, Cse, FreeBS, FreeRS, PerUserHllpp, PerUserLpc, VHll};
-use graphstream::{GroundTruth, PROFILES};
+use freesketch::{
+    CardinalityEstimator, Cse, FreeBS, FreeRS, JointLpc, PerUserHllpp, PerUserLpc, VHll,
+};
+use graphstream::{GroundTruth, SynthConfig, PROFILES};
 use metrics::RseBins;
 
 struct Run {
@@ -148,4 +151,49 @@ fn anytime_totals_track_running_truth() {
             );
         }
     }
+}
+
+#[test]
+fn bit_sharing_generations_improve_in_order() {
+    // JointLPC (2005) -> CSE (2009) -> FreeBS (2019): mean squared relative
+    // error strictly improves on the same stream and budget.
+    let stream = SynthConfig {
+        users: 4_000,
+        max_cardinality: 300,
+        mean_cardinality: 10.0,
+        duplication: 1.2,
+        seed: 79,
+    }
+    .generate();
+    let mut truth = GroundTruth::new();
+    for e in stream.edges() {
+        truth.observe(*e);
+    }
+    let m_bits = 1 << 17;
+
+    let mse = |est: &dyn CardinalityEstimator| {
+        let mut sq = 0.0;
+        let mut k = 0u32;
+        for (user, actual) in truth.iter() {
+            if actual == 0 {
+                continue;
+            }
+            let rel = (est.estimate(user) - actual as f64) / actual as f64;
+            sq += rel * rel;
+            k += 1;
+        }
+        sq / f64::from(k)
+    };
+
+    let mut joint = JointLpc::new(m_bits, 2048, 2, 5);
+    let mut cse = freesketch::Cse::new(m_bits, 512, 5);
+    let mut fbs = FreeBS::new(m_bits, 5);
+    for e in stream.edges() {
+        joint.process(e.user, e.item);
+        cse.process(e.user, e.item);
+        fbs.process(e.user, e.item);
+    }
+    let (mj, mc, mf) = (mse(&joint), mse(&cse), mse(&fbs));
+    assert!(mf < mc, "FreeBS MSE {mf} !< CSE {mc}");
+    assert!(mc < mj, "CSE MSE {mc} !< JointLPC {mj}");
 }

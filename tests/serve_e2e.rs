@@ -10,6 +10,7 @@
 
 use freesketch::snapshot::{load_with_fallback, save_snapshot, AnySketch};
 use freesketch::{CardinalityEstimator, ShardedFreeBS};
+use freesketch_cli::protocol::ConfidenceLevel;
 use freesketch_cli::serve::{spawn, ServeConfig};
 use graphstream::{CycleSource, Edge};
 use std::io::{BufRead, BufReader, Write};
@@ -140,7 +141,8 @@ fn serve_round_trip_restores_bit_identical_state() {
     assert!(ids[0].starts_with("#0000000000000000:"), "{topk}");
     assert!(ids[1].starts_with("#0000000000000001:"), "{topk}");
 
-    // CONFIDENCE brackets the estimate.
+    // CONFIDENCE brackets the estimate, and it is the library's interval
+    // for the offline state, formatted as the daemon formats it.
     let conf = request("CONFIDENCE #0 95");
     let nums: Vec<f64> = conf
         .split_whitespace()
@@ -150,6 +152,15 @@ fn serve_round_trip_restores_bit_identical_state() {
         .collect();
     assert_eq!(nums.len(), 3, "{conf}");
     assert!(nums[1] <= nums[0] && nums[0] <= nums[2], "{conf}");
+    let z = ConfidenceLevel::P95.z();
+    let ci = offline.confidence(0, z);
+    assert_eq!(
+        conf,
+        format!(
+            "OK {:.3} {:.3} {:.3} z={z:.4}",
+            ci.estimate, ci.lower, ci.upper
+        )
+    );
 
     // Malformed input inside a healthy session: typed error, session lives.
     assert!(request("TOPK nope").starts_with("ERR bad-arg"));
