@@ -10,9 +10,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// it is exact once all writers quiesce. [`AtomicBitArray::set_many`]
 /// settles it once per block, so during concurrent operation a reader may
 /// observe a count that lags by up to one block of flips per other writer
-/// — the concurrent FreeBS estimator tolerates this (it perturbs `q` by at
-/// most `k/M` for `k` unsettled flips), and `freesketch::concurrent` tests
-/// bound the resulting estimate skew.
+/// — the concurrent FreeBS engine tolerates this (it perturbs `q` by at
+/// most `k/M` for `k` unsettled flips), and the workspace's
+/// `tests/concurrent_equivalence.rs` and core proptests bound the
+/// resulting estimate skew.
 #[derive(Debug)]
 pub struct AtomicBitArray {
     words: Vec<AtomicU64>,

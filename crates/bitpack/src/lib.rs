@@ -11,7 +11,7 @@
 //!   assumes.
 //!
 //! [`AtomicBitArray`] and [`AtomicPackedArray`] are the lock-free variants
-//! used by the concurrent extensions in `freesketch::concurrent`.
+//! that the shards of `freesketch::ShardedSketch` update.
 //!
 //! The [`SlotStore`] / [`ConcurrentSlotStore`] traits make the arrays
 //! interchangeable behind one slot-update API — the storage seam the

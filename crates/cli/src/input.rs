@@ -12,8 +12,6 @@ use graphstream::fedge::{is_fedge_prefix, FEDGE_HEADER_LEN};
 use graphstream::{EdgeSource, FedgeReader, TsvEdgeSource};
 use std::io::{Cursor, Read};
 
-pub use graphstream::tsv::{parse_edge_line, read_edges};
-
 /// Hashes a string identifier into the u64 id space (the fixed-seed
 /// xxhash64 every TSV read uses).
 pub(crate) use graphstream::tsv::hash_id;

@@ -23,5 +23,5 @@ pub mod serve;
 
 pub use args::{Cli, Command, ParseError, USAGE};
 pub use commands::run;
-pub use input::{open_source, parse_edge_line, read_edges, InputFormat, NotRegularFile};
+pub use input::{open_source, InputFormat, NotRegularFile};
 pub use serve::{ServeConfig, ServeError, ServeReport, ServerHandle};

@@ -200,10 +200,6 @@ struct Shared {
     served_queries: AtomicU64,
     /// Drain requested (verb, handle, writer panic, checkpoint failure).
     shutdown_flag: AtomicBool,
-    /// A writer thread died mid-ingest.
-    panicked_flag: AtomicBool,
-    /// Edges at the last periodic-checkpoint attempt (advisory).
-    ckpt_watermark: AtomicU64,
     /// Writer-thread count (reported by `STATS`).
     writers: usize,
     start: Instant,
@@ -239,24 +235,12 @@ impl Shared {
             errs.push(msg);
         }
     }
-
-    fn note_writer_panic(&self) {
-        // ORDERING: Release pairs with the Acquire load in
-        // `writer_panicked` when the acceptor builds the final report.
-        self.panicked_flag.store(true, Ordering::Release);
-    }
-
-    fn writer_panicked(&self) -> bool {
-        // ORDERING: Acquire pairs with the Release store in
-        // `note_writer_panic` (set before the thread unwound past its
-        // join).
-        self.panicked_flag.load(Ordering::Acquire)
-    }
 }
 
 /// Notices a writer-thread panic on unwind and converts it into a drain
 /// request, so in-flight work elsewhere completes and the final
-/// checkpoint still gets published.
+/// checkpoint still gets published. The report learns of the panic from
+/// the writer's join.
 struct PanicGuard<'a> {
     shared: &'a Shared,
 }
@@ -264,7 +248,6 @@ struct PanicGuard<'a> {
 impl Drop for PanicGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.shared.note_writer_panic();
             self.shared.begin_shutdown();
         }
     }
@@ -308,8 +291,6 @@ pub fn spawn(
         edges_applied: AtomicU64::new(config.base_edges),
         served_queries: AtomicU64::new(0),
         shutdown_flag: AtomicBool::new(false),
-        panicked_flag: AtomicBool::new(false),
-        ckpt_watermark: AtomicU64::new(config.base_edges),
         writers: config.writers.max(1),
         start: Instant::now(),
     });
@@ -327,13 +308,9 @@ fn run_daemon(shared: &Arc<Shared>, listener: &TcpListener, config: &ServeConfig
     for i in 0..config.writers.max(1) {
         let s = Arc::clone(shared);
         let chunk = config.chunk.max(1);
-        let every = config
-            .checkpoint
-            .is_some()
-            .then_some(config.checkpoint_every);
         match std::thread::Builder::new()
             .name(format!("fs-serve-writer-{i}"))
-            .spawn(move || writer_loop(&s, chunk, every))
+            .spawn(move || writer_loop(&s, chunk))
         {
             Ok(h) => writers.push(h),
             Err(e) => shared.record_error(format!("cannot spawn writer {i}: {e}")),
@@ -367,11 +344,8 @@ fn run_daemon(shared: &Arc<Shared>, listener: &TcpListener, config: &ServeConfig
     // Drain: writers finish (at most) one in-flight chunk each and exit.
     let mut writer_panicked = false;
     for h in writers {
-        if h.join().is_err() {
-            writer_panicked = true;
-        }
+        writer_panicked |= h.join().is_err();
     }
-    writer_panicked |= shared.writer_panicked();
 
     // Final checkpoint at the drained offset. Checkpointer stages to
     // `.part`, fsyncs, rotates the previous snapshot to `.prev`, renames
@@ -410,9 +384,10 @@ fn run_daemon(shared: &Arc<Shared>, listener: &TcpListener, config: &ServeConfig
 }
 
 /// One writer thread: pull a chunk from the shared source and apply it
-/// through the concurrent ingest pipeline, both under the shared gate;
-/// repeat until the source is dry or a drain is requested.
-fn writer_loop(shared: &Arc<Shared>, chunk: usize, ckpt_every: Option<u64>) {
+/// through the concurrent ingest pipeline, both under the shared gate,
+/// then checkpoint if one is due; repeat until the source is dry or a
+/// drain is requested.
+fn writer_loop(shared: &Arc<Shared>, chunk: usize) {
     let _guard = PanicGuard { shared };
     let Some(est) = shared.sketch.as_concurrent() else {
         // spawn() rejects scalar kinds before any writer starts.
@@ -452,27 +427,17 @@ fn writer_loop(shared: &Arc<Shared>, chunk: usize, ckpt_every: Option<u64>) {
             // advisory progress values.
             shared.edges_applied.fetch_add(n as u64, Ordering::Relaxed);
         }
-        if let Some(every) = ckpt_every {
-            maybe_periodic_checkpoint(shared, every);
-        }
+        maybe_periodic_checkpoint(shared);
     }
 }
 
-/// Writes a periodic checkpoint when the interval has elapsed. Lock-free
-/// pre-filter, then: `ckpt` mutex → [`quiesced`] for the copy only (the
-/// one nesting order every snapshot path uses). A checkpoint failure
+/// Writes a periodic checkpoint when [`Checkpointer::due`] says so: the
+/// `ckpt` mutex → [`quiesced`] for the copy only (the one nesting order
+/// every snapshot path uses). Without `--checkpoint` there is no
+/// checkpointer, and a writer only tries the mutex. A checkpoint failure
 /// requests a drain — a daemon that cannot persist must not pretend it
 /// can.
-fn maybe_periodic_checkpoint(shared: &Shared, every: u64) {
-    // ORDERING: relaxed-ok — advisory pre-filter; the authoritative
-    // interval check runs in Checkpointer::due under the ckpt mutex with
-    // ingest quiesced.
-    let edges = shared.edges_applied.load(Ordering::Relaxed);
-    // ORDERING: relaxed-ok — same advisory pre-filter as above.
-    let mark = shared.ckpt_watermark.load(Ordering::Relaxed);
-    if edges.saturating_sub(mark) < every {
-        return;
-    }
+fn maybe_periodic_checkpoint(shared: &Shared) {
     // Another writer already checkpointing: skip, it covers our edges.
     let Some(mut slot) = shared.ckpt.try_lock() else {
         return;
@@ -480,15 +445,15 @@ fn maybe_periodic_checkpoint(shared: &Shared, every: u64) {
     let Some(ckpt) = slot.as_mut() else {
         return;
     };
-    let image = quiesced(shared, |edges| {
-        // ORDERING: relaxed-ok — advisory watermark for the pre-filter.
-        shared.ckpt_watermark.store(edges, Ordering::Relaxed);
-        ckpt.due(edges)
-            .then(|| SnapshotImage::capture(&shared.sketch, edges))
-    });
-    let Some(image) = image else {
+    // ORDERING: relaxed-ok — the count only grows and this writer's own
+    // bump is visible to it, so a stale read only defers the checkpoint to
+    // a later chunk; the image records the count read with ingest quiesced.
+    if !ckpt.due(shared.edges_applied.load(Ordering::Relaxed)) {
         return;
-    };
+    }
+    let image = quiesced(shared, |edges| {
+        SnapshotImage::capture(&shared.sketch, edges)
+    });
     if let Err(e) = ckpt.publish(image) {
         shared.record_error(format!("checkpoint failed: {e}"));
         shared.begin_shutdown();

@@ -1,4 +1,4 @@
-//! Lock-free concurrent estimators — the "SDN routers / line-rate
+//! Lock-free concurrent engines — the "SDN routers / line-rate
 //! monitoring" extension the paper's conclusion points at.
 //!
 //! [`ConcurrentEngine`] is the shared-access (`&self`) analogue of the
@@ -6,8 +6,8 @@
 //! pipeline, written once over [`bitpack::ConcurrentSlotStore`] (atomic
 //! monotone slot updates) and [`SharedQTracker`] (atomic `q` bookkeeping),
 //! with per-user counters in a mutex-sharded
-//! [`hashkit::ShardedCounterMap`]. [`ConcurrentFreeBS`] and
-//! [`ConcurrentFreeRS`] are its two instantiations.
+//! [`hashkit::ShardedCounterMap`]. Every engine is a shard of a
+//! [`crate::ShardedSketch`], the one `&self` estimator.
 //!
 //! Concurrency semantics: slot updates are idempotent monotone atomics
 //! (exactly one winner per change), so dedup holds under any interleaving.
@@ -15,11 +15,12 @@
 //! advanced past its own earlier growths in the block. Another writer's
 //! changes can lag: the bit store's zero count is settled once per block,
 //! so a writer can miss up to one block of flips per other writer; the
-//! perturbation is bounded by `k/M` for `k` unsettled flips, and the tests
-//! below bound the end-to-end estimate skew against the sequential
-//! estimators empirically. A lone writer credits every growth at the `q`
-//! per-edge ingest reads. `Z` (register sharing) is CAS-accumulated with
-//! each winner's exact delta, so it is exact once writers quiesce.
+//! perturbation is bounded by `k/M` for `k` unsettled flips, and
+//! `tests/concurrent_equivalence.rs` and the core proptests bound the
+//! end-to-end estimate skew against the sequential estimators
+//! empirically. A lone writer credits every growth at the `q` per-edge
+//! ingest reads. `Z` (register sharing) is CAS-accumulated with each
+//! winner's exact delta, so it is exact once writers quiesce.
 //!
 //! Each engine keeps its running total `n̂(t) = Σ_s n̂_s(t)` beside the
 //! counters, as the scalar engine does, so reading it is O(1). A block
@@ -32,13 +33,14 @@
 
 use crate::engine::{pow2_neg, BlockScratch};
 use crate::CardinalityEstimator;
-use bitpack::{AtomicBitArray, AtomicPackedArray, ConcurrentSlotStore};
+use bitpack::ConcurrentSlotStore;
 use hashkit::{geometric_rank, reduce64, splitmix64, EdgeHasher, ShardedCounterMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared ingest: a cardinality estimator whose update path takes `&self`,
 /// so many threads can feed one instance concurrently. Queries come from
 /// the [`CardinalityEstimator`] supertrait — those are `&self` already.
+/// [`crate::ShardedSketch`] is its one implementor.
 pub trait ConcurrentEstimator: CardinalityEstimator + Send + Sync {
     /// Observes edge `(user, item)`; callable concurrently.
     fn ingest(&self, user: u64, item: u64);
@@ -46,12 +48,7 @@ pub trait ConcurrentEstimator: CardinalityEstimator + Send + Sync {
     /// Observes a slice of edges — the batched fast path; callable
     /// concurrently. Same contract as
     /// [`CardinalityEstimator::process_batch`].
-    // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
-    fn ingest_batch(&self, edges: &[(u64, u64)]) {
-        for &(user, item) in edges {
-            self.ingest(user, item);
-        }
-    }
+    fn ingest_batch(&self, edges: &[(u64, u64)]);
 }
 
 /// The `q(t)` bookkeeping seam of the [`ConcurrentEngine`] — the shared
@@ -62,9 +59,8 @@ pub trait ConcurrentEstimator: CardinalityEstimator + Send + Sync {
 /// accumulator) and one [`SharedQTracker::commit`] per edge or block, so a
 /// block's worth of register deltas costs a single CAS.
 pub trait SharedQTracker<S: ConcurrentSlotStore>: Send + Sync {
-    /// Name of the plain concurrent estimator this tracker realizes.
-    const CONCURRENT_NAME: &'static str;
-    /// Name of the sharded variant (see [`crate::ShardedSketch`]).
+    /// Name of the sharded estimator over this tracker (see
+    /// [`crate::ShardedSketch`]).
     const SHARDED_NAME: &'static str;
 
     /// Tracker for a fresh (all-zero) store.
@@ -101,7 +97,6 @@ pub trait SharedQTracker<S: ConcurrentSlotStore>: Send + Sync {
 pub struct SharedZeroQ;
 
 impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZeroQ {
-    const CONCURRENT_NAME: &'static str = "ConcurrentFreeBS";
     const SHARDED_NAME: &'static str = "ShardedFreeBS";
 
     #[inline]
@@ -222,7 +217,6 @@ pub struct SharedZ {
 }
 
 impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZ {
-    const CONCURRENT_NAME: &'static str = "ConcurrentFreeRS";
     const SHARDED_NAME: &'static str = "ShardedFreeRS";
 
     #[inline]
@@ -267,9 +261,9 @@ impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZ {
     }
 }
 
-/// A thread-safe sharing estimator: `&self` processing from many threads.
-/// One shared atomic [`ConcurrentSlotStore`], per-user counters in a
-/// mutex-sharded [`ShardedCounterMap`], `q` maintained by a
+/// One shard of a [`crate::ShardedSketch`]: `&self` processing from many
+/// threads. One shared atomic [`ConcurrentSlotStore`], per-user counters
+/// in a mutex-sharded [`ShardedCounterMap`], `q` maintained by a
 /// [`SharedQTracker`], and the running total of every credit.
 #[derive(Debug)]
 pub struct ConcurrentEngine<S, Q> {
@@ -480,6 +474,11 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         self.counters.len()
     }
 
+    /// Visits every `(user, estimate)` pair this engine tracks.
+    pub fn for_each_estimate(&self, f: &mut dyn FnMut(u64, f64)) {
+        self.counters.for_each(f);
+    }
+
     /// Shared-array memory in bits.
     #[must_use]
     pub fn memory_bits(&self) -> usize {
@@ -539,399 +538,5 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
             self.store.recount_zero_slots().max(1) as f64
         };
         (self.q.numerator(&self.store) - exact).abs()
-    }
-}
-
-impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> CardinalityEstimator for ConcurrentEngine<S, Q> {
-    #[inline]
-    fn process(&mut self, user: u64, item: u64) {
-        ConcurrentEngine::process(self, user, item);
-    }
-
-    // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
-    fn process_batch(&mut self, edges: &[(u64, u64)]) {
-        ConcurrentEngine::process_batch(self, edges);
-    }
-
-    #[inline]
-    fn estimate(&self, user: u64) -> f64 {
-        ConcurrentEngine::estimate(self, user)
-    }
-
-    fn total_estimate(&self) -> f64 {
-        ConcurrentEngine::total_estimate(self)
-    }
-
-    fn memory_bits(&self) -> usize {
-        ConcurrentEngine::memory_bits(self)
-    }
-
-    fn for_each_estimate(&self, f: &mut dyn FnMut(u64, f64)) {
-        self.counters.for_each(f);
-    }
-
-    fn name(&self) -> &'static str {
-        Q::CONCURRENT_NAME
-    }
-}
-
-impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEstimator for ConcurrentEngine<S, Q> {
-    #[inline]
-    fn ingest(&self, user: u64, item: u64) {
-        ConcurrentEngine::process(self, user, item);
-    }
-
-    // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
-    fn ingest_batch(&self, edges: &[(u64, u64)]) {
-        ConcurrentEngine::process_batch(self, edges);
-    }
-}
-
-/// A thread-safe FreeBS estimator: `&self` processing from many threads.
-pub type ConcurrentFreeBS = ConcurrentEngine<AtomicBitArray, SharedZeroQ>;
-
-impl ConcurrentFreeBS {
-    /// Creates a concurrent FreeBS over `m_bits` shared bits.
-    ///
-    /// # Panics
-    /// Panics if `m_bits == 0`.
-    #[must_use]
-    pub fn new(m_bits: usize, seed: u64) -> Self {
-        Self::from_store(AtomicBitArray::new(m_bits), seed)
-    }
-}
-
-/// A thread-safe FreeRS estimator: `&self` processing from many threads.
-pub type ConcurrentFreeRS = ConcurrentEngine<AtomicPackedArray, SharedZ>;
-
-impl ConcurrentFreeRS {
-    /// Creates a concurrent FreeRS over `m_registers` five-bit registers.
-    ///
-    /// # Panics
-    /// Panics if `m_registers == 0`.
-    #[must_use]
-    pub fn new(m_registers: usize, seed: u64) -> Self {
-        Self::from_store(
-            AtomicPackedArray::new(m_registers, crate::FreeRS::DEFAULT_WIDTH),
-            seed,
-        )
-    }
-
-    /// Verifies the incrementally maintained `Z` against an exact register
-    /// scan (quiescent state only); returns the absolute discrepancy.
-    #[must_use]
-    pub fn z_discrepancy(&self) -> f64 {
-        self.q_discrepancy()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{CardinalityEstimator, FreeBS};
-    use std::sync::Arc;
-
-    #[test]
-    fn single_thread_matches_sequential_estimator() {
-        // With one thread there is no racing: estimates must match FreeBS
-        // bit for bit (same hasher, same seed).
-        let conc = ConcurrentFreeBS::new(1 << 14, 7);
-        let mut seq = FreeBS::new(1 << 14, 7);
-        for u in 0..20u64 {
-            for d in 0..200u64 {
-                conc.process(u, d.wrapping_mul(u + 1));
-                seq.process(u, d.wrapping_mul(u + 1));
-            }
-        }
-        for u in 0..20u64 {
-            assert_eq!(conc.estimate(u), seq.estimate(u), "user {u}");
-        }
-        assert_eq!(conc.total_estimate(), seq.total_estimate());
-    }
-
-    #[test]
-    fn concurrent_estimates_close_to_truth() {
-        let conc = Arc::new(ConcurrentFreeBS::new(1 << 18, 9));
-        let threads = 8;
-        let per_user = 2_000u64;
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let conc = Arc::clone(&conc);
-                s.spawn(move || {
-                    // Each thread owns one user; edges interleave across
-                    // threads in real time.
-                    let user = t as u64;
-                    for d in 0..per_user {
-                        conc.process(user, d);
-                    }
-                });
-            }
-        });
-        for u in 0..threads as u64 {
-            let rel = (conc.estimate(u) / per_user as f64 - 1.0).abs();
-            assert!(rel < 0.1, "user {u}: relative error {rel}");
-        }
-        assert_eq!(conc.user_count(), threads);
-    }
-
-    #[test]
-    fn duplicate_edges_across_threads_counted_once() {
-        // All threads hammer the same 500 edges; the total estimate must
-        // reflect ~500 distinct pairs, not threads × 500.
-        let conc = Arc::new(ConcurrentFreeBS::new(1 << 16, 11));
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let conc = Arc::clone(&conc);
-                s.spawn(move || {
-                    for d in 0..500u64 {
-                        conc.process(1, d);
-                    }
-                });
-            }
-        });
-        let est = conc.estimate(1);
-        assert!(
-            (est / 500.0 - 1.0).abs() < 0.15,
-            "estimate {est} should be ~500 despite 8x duplication"
-        );
-    }
-
-    #[test]
-    fn snapshot_contains_all_users() {
-        // Several distinct items per user so every user flips at least one
-        // bit (all-duplicate users are not registered, per Algorithm 1).
-        let conc = ConcurrentFreeBS::new(1 << 16, 13);
-        for u in 0..100u64 {
-            for d in 0..5u64 {
-                conc.process(u, u * 31 + d);
-            }
-        }
-        let mut users = Vec::new();
-        conc.for_each_estimate(&mut |u, _| users.push(u));
-        users.sort_unstable();
-        assert_eq!(users, (0..100u64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn batch_matches_scalar_single_thread() {
-        // One writer: the batch path leaves the bit array and every counter
-        // exactly as per-edge ingest does, and as the scalar engine's.
-        let batch = ConcurrentFreeBS::new(1 << 14, 7);
-        let scalar = ConcurrentFreeBS::new(1 << 14, 7);
-        let mut reference = FreeBS::new(1 << 14, 7);
-        let edges: Vec<(u64, u64)> = (0..5_000u64)
-            .map(|i| (i % 17, hashkit::splitmix64(i) >> 20))
-            .collect();
-        batch.process_batch(&edges);
-        reference.process_batch(&edges);
-        for &(u, d) in &edges {
-            scalar.process(u, d);
-        }
-        let bits = reference.store();
-        assert_eq!(batch.store().word_count(), bits.words().len());
-        for (i, &w) in bits.words().iter().enumerate() {
-            assert_eq!(batch.store().word(i), w, "word {i}");
-            assert_eq!(scalar.store().word(i), w, "word {i}");
-        }
-        assert_eq!(batch.store().zeros(), bits.zeros());
-        for u in 0..17u64 {
-            assert_eq!(batch.estimate(u), scalar.estimate(u), "user {u}");
-            assert_eq!(batch.estimate(u), reference.estimate(u), "user {u}");
-        }
-    }
-
-    #[test]
-    fn batch_concurrent_close_to_truth() {
-        let conc = Arc::new(ConcurrentFreeBS::new(1 << 18, 5));
-        let threads = 8;
-        let per_user = 2_000u64;
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let conc = Arc::clone(&conc);
-                s.spawn(move || {
-                    let user = t as u64;
-                    let edges: Vec<(u64, u64)> = (0..per_user).map(|d| (user, d)).collect();
-                    conc.process_batch(&edges);
-                });
-            }
-        });
-        for u in 0..threads as u64 {
-            let rel = (conc.estimate(u) / per_user as f64 - 1.0).abs();
-            assert!(rel < 0.1, "user {u}: relative error {rel}");
-        }
-    }
-
-    #[test]
-    fn rs_single_thread_tracks_truth() {
-        let c = ConcurrentFreeRS::new(1 << 14, 7);
-        let n = 20_000u64;
-        for d in 0..n {
-            c.process(1, d);
-        }
-        let rel = (c.estimate(1) / n as f64 - 1.0).abs();
-        assert!(rel < 0.1, "relative error {rel}");
-        assert!(c.z_discrepancy() < 1e-9, "Z drift {}", c.z_discrepancy());
-    }
-
-    #[test]
-    fn rs_concurrent_estimates_close_to_truth() {
-        let c = Arc::new(ConcurrentFreeRS::new(1 << 15, 9));
-        let threads = 8;
-        let per_user = 5_000u64;
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
-                    for d in 0..per_user {
-                        c.process(t as u64, d);
-                    }
-                });
-            }
-        });
-        for u in 0..threads as u64 {
-            let rel = (c.estimate(u) / per_user as f64 - 1.0).abs();
-            assert!(rel < 0.15, "user {u}: relative error {rel}");
-        }
-        // Z must be exact after quiescence: every winner applied its own
-        // delta exactly once.
-        assert!(c.z_discrepancy() < 1e-9, "Z drift {}", c.z_discrepancy());
-    }
-
-    #[test]
-    fn rs_duplicates_across_threads_counted_once() {
-        let c = Arc::new(ConcurrentFreeRS::new(1 << 13, 11));
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
-                    for d in 0..2_000u64 {
-                        c.process(1, d);
-                    }
-                });
-            }
-        });
-        let est = c.estimate(1);
-        assert!(
-            (est / 2_000.0 - 1.0).abs() < 0.15,
-            "estimate {est} should be ~2000 despite 8x duplication"
-        );
-        assert_eq!(c.user_count(), 1);
-    }
-
-    #[test]
-    fn rs_batch_matches_scalar_registers_single_thread() {
-        let batch = ConcurrentFreeRS::new(1 << 12, 7);
-        let scalar = ConcurrentFreeRS::new(1 << 12, 7);
-        let edges: Vec<(u64, u64)> = (0..8_000u64)
-            .map(|i| (i % 13, hashkit::splitmix64(i) >> 16))
-            .collect();
-        batch.process_batch(&edges);
-        for &(u, d) in &edges {
-            scalar.process(u, d);
-        }
-        for i in 0..batch.store().len() {
-            assert_eq!(
-                batch.store().load(i),
-                scalar.store().load(i),
-                "register {i}"
-            );
-        }
-        assert!(
-            batch.z_discrepancy() < 1e-9,
-            "batch Z drift {}",
-            batch.z_discrepancy()
-        );
-        for u in 0..13u64 {
-            let (b, s) = (batch.estimate(u), scalar.estimate(u));
-            assert!(
-                (b - s).abs() <= s * 1e-12,
-                "user {u}: batch {b} vs scalar {s}"
-            );
-        }
-    }
-
-    #[test]
-    fn rs_batch_concurrent_close_to_truth() {
-        let c = Arc::new(ConcurrentFreeRS::new(1 << 15, 3));
-        let threads = 8;
-        let per_user = 5_000u64;
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
-                    let user = t as u64;
-                    let edges: Vec<(u64, u64)> = (0..per_user).map(|d| (user, d)).collect();
-                    c.process_batch(&edges);
-                });
-            }
-        });
-        for u in 0..threads as u64 {
-            let rel = (c.estimate(u) / per_user as f64 - 1.0).abs();
-            assert!(rel < 0.15, "user {u}: relative error {rel}");
-        }
-        assert!(c.z_discrepancy() < 1e-9, "Z drift {}", c.z_discrepancy());
-    }
-
-    #[test]
-    fn rs_q_starts_at_one() {
-        let c = ConcurrentFreeRS::new(256, 1);
-        assert!((c.q() - 1.0).abs() < 1e-15);
-        c.process(1, 1);
-        assert!(c.q() < 1.0);
-    }
-
-    #[test]
-    fn bit_store_q_discrepancy_checks_counter_against_popcount() {
-        // The maintained relaxed zero counter must agree with a popcount
-        // recount once writers quiesce — including after contended ingest,
-        // per edge and in blocks (whose flips settle once per block).
-        for batched in [false, true] {
-            let c = Arc::new(ConcurrentFreeBS::new(1 << 14, 3));
-            std::thread::scope(|s| {
-                for t in 0..4u64 {
-                    let c = Arc::clone(&c);
-                    s.spawn(move || {
-                        // 12k edges over 16k bits: threads collide on slots.
-                        let edges: Vec<(u64, u64)> = (0..3_000u64).map(|d| (t, d)).collect();
-                        if batched {
-                            c.process_batch(&edges);
-                        } else {
-                            for &(u, d) in &edges {
-                                c.process(u, d);
-                            }
-                        }
-                    });
-                }
-            });
-            assert_eq!(
-                c.q_discrepancy(),
-                0.0,
-                "zero counter drifted from popcount (batched: {batched})"
-            );
-        }
-    }
-
-    #[test]
-    fn trait_ingest_paths_match_inherent() {
-        let a = ConcurrentFreeBS::new(1 << 12, 3);
-        let b = ConcurrentFreeBS::new(1 << 12, 3);
-        let edges: Vec<(u64, u64)> = (0..400u64).map(|i| (i % 5, i)).collect();
-        for &(u, d) in &edges {
-            ConcurrentEstimator::ingest(&a, u, d);
-        }
-        b.process_batch(&edges);
-        for u in 0..5u64 {
-            assert_eq!(a.estimate(u), b.estimate(u), "user {u}");
-        }
-        // And the &mut CardinalityEstimator view drives the same pipeline.
-        let mut c = ConcurrentFreeBS::new(1 << 12, 3);
-        for &(u, d) in &edges {
-            CardinalityEstimator::process(&mut c, u, d);
-        }
-        for u in 0..5u64 {
-            assert_eq!(a.estimate(u), c.estimate(u), "user {u}");
-        }
-        assert_eq!(c.name(), "ConcurrentFreeBS");
-        assert_eq!(ConcurrentFreeRS::new(64, 1).name(), "ConcurrentFreeRS");
     }
 }

@@ -335,8 +335,8 @@ impl BlockScratch {
 ///
 /// Instantiated as [`crate::FreeBS`] (`BitArray` + [`ZeroQ`]) and
 /// [`crate::FreeRS`] (`PackedArray` + [`IncrementalZ`]); the concurrent
-/// analogue over the atomic stores is
-/// [`crate::concurrent::ConcurrentEngine`].
+/// analogue over the atomic stores, each shard of a
+/// [`crate::ShardedSketch`], is [`crate::concurrent::ConcurrentEngine`].
 #[derive(Debug, Clone)]
 pub struct SketchEngine<S, Q> {
     store: S,

@@ -12,9 +12,7 @@
 //! |-----------|--------------|--------|------------|
 //! | [`FreeBS`]  | bit array `B[1..M]`       | `&mut` | contribution (§IV-A) |
 //! | [`FreeRS`]  | registers `R[1..M]`       | `&mut` | contribution (§IV-B) |
-//! | [`ConcurrentFreeBS`] | atomic bit array  | `&self`, lock-free | extension |
-//! | [`ConcurrentFreeRS`] | atomic registers  | `&self`, lock-free | extension |
-//! | [`ShardedFreeBS`] / [`ShardedFreeRS`] | `P` sub-arrays, per-shard `q` | `&self`, parallel scale-out | extension |
+//! | [`ShardedFreeBS`] / [`ShardedFreeRS`] | `P` atomic sub-arrays, per-shard `q` | `&self`, lock-free, parallel scale-out | extension |
 //! | [`Cse`]     | bit array + virtual LPC   | `&mut`, O(m) | baseline (Yoon et al.) |
 //! | [`VHll`]    | registers + virtual HLL   | `&mut`, O(m) | baseline (Xiao et al.) |
 //! | [`PerUserLpc`] / [`PerUserHllpp`] | one sketch per user | `&mut`, O(m) | baselines |
@@ -27,28 +25,22 @@
 //!
 //! ## Architecture
 //!
-//! The four FreeBS/FreeRS variants are instantiations of **two generic
-//! engines** over the [`bitpack::SlotStore`] /
-//! [`bitpack::ConcurrentSlotStore`] storage seam:
+//! FreeBS and FreeRS are written once each way over the
+//! [`bitpack::SlotStore`] / [`bitpack::ConcurrentSlotStore`] storage seam:
 //!
 //! * [`engine::SketchEngine`]`<S, Q>` — the exclusive (`&mut`) pipeline:
 //!   [`FreeBS`] = `SketchEngine<BitArray, ZeroQ>`, [`FreeRS`] =
 //!   `SketchEngine<PackedArray, IncrementalZ>`;
-//! * [`concurrent::ConcurrentEngine`]`<S, Q>` — the shared (`&self`)
-//!   pipeline: [`ConcurrentFreeBS`] = `ConcurrentEngine<AtomicBitArray,
-//!   SharedZeroQ>`, [`ConcurrentFreeRS`] =
-//!   `ConcurrentEngine<AtomicPackedArray, SharedZ>`;
+//! * [`ShardedSketch`]`<S, Q>` — the shared (`&self`) estimator: `P`
+//!   [`concurrent::ConcurrentEngine`] shards behind a router (per-shard
+//!   `q`, HT sums merged across shards). [`ShardedFreeBS`] =
+//!   `ShardedSketch<AtomicBitArray, SharedZeroQ>`, [`ShardedFreeRS`] =
+//!   `ShardedSketch<AtomicPackedArray, SharedZ>`; at `P = 1` it is one
+//!   shared array.
 //!
-//! [`ShardedSketch`] composes `P` concurrent engines behind one estimator
-//! (per-shard `q`, HT sums merged across shards). [`AnySketch`] puts the
-//! four configurations the CLI builds behind one surface, and
-//! [`AnySketch::confidence`] prices any user's anytime interval
-//! ([`anytime_ci`]) at the sketch's smallest `q`.
-//!
-//! The `concurrent` module is public and its engines are re-exported at
-//! the crate root, so `freesketch::ConcurrentFreeBS` and
-//! `freesketch::concurrent::ConcurrentFreeBS` name the same type (and the
-//! same for `ConcurrentFreeRS`).
+//! [`AnySketch`] puts the four configurations the CLI builds behind one
+//! surface, and [`AnySketch::confidence`] prices any user's anytime
+//! interval ([`anytime_ci`]) at the sketch's smallest `q`.
 //!
 //! ```
 //! use freesketch::{CardinalityEstimator, FreeBS};
@@ -85,7 +77,7 @@ mod vhll;
 /// overlap. The engines size their stack scratch by it.
 pub const INGEST_BLOCK: usize = 512;
 
-pub use concurrent::{ConcurrentEstimator, ConcurrentFreeBS, ConcurrentFreeRS};
+pub use concurrent::ConcurrentEstimator;
 pub use confidence::{anytime_ci, EstimateWithCi};
 pub use cse::Cse;
 pub use engine::{BlockHasher, IncrementalZ, QTracker, SketchEngine, ZeroQ};
@@ -115,8 +107,8 @@ pub trait CardinalityEstimator {
     /// Observes a slice of edges at once — the batched ingest fast path.
     ///
     /// The default implementation is a plain per-edge loop, so every
-    /// estimator gets the API for free; the FreeBS/FreeRS engines (scalar,
-    /// concurrent and sharded), [`Cse`] and [`VHll`] override it with
+    /// estimator gets the API for free; the FreeBS/FreeRS engines (scalar
+    /// and sharded), [`Cse`] and [`VHll`] override it with
     /// hand-optimized block pipelines (block hashing, a load-only warm
     /// pass over each block's array words, and amortized `q`/counter
     /// maintenance).
@@ -188,8 +180,6 @@ mod trait_object_tests {
             Box::new(VHll::new(1 << 11, 128, 1)),
             Box::new(PerUserLpc::new(256, 1)),
             Box::new(PerUserHllpp::new(4, 1)),
-            Box::new(ConcurrentFreeBS::new(1 << 14, 1)),
-            Box::new(ConcurrentFreeRS::new(1 << 11, 1)),
             Box::new(ShardedFreeBS::new(1 << 14, 4, 1)),
             Box::new(ShardedFreeRS::new(1 << 11, 4, 1)),
         ];
@@ -212,7 +202,7 @@ mod trait_object_tests {
     #[test]
     fn concurrent_estimators_are_object_safe_too() {
         let all: Vec<Box<dyn ConcurrentEstimator>> = vec![
-            Box::new(ConcurrentFreeBS::new(1 << 14, 1)),
+            Box::new(ShardedFreeBS::new(1 << 14, 1, 1)),
             Box::new(ShardedFreeRS::new(1 << 11, 2, 1)),
         ];
         for est in &all {

@@ -1,6 +1,7 @@
-//! Sharded concurrent estimation — parallel scale-out of the shared array.
+//! Sharded concurrent estimation — the one `&self` estimator, and the
+//! parallel scale-out of the shared array.
 //!
-//! The lock-free [`ConcurrentEngine`] lets many threads feed one shared
+//! A lock-free [`ConcurrentEngine`] lets many threads feed one shared
 //! array, but every fresh update still contends on the same `q`
 //! bookkeeping cache line (the relaxed zero counter resp. the CAS'd `Z`).
 //! [`ShardedSketch`] splits the memory budget into `P` independent
@@ -38,10 +39,9 @@
 //! pairs route to several shards.
 
 use crate::concurrent::{
-    ConcurrentEngine, ConcurrentEstimator, ConcurrentFreeBS, ConcurrentFreeRS, SharedQTracker,
-    SharedZ, SharedZeroQ,
+    ConcurrentEngine, ConcurrentEstimator, SharedQTracker, SharedZ, SharedZeroQ,
 };
-use crate::CardinalityEstimator;
+use crate::{CardinalityEstimator, FreeRS};
 use bitpack::{AtomicBitArray, AtomicPackedArray, ConcurrentSlotStore};
 use hashkit::{mix64, CounterMap, EdgeHasher};
 
@@ -62,31 +62,25 @@ pub struct ShardedSketch<S, Q> {
 }
 
 impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ShardedSketch<S, Q> {
-    /// Assembles a sharded sketch from pre-built engines (use the
-    /// [`crate::ShardedFreeBS`] / [`crate::ShardedFreeRS`] constructors
-    /// for the standard geometries).
+    /// Splits a budget of `slots` over `shards` fresh engines (rounded up
+    /// to a power of two), each store built by `store(slots / P)`. Shard
+    /// `i` hashes with seed `mix64(seed, i)`; the router with a salted one.
     ///
     /// # Panics
-    /// Panics if `engines` is empty or its length is not a power of two.
-    #[must_use]
-    pub fn from_engines(engines: Vec<ConcurrentEngine<S, Q>>, seed: u64) -> Self {
-        assert!(
-            !engines.is_empty(),
-            "sharded sketch needs at least one shard"
-        );
-        assert!(
-            engines.len().is_power_of_two(),
-            "shard count must be a power of two"
-        );
-        Self {
-            shards: engines.into_boxed_slice(),
-            router: EdgeHasher::new(mix64(seed, ROUTER_SALT)),
-        }
+    /// Panics if `slots < P` would leave a shard empty.
+    fn with_budget(slots: usize, shards: usize, seed: u64, store: impl Fn(usize) -> S) -> Self {
+        let p = shards.max(1).next_power_of_two();
+        let per_shard = slots / p;
+        assert!(per_shard > 0, "budget {slots} too small for {p} shards");
+        let engines = (0..p)
+            .map(|i| ConcurrentEngine::from_store(store(per_shard), mix64(seed, i as u64)))
+            .collect();
+        Self::from_parts(engines, EdgeHasher::new(mix64(seed, ROUTER_SALT)))
     }
 
-    /// Reassembles a sketch from restored shards and router (snapshot
-    /// load, which has already checked that the shard count is a non-zero
-    /// power of two).
+    /// Assembles a sketch from its shards and router: a fresh split
+    /// (`with_budget`) or a snapshot load, which has already checked that
+    /// the shard count is a non-zero power of two.
     pub(crate) fn from_parts(engines: Vec<ConcurrentEngine<S, Q>>, router: EdgeHasher) -> Self {
         Self {
             shards: engines.into_boxed_slice(),
@@ -311,13 +305,7 @@ impl ShardedFreeBS {
     /// Panics if `m_bits < shards` would leave a shard empty.
     #[must_use]
     pub fn new(m_bits: usize, shards: usize, seed: u64) -> Self {
-        let p = shards.max(1).next_power_of_two();
-        let per_shard = m_bits / p;
-        assert!(per_shard > 0, "budget {m_bits} too small for {p} shards");
-        let engines = (0..p)
-            .map(|i| ConcurrentFreeBS::new(per_shard, mix64(seed, i as u64)))
-            .collect();
-        Self::from_engines(engines, seed)
+        Self::with_budget(m_bits, shards, seed, AtomicBitArray::new)
     }
 }
 
@@ -334,16 +322,9 @@ impl ShardedFreeRS {
     /// Panics if `m_registers < shards` would leave a shard empty.
     #[must_use]
     pub fn new(m_registers: usize, shards: usize, seed: u64) -> Self {
-        let p = shards.max(1).next_power_of_two();
-        let per_shard = m_registers / p;
-        assert!(
-            per_shard > 0,
-            "budget {m_registers} too small for {p} shards"
-        );
-        let engines = (0..p)
-            .map(|i| ConcurrentFreeRS::new(per_shard, mix64(seed, i as u64)))
-            .collect();
-        Self::from_engines(engines, seed)
+        Self::with_budget(m_registers, shards, seed, |m| {
+            AtomicPackedArray::new(m, FreeRS::DEFAULT_WIDTH)
+        })
     }
 }
 
@@ -378,6 +359,9 @@ mod tests {
         let r = ShardedFreeRS::new(1 << 12, 3, 1); // rounds up to 4 shards
         assert_eq!(r.shard_count(), 4);
         assert_eq!(r.memory_bits(), (1 << 12) * 5);
+        assert!((r.q() - 1.0).abs() < 1e-15);
+        r.process(1, 1);
+        assert!(r.q() < 1.0);
         assert_eq!(CardinalityEstimator::name(&r), "ShardedFreeRS");
         assert_eq!(
             CardinalityEstimator::name(&ShardedFreeBS::new(64, 1, 1)),
@@ -570,12 +554,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn from_engines_rejects_non_power_of_two() {
-        let engines = (0..3).map(|i| ConcurrentFreeBS::new(64, i)).collect();
-        let _ = ShardedFreeBS::from_engines(engines, 0);
     }
 }

@@ -336,14 +336,6 @@ pub fn find_section<'a>(sections: &'a [Section], tag: &[u8; 4]) -> Result<&'a [u
         .ok_or(SnapshotError::MissingSection { tag: *tag })
 }
 
-/// Sniffs whether `prefix` plausibly starts a snapshot file (enough bytes
-/// and the right magic) — the CLI uses this to give "not a snapshot"
-/// errors before attempting a full parse.
-#[must_use]
-pub fn is_snapshot_prefix(prefix: &[u8]) -> bool {
-    prefix.len() >= 4 && prefix[..4] == SNAPSHOT_MAGIC
-}
-
 // Tolerates short reads and interrupts: loops until `buf` is full or EOF,
 // returning how many bytes were read (mirrors `fedge::read_up_to`).
 fn read_up_to(reader: &mut dyn Read, buf: &mut [u8]) -> std::io::Result<usize> {
@@ -510,12 +502,5 @@ mod tests {
                 if expected == 1 << 60 && got == 2),
             "{err}"
         );
-    }
-
-    #[test]
-    fn sniffing_prefixes() {
-        assert!(is_snapshot_prefix(b"FSNP\x01\x00"));
-        assert!(!is_snapshot_prefix(b"FSN"));
-        assert!(!is_snapshot_prefix(b"FEDG\x01\x00"));
     }
 }

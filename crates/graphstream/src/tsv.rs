@@ -49,7 +49,7 @@ fn truncate_content(s: &str) -> String {
 /// # Errors
 /// [`EdgeStreamError::Malformed`] when the line has fewer than two fields
 /// (the quoted content is truncated to at most 80 characters).
-pub fn parse_edge_line(line: &str, line_no: usize) -> Result<Option<Edge>, EdgeStreamError> {
+fn parse_edge_line(line: &str, line_no: usize) -> Result<Option<Edge>, EdgeStreamError> {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') {
         return Ok(None);
@@ -120,26 +120,21 @@ impl<R: BufRead> EdgeSource for TsvEdgeSource<R> {
     }
 }
 
-/// Reads a whole edge file into memory. Small files and tests only —
-/// command paths stream through [`TsvEdgeSource`] instead.
-///
-/// # Errors
-/// Propagates I/O errors and the first malformed line.
-pub fn read_edges<R: BufRead>(reader: R) -> Result<Vec<Edge>, EdgeStreamError> {
-    let mut src = TsvEdgeSource::new(reader);
-    let mut edges = Vec::new();
-    let mut buf = Vec::new();
-    loop {
-        if src.next_chunk(&mut buf, 4096)? == 0 {
-            return Ok(edges);
-        }
-        edges.extend_from_slice(&buf);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every edge of `data`, read through [`TsvEdgeSource`] in chunks of
+    /// 4,096 edges.
+    fn read_all(data: &[u8]) -> Result<Vec<Edge>, EdgeStreamError> {
+        let mut src = TsvEdgeSource::new(data);
+        let mut edges = Vec::new();
+        let mut buf = Vec::new();
+        while src.next_chunk(&mut buf, 4096)? > 0 {
+            edges.extend_from_slice(&buf);
+        }
+        Ok(edges)
+    }
 
     #[test]
     fn parses_pairs_and_skips_noise() {
@@ -150,7 +145,7 @@ mod tests {
 10.0.0.1 example.org
 10.0.0.2\texample.com
 ";
-        let edges = read_edges(data.as_bytes()).expect("parse");
+        let edges = read_all(data.as_bytes()).expect("parse");
         assert_eq!(edges.len(), 3);
         assert_eq!(edges[0].user, edges[1].user, "same user hashes equally");
         assert_ne!(edges[0].item, edges[1].item);
@@ -168,7 +163,7 @@ mod tests {
 
     #[test]
     fn malformed_line_reports_position() {
-        let err = read_edges("a b\nonly_one_field\n".as_bytes()).unwrap_err();
+        let err = read_all(b"a b\nonly_one_field\n").unwrap_err();
         match err {
             EdgeStreamError::Malformed { line, content } => {
                 assert_eq!(line, 2);
@@ -183,7 +178,7 @@ mod tests {
         // A malformed line of half a MiB must not be copied wholesale into
         // the error message.
         let huge = "x".repeat(MAX_LINE_BYTES / 2);
-        let err = read_edges(huge.as_bytes()).unwrap_err();
+        let err = read_all(huge.as_bytes()).unwrap_err();
         match &err {
             EdgeStreamError::Malformed { line, content } => {
                 assert_eq!(*line, 1);
@@ -196,7 +191,7 @@ mod tests {
         }
         // Exactly at the limit: kept whole, no marker.
         let exact = "y".repeat(MALFORMED_CONTENT_MAX);
-        match read_edges(exact.as_bytes()).unwrap_err() {
+        match read_all(exact.as_bytes()).unwrap_err() {
             EdgeStreamError::Malformed { content, .. } => {
                 assert_eq!(content, exact);
             }
@@ -247,12 +242,12 @@ mod tests {
         let mut ok = "a ".to_string() + &"b".repeat(MAX_LINE_BYTES - 3);
         ok.push('\n');
         assert_eq!(ok.len(), MAX_LINE_BYTES);
-        assert_eq!(read_edges(ok.as_bytes()).expect("at the cap").len(), 1);
+        assert_eq!(read_all(ok.as_bytes()).expect("at the cap").len(), 1);
     }
 
     #[test]
     fn invalid_utf8_is_an_io_error() {
-        let err = read_edges(&b"a b\n\xff c\n"[..]).unwrap_err();
+        let err = read_all(b"a b\n\xff c\n").unwrap_err();
         assert!(
             matches!(&err, EdgeStreamError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData),
             "{err}"
@@ -267,19 +262,17 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty_stream() {
-        assert!(read_edges("".as_bytes()).expect("parse").is_empty());
-        assert!(read_edges("# only comments\n".as_bytes())
-            .expect("parse")
-            .is_empty());
+        assert!(read_all(b"").expect("parse").is_empty());
+        assert!(read_all(b"# only comments\n").expect("parse").is_empty());
     }
 
     #[test]
-    fn source_streams_in_chunks_and_matches_read_edges() {
+    fn source_yields_the_same_edges_at_every_chunk_size() {
         let mut data = String::from("# header\n");
         for i in 0..100 {
             data.push_str(&format!("user{} item{}\n", i % 7, i));
         }
-        let expected = read_edges(data.as_bytes()).expect("parse");
+        let expected = read_all(data.as_bytes()).expect("parse");
         for chunk in [1usize, 3, 64, 1000] {
             let mut src = TsvEdgeSource::new(data.as_bytes());
             let mut buf = Vec::new();

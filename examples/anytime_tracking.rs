@@ -4,16 +4,14 @@
 //! that just arrived, and a full refresh costs O(m) per user).
 //!
 //! Also demonstrates the concurrent extension: the same stream processed
-//! from four threads into one shared `ConcurrentFreeBS` lands on the same
-//! answers.
+//! from four threads into one shared array (a one-shard `ShardedFreeBS`)
+//! lands on the same answers.
 //!
 //! ```text
 //! cargo run --release --example anytime_tracking
 //! ```
 
-use freesketch::concurrent::ConcurrentFreeBS;
-use freesketch::{CardinalityEstimator, FreeBS};
-use std::sync::Arc;
+use freesketch::{CardinalityEstimator, FreeBS, ShardedFreeBS};
 
 fn main() {
     let m_bits = 1 << 20;
@@ -47,10 +45,10 @@ fn main() {
 
     // Concurrent variant: four threads, one shared sketch, same semantics.
     println!("\nconcurrent: 4 threads × 25k items each into one shared array");
-    let conc = Arc::new(ConcurrentFreeBS::new(m_bits, 9));
+    let conc = ShardedFreeBS::new(m_bits, 1, 9);
     std::thread::scope(|s| {
         for t in 0..4u64 {
-            let conc = Arc::clone(&conc);
+            let conc = &conc;
             s.spawn(move || {
                 for d in 0..25_000u64 {
                     conc.process(100 + t, d);

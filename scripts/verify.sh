@@ -14,7 +14,18 @@ echo "==> perfbench smoke (every workload and the per-layer run on tiny traces)"
 # perfbench-layers calls library APIs (save_snapshot, ShardedSketch::{shards,
 # route, merged_estimates}); building and running it here makes a change to
 # one of them fail the gate instead of silently breaking `--trace 1`.
+# perfbench/Cargo.lock is a benchmark file. A manifest change under crates/
+# that adds or drops a dependency makes this build rewrite it, and neither
+# `cargo metadata --locked` nor `cargo build --locked` refuses the stale
+# lock, so only its bytes show the change.
+lock_before=target/perfbench-Cargo.lock.before
+mkdir -p target
+cp perfbench/Cargo.lock "$lock_before"
 CARGO_TARGET_DIR=target python3 perfbench/run.py --smoke
+cmp -s "$lock_before" perfbench/Cargo.lock || {
+  echo "perfbench/Cargo.lock changed during the perfbench build:"
+  echo "a manifest change rewrote a benchmark file"; exit 1;
+}
 
 echo "==> cargo test -q"
 cargo test -q --workspace

@@ -1,30 +1,75 @@
-//! Concurrent-extension integration: the lock-free FreeBS variant must
-//! agree with the sequential reference on real workloads.
+//! The concurrent engine, checked as the one shard of a one-shard sketch:
+//! a lone writer must equal the sequential reference bit for bit, and
+//! contended writers must keep `q` exact, dedup global and estimates
+//! within noise.
 
-use freesketch::concurrent::ConcurrentFreeBS;
-use freesketch::{CardinalityEstimator, FreeBS};
+use freesketch::{CardinalityEstimator, ConcurrentEstimator, FreeBS, ShardedFreeBS, ShardedFreeRS};
 use graphstream::{GroundTruth, SynthConfig};
-use std::sync::Arc;
+use hashkit::mix64;
+
+/// Feeds each of `parts` to `est` on its own scoped thread, edge by edge
+/// or as one batch.
+fn ingest_from_threads(est: &dyn ConcurrentEstimator, parts: &[&[(u64, u64)]], batched: bool) {
+    std::thread::scope(|s| {
+        for &part in parts {
+            s.spawn(move || {
+                if batched {
+                    est.ingest_batch(part);
+                } else {
+                    for &(user, item) in part {
+                        est.ingest(user, item);
+                    }
+                }
+            });
+        }
+    });
+}
 
 #[test]
 fn sequential_replay_is_bit_identical() {
+    // Shard 0 of a sketch seeded 4 hashes with `mix64(4, 0)`, so a lone
+    // writer's one-shard sketch is that scalar FreeBS: the same words,
+    // zero count, per-user estimates and total, per edge and in blocks.
     let stream = SynthConfig::tiny(21).generate();
-    let conc = ConcurrentFreeBS::new(1 << 18, 4);
-    let mut seq = FreeBS::new(1 << 18, 4);
-    for e in stream.edges() {
-        conc.process(e.user, e.item);
-        seq.process(e.user, e.item);
+    let pairs: Vec<(u64, u64)> = stream.edges().iter().map(|e| e.pair()).collect();
+    let mut seq = FreeBS::new(1 << 18, mix64(4, 0));
+    let per_edge = ShardedFreeBS::new(1 << 18, 1, 4);
+    for &(user, item) in &pairs {
+        seq.process(user, item);
+        per_edge.process(user, item);
     }
-    let mut users = Vec::new();
-    conc.for_each_estimate(&mut |user, est| {
-        users.push(user);
-        assert_eq!(est, seq.estimate(user), "user {user}");
-    });
-    users.sort_unstable();
-    let visits = users.len();
-    users.dedup();
-    assert_eq!(users.len(), visits, "a user was visited twice");
-    assert_eq!(users.len(), seq.user_count());
+    let blocks = ShardedFreeBS::new(1 << 18, 1, 4);
+    for slice in pairs.chunks(1000) {
+        blocks.process_batch(slice);
+    }
+    for (how, sketch) in [("per edge", &per_edge), ("blocks", &blocks)] {
+        let shard = &sketch.shards()[0];
+        let bits = seq.store();
+        assert_eq!(shard.store().word_count(), bits.words().len(), "{how}");
+        for (i, &w) in bits.words().iter().enumerate() {
+            assert_eq!(shard.store().word(i), w, "{how}: word {i}");
+        }
+        assert_eq!(shard.store().zeros(), bits.zeros(), "{how}");
+        let mut users = Vec::new();
+        shard.for_each_estimate(&mut |user, est| {
+            users.push(user);
+            assert_eq!(
+                est.to_bits(),
+                seq.estimate(user).to_bits(),
+                "{how}: user {user}"
+            );
+        });
+        users.sort_unstable();
+        let visits = users.len();
+        users.dedup();
+        assert_eq!(users.len(), visits, "{how}: a user was visited twice");
+        assert_eq!(users.len(), seq.user_count(), "{how}");
+        assert_eq!(
+            sketch.total_estimate().to_bits(),
+            seq.total_estimate().to_bits(),
+            "{how}"
+        );
+    }
 }
 
 #[test]
@@ -41,66 +86,112 @@ fn parallel_processing_matches_truth_within_noise() {
     for e in stream.edges() {
         truth.observe(*e);
     }
+    let pairs: Vec<(u64, u64)> = stream.edges().iter().map(|e| e.pair()).collect();
+    let parts: Vec<&[(u64, u64)]> = pairs.chunks(pairs.len().div_ceil(8)).collect();
 
-    let conc = Arc::new(ConcurrentFreeBS::new(1 << 19, 6));
-    let threads = 8;
-    let chunk = stream.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for part in stream.edges().chunks(chunk) {
-            let conc = Arc::clone(&conc);
-            s.spawn(move || {
-                for e in part {
-                    conc.process(e.user, e.item);
-                }
-            });
-        }
-    });
+    for batched in [false, true] {
+        let sketch = ShardedFreeBS::new(1 << 19, 1, 6);
+        ingest_from_threads(&sketch, &parts, batched);
 
-    // Aggregate accuracy: total within 2%, per-user RMS relative error
-    // small for the heavier half of users.
-    let total = truth.total_cardinality() as f64;
-    assert!(
-        (conc.total_estimate() / total - 1.0).abs() < 0.02,
-        "total {} vs {total}",
-        conc.total_estimate()
-    );
-    let mut sq = 0.0;
-    let mut k = 0usize;
-    for (user, actual) in truth.iter() {
-        if actual >= 20 {
-            let rel = conc.estimate(user) / actual as f64 - 1.0;
-            sq += rel * rel;
-            k += 1;
+        // Aggregate accuracy: total within 2%, per-user RMS relative error
+        // small for the heavier half of users.
+        let total = truth.total_cardinality() as f64;
+        assert!(
+            (sketch.total_estimate() / total - 1.0).abs() < 0.02,
+            "batched {batched}: total {} vs {total}",
+            sketch.total_estimate()
+        );
+        let mut sq = 0.0;
+        let mut k = 0usize;
+        for (user, actual) in truth.iter() {
+            if actual >= 20 {
+                let rel = sketch.estimate(user) / actual as f64 - 1.0;
+                sq += rel * rel;
+                k += 1;
+            }
         }
+        let rms = (sq / k as f64).sqrt();
+        assert!(
+            rms < 0.25,
+            "batched {batched}: per-user RMS relative error {rms}"
+        );
     }
-    let rms = (sq / k as f64).sqrt();
-    assert!(rms < 0.25, "per-user RMS relative error {rms}");
 }
 
 #[test]
 fn contended_duplicates_stay_deduplicated() {
-    // All threads process the SAME edges; dedup must hold under contention.
+    // Four threads send the SAME edges: every pair is credited once, so
+    // the total stays at the truth, and the array ends as one writer
+    // leaves it (slot updates are monotone, so order cannot matter).
     let stream = SynthConfig::tiny(55).generate();
     let mut truth = GroundTruth::new();
     for e in stream.edges() {
         truth.observe(*e);
     }
-    let conc = Arc::new(ConcurrentFreeBS::new(1 << 19, 8));
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            let conc = Arc::clone(&conc);
-            let edges = stream.edges();
-            s.spawn(move || {
-                for e in edges {
-                    conc.process(e.user, e.item);
-                }
-            });
-        }
-    });
     let total = truth.total_cardinality() as f64;
-    assert!(
-        (conc.total_estimate() / total - 1.0).abs() < 0.05,
-        "4x-duplicated stream inflated the total: {} vs {total}",
-        conc.total_estimate()
-    );
+    let pairs: Vec<(u64, u64)> = stream.edges().iter().map(|e| e.pair()).collect();
+    let parts = [pairs.as_slice(); 4];
+
+    let bits = ShardedFreeBS::new(1 << 19, 1, 8);
+    let lone_bits = ShardedFreeBS::new(1 << 19, 1, 8);
+    let regs = ShardedFreeRS::new(1 << 17, 1, 8);
+    let lone_regs = ShardedFreeRS::new(1 << 17, 1, 8);
+    ingest_from_threads(&bits, &parts, false);
+    ingest_from_threads(&regs, &parts, false);
+    lone_bits.process_batch(&pairs);
+    lone_regs.process_batch(&pairs);
+
+    let (store, lone) = (bits.shards()[0].store(), lone_bits.shards()[0].store());
+    for i in 0..lone.word_count() {
+        assert_eq!(store.word(i), lone.word(i), "FreeBS word {i}");
+    }
+    let (store, lone) = (regs.shards()[0].store(), lone_regs.shards()[0].store());
+    for i in 0..lone.word_count() {
+        assert_eq!(store.word(i), lone.word(i), "FreeRS word {i}");
+    }
+    for sketch in [&bits as &dyn CardinalityEstimator, &regs] {
+        assert!(
+            (sketch.total_estimate() / total - 1.0).abs() < 0.05,
+            "{}: 4x-duplicated stream inflated the total: {} vs {total}",
+            sketch.name(),
+            sketch.total_estimate()
+        );
+    }
+}
+
+#[test]
+fn contended_ingest_keeps_q_exact() {
+    // Four writers, one user each, share one shard, per edge and in
+    // blocks: the relaxed zero counter must match a popcount recount and
+    // the CAS-added `Z` an exact register scan once they quiesce, and
+    // every user's estimate stays near its 5,000 distinct items.
+    let pairs: Vec<(u64, u64)> = (0..4u64)
+        .flat_map(|user| (0..5_000u64).map(move |item| (user, item)))
+        .collect();
+    let parts: Vec<&[(u64, u64)]> = pairs.chunks(5_000).collect();
+    for batched in [false, true] {
+        // 20k edges over 16k bits: the writers collide on slots.
+        let bits = ShardedFreeBS::new(1 << 14, 1, 3);
+        ingest_from_threads(&bits, &parts, batched);
+        let drift = bits.shards()[0].q_discrepancy();
+        assert_eq!(drift, 0.0, "zero counter drifted (batched {batched})");
+
+        let regs = ShardedFreeRS::new(1 << 15, 1, 9);
+        ingest_from_threads(&regs, &parts, batched);
+        let drift = regs.shards()[0].q_discrepancy();
+        assert!(drift < 1e-9, "Z drifted by {drift} (batched {batched})");
+
+        assert_eq!(bits.shards()[0].user_count(), 4);
+        assert_eq!(regs.shards()[0].user_count(), 4);
+        for sketch in [&bits as &dyn CardinalityEstimator, &regs] {
+            for user in 0..4u64 {
+                let rel = (sketch.estimate(user) / 5_000.0 - 1.0).abs();
+                assert!(
+                    rel < 0.15,
+                    "{} user {user} (batched {batched}): relative error {rel}",
+                    sketch.name()
+                );
+            }
+        }
+    }
 }
