@@ -1,19 +1,23 @@
-//! Lock-free bit array for the concurrent FreeBS extension.
+//! Bit array for the shards of the concurrent FreeBS: one writer at a
+//! time, any number of readers.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// A fixed-length bit array whose bits can be set concurrently from many
-/// threads without locks.
+/// A fixed-length bit array that one writer at a time sets through `&self`
+/// while any number of threads read it.
 ///
-/// The zero count is maintained with a relaxed atomic counter, decremented
-/// only by the thread that actually flips a bit (the `fetch_or` winner), so
-/// it is exact once all writers quiesce. [`AtomicBitArray::set_many`]
-/// settles it once per block, so during concurrent operation a reader may
-/// observe a count that lags by up to one block of flips per other writer
-/// — the concurrent FreeBS engine tolerates this (it perturbs `q` by at
-/// most `k/M` for `k` unsettled flips), and the workspace's
-/// `tests/concurrent_equivalence.rs` and core proptests bound the
-/// resulting estimate skew.
+/// **One writer at a time.** Every write ([`AtomicBitArray::set`],
+/// [`AtomicBitArray::set_many`], [`AtomicBitArray::union_with`]) is a
+/// relaxed load and a relaxed store of the word, with no read-modify-write,
+/// and the zero count is stored, not decremented in place. Two writers at
+/// once could lose each other's bits and flips, so callers serialize them:
+/// the concurrent engine in `freesketch` holds its writer lock across every
+/// call that writes. The words and the count stay atomic so that readers,
+/// which take no lock, load what the writer stored (the crate forbids
+/// `unsafe`). Under that contract the zero count is exact after every
+/// write, and a reader sees it at most one write behind. A write that would
+/// take the count below zero (overlapping writers counting one flip twice)
+/// panics rather than wrap it.
 #[derive(Debug)]
 pub struct AtomicBitArray {
     words: Vec<AtomicU64>,
@@ -50,13 +54,33 @@ impl AtomicBitArray {
         false
     }
 
-    /// Current zero-bit count. Exact when no writes are in flight.
+    /// Current zero-bit count: exact for the writer, at most one write
+    /// behind for a reader.
     #[must_use]
     pub fn zeros(&self) -> usize {
-        // ORDERING: relaxed-ok — advisory monotone counter; callers that need
-        // an exact value read at quiescence, where thread-join already
-        // provides the happens-before edge.
+        // ORDERING: relaxed-ok — a count with no payload behind it; the
+        // writer reads its own stores, and a reader that needs an exact
+        // value reads after a join or the writer's lock hand-off.
         self.zeros.load(Ordering::Relaxed)
+    }
+
+    /// Lowers the zero count by `flipped` (the writer only).
+    #[inline]
+    fn settle(&self, flipped: usize) {
+        if flipped > 0 {
+            // ORDERING: relaxed-ok — one writer at a time (see the type
+            // doc), so a load and a store cannot lose a flip; readers treat
+            // the count as in zeros().
+            let zeros = self.zeros.load(Ordering::Relaxed);
+            // Overlapping writers can count one flip twice; fail loudly
+            // rather than wrap the count and price growths at q > 1.
+            assert!(
+                flipped <= zeros,
+                "more flips than zero bits: two writers overlapped"
+            );
+            // ORDERING: relaxed-ok — as above.
+            self.zeros.store(zeros - flipped, Ordering::Relaxed);
+        }
     }
 
     /// Tests bit `i`.
@@ -73,33 +97,23 @@ impl AtomicBitArray {
         (self.words[i >> 6].load(Ordering::Relaxed) >> (i & 63)) & 1 == 1
     }
 
-    /// Atomically sets bit `i`, returning `true` iff this call flipped it.
-    /// Exactly one concurrent caller wins for each bit.
+    /// Sets bit `i` (one writer at a time), returning `true` iff this call
+    /// flipped it.
     ///
     /// # Panics
     /// Panics if `i >= len`.
     #[inline]
     pub fn set(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        let mask = 1u64 << (i & 63);
-        // ORDERING: relaxed-ok — the per-word RMW total order alone picks a
-        // unique winner for each bit; no other memory is published, so no
-        // release edge is needed.
-        let prev = self.words[i >> 6].fetch_or(mask, Ordering::Relaxed);
-        let fresh = prev & mask == 0;
-        if fresh {
-            // ORDERING: relaxed-ok — counter decrement rides the same RMW
-            // total order; readers treat it as advisory (see zeros()).
-            self.zeros.fetch_sub(1, Ordering::Relaxed);
-        }
-        fresh
+        let mut fresh = [false];
+        self.set_many(&[i], &mut fresh);
+        fresh[0]
     }
 
-    /// Sets every bit named in `slots`, recording in `fresh[i]` whether
-    /// this call flipped bit `slots[i]` — the block form of
-    /// [`AtomicBitArray::set`]. A relaxed load skips the `fetch_or` for a
-    /// bit that is already set (it can never be won again), and the zero
-    /// count is settled by one `fetch_sub` for the whole block.
+    /// Sets every bit named in `slots` (one writer at a time), recording in
+    /// `fresh[i]` whether this call flipped bit `slots[i]` — the block form
+    /// of [`AtomicBitArray::set`]. Each bit is a load and an unconditional
+    /// store of its word, branch-free as [`crate::BitArray::set_many`], and
+    /// the zero count is stored once for the whole block.
     ///
     /// # Panics
     /// Panics if `fresh.len() != slots.len()` or any slot is out of range.
@@ -115,19 +129,17 @@ impl AtomicBitArray {
         for (f, &slot) in fresh.iter_mut().zip(slots) {
             let word = &self.words[slot >> 6];
             let mask = 1u64 << (slot & 63);
-            // ORDERING: relaxed-ok — bits are monotone, so a set bit seen by
-            // any load stays set and this call cannot win it; an unset one
-            // goes to the fetch_or, whose RMW total order picks the winner
-            // (see set()).
-            let won = word.load(Ordering::Relaxed) & mask == 0
-                && word.fetch_or(mask, Ordering::Relaxed) & mask == 0;
-            *f = won;
-            flipped += usize::from(won);
+            // ORDERING: relaxed-ok — one writer at a time (see the type
+            // doc): nothing else stores this word between the load and the
+            // store, and a set bit publishes no other memory.
+            let bits = word.load(Ordering::Relaxed);
+            // ORDERING: relaxed-ok — as above.
+            word.store(bits | mask, Ordering::Relaxed);
+            let was_zero = bits & mask == 0;
+            *f = was_zero;
+            flipped += usize::from(was_zero);
         }
-        if flipped > 0 {
-            // ORDERING: relaxed-ok — advisory counter, same as set().
-            self.zeros.fetch_sub(flipped, Ordering::Relaxed);
-        }
+        self.settle(flipped);
     }
 
     /// Load-only warm-up of the word holding bit `i` (relaxed), returned so
@@ -193,10 +205,8 @@ impl AtomicBitArray {
         })
     }
 
-    /// Bitwise OR of another array into this one (concurrent sketch
-    /// union). Safe to run while writers are active on either side; the
-    /// zero count is exact once all writers (including this merge)
-    /// quiesce.
+    /// Bitwise OR of another array into this one (sketch union), as this
+    /// array's one writer; `other` is read as it stands.
     ///
     /// # Panics
     /// Panics if lengths differ.
@@ -204,26 +214,25 @@ impl AtomicBitArray {
         assert_eq!(self.len, other.len, "union requires equal lengths");
         let mut flipped = 0usize;
         for (a, b) in self.words.iter().zip(&other.words) {
-            // ORDERING: relaxed-ok — monotone bits carry no payload; the
-            // fetch_or RMW total order alone decides which bits this call
-            // freshly sets (see set()).
+            // ORDERING: relaxed-ok — monotone bits carry no payload, and
+            // this call is `self`'s one writer (see the type doc), so no
+            // other store lands between the load of `a` and its store.
             let bits = b.load(Ordering::Relaxed);
             if bits != 0 {
-                let prev = a.fetch_or(bits, Ordering::Relaxed);
+                // ORDERING: relaxed-ok — as above.
+                let prev = a.load(Ordering::Relaxed);
+                // ORDERING: relaxed-ok — as above.
+                a.store(prev | bits, Ordering::Relaxed);
                 flipped += (bits & !prev).count_ones() as usize;
             }
         }
-        if flipped > 0 {
-            // ORDERING: relaxed-ok — advisory counter, same as set().
-            self.zeros.fetch_sub(flipped, Ordering::Relaxed);
-        }
+        self.settle(flipped);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn sequential_semantics_match_bitarray() {
@@ -237,40 +246,12 @@ mod tests {
     }
 
     #[test]
-    fn exactly_one_winner_per_bit() {
-        // Per bit, and in 512-bit blocks whose flips settle the zero count
-        // once per block.
-        for blocks in [false, true] {
-            let arr = Arc::new(AtomicBitArray::new(4096));
-            let threads = 8;
-            let wins: usize = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let arr = Arc::clone(&arr);
-                        s.spawn(move || {
-                            if !blocks {
-                                return (0..4096).filter(|&i| arr.set(i)).count();
-                            }
-                            let slots: Vec<usize> = (0..4096).collect();
-                            let mut fresh = [false; 512];
-                            let mut won = 0;
-                            for block in slots.chunks(512) {
-                                arr.set_many(block, &mut fresh);
-                                won += fresh.iter().filter(|&&f| f).count();
-                            }
-                            won
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("thread panicked"))
-                    .sum()
-            });
-            assert_eq!(wins, 4096, "each bit must be flipped exactly once overall");
-            assert_eq!(arr.zeros(), 0);
-            assert_eq!(arr.recount_zeros(), 0);
-        }
+    #[should_panic(expected = "two writers overlapped")]
+    fn a_double_counted_flip_fails_loudly() {
+        // Two overlapping writers can both count the last zero bit's flip.
+        let a = AtomicBitArray::new(4);
+        a.settle(3);
+        a.settle(2);
     }
 
     #[test]

@@ -1,13 +1,22 @@
-//! Lock-free packed register array for the concurrent FreeRS extension.
+//! Packed register array for the shards of the concurrent FreeRS: one
+//! writer at a time, any number of readers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A fixed-length array of `w`-bit registers supporting concurrent
-/// max-updates via compare-and-swap on the backing words.
+/// A fixed-length array of `w`-bit registers that one writer at a time
+/// max-updates through `&self` while any number of threads read it.
+///
+/// **One writer at a time.** Every write ([`AtomicPackedArray::store_max`],
+/// [`AtomicPackedArray::merge_max`]) is a relaxed load and a relaxed store
+/// of the word, with no compare-and-swap. Two writers at once could lose
+/// each other's growths, so callers serialize them: the concurrent engine
+/// in `freesketch` holds its writer lock across every call that writes.
+/// The words stay atomic so that readers, which take no lock, load what the
+/// writer stored (the crate forbids `unsafe`), and a reader sees every
+/// register whole, because a register never straddles two words.
 ///
 /// Unlike [`crate::PackedArray`], cells never straddle word boundaries:
-/// each word holds `⌊64/w⌋` cells and the remainder bits go unused, so a
-/// CAS on one word races only with updates to cells in that word. The
+/// each word holds `⌊64/w⌋` cells and the remainder bits go unused. The
 /// memory overhead versus tight packing is `64 mod w` bits per word
 /// (for w = 5: 4/64 ≈ 6%).
 #[derive(Debug)]
@@ -103,9 +112,8 @@ impl AtomicPackedArray {
         ((self.words[word].load(Ordering::Relaxed) >> off) & mask) as u16
     }
 
-    /// Atomically performs `R[i] ← max(R[i], value)`, returning the
-    /// previous value if this call grew the register (exactly one winner
-    /// per growth under contention).
+    /// Performs `R[i] ← max(R[i], value)` (one writer at a time),
+    /// returning the previous value if this call grew the register.
     ///
     /// # Panics
     /// Panics if `i >= len` or `value > max_value()`.
@@ -120,24 +128,18 @@ impl AtomicPackedArray {
         let (word, off) = self.locate(i);
         let mask = (1u64 << self.width) - 1;
         let slot = &self.words[word];
-        // ORDERING: relaxed-ok — optimistic first read; the CAS below revalidates
-        // it, so a stale value costs one retry, never correctness.
-        let mut current = slot.load(Ordering::Relaxed);
-        loop {
-            let old = ((current >> off) & mask) as u16;
-            if u64::from(value) <= u64::from(old) {
-                return None;
-            }
-            let updated = (current & !(mask << off)) | (u64::from(value) << off);
-            // ORDERING: relaxed-ok (Relaxed/Relaxed) — the CAS retry loop carries no
-            // payload; the per-word RMW total order alone guarantees one
-            // winner per growth, and failure just reloads and retries.
-            match slot.compare_exchange_weak(current, updated, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return Some(old),
-                Err(actual) => current = actual,
-            }
+        // ORDERING: relaxed-ok — one writer at a time (see the type doc):
+        // nothing else stores this word between the load and the store, and
+        // a register publishes no other memory.
+        let current = slot.load(Ordering::Relaxed);
+        let old = ((current >> off) & mask) as u16;
+        if value <= old {
+            return None;
         }
+        let updated = (current & !(mask << off)) | (u64::from(value) << off);
+        // ORDERING: relaxed-ok — as above.
+        slot.store(updated, Ordering::Relaxed);
+        Some(old)
     }
 
     /// `Σ 2^{-R[i]}` over all registers (quiescent-state scan).
@@ -210,8 +212,8 @@ impl AtomicPackedArray {
         })
     }
 
-    /// Element-wise max of another array into this one (concurrent HLL
-    /// union). Safe to run while writers are active on either side.
+    /// Element-wise max of another array into this one (HLL union), as
+    /// this array's one writer; `other` is read as it stands.
     ///
     /// # Panics
     /// Panics if geometry differs.
@@ -230,7 +232,6 @@ impl AtomicPackedArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn sequential_semantics_match_packed() {
@@ -257,55 +258,6 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-
-    #[test]
-    fn concurrent_max_updates_converge() {
-        let arr = Arc::new(AtomicPackedArray::new(1024, 5));
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let arr = Arc::clone(&arr);
-                s.spawn(move || {
-                    let mut st = t;
-                    for _ in 0..20_000 {
-                        let i = (next(&mut st) % 1024) as usize;
-                        let v = (next(&mut st) % 32) as u16;
-                        arr.store_max(i, v);
-                    }
-                });
-            }
-        });
-        // Re-applying the same updates sequentially must change nothing:
-        // every register already holds the max.
-        for t in 0..8u64 {
-            let mut st = t;
-            for _ in 0..20_000 {
-                let i = (next(&mut st) % 1024) as usize;
-                let v = (next(&mut st) % 32) as u16;
-                assert!(arr.load(i) >= v, "register {i} below max");
-            }
-        }
-    }
-
-    #[test]
-    fn exactly_one_winner_per_growth() {
-        // All threads race to set the same register to the same value:
-        // exactly one Some() in total.
-        let arr = Arc::new(AtomicPackedArray::new(4, 6));
-        let winners: usize = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    let arr = Arc::clone(&arr);
-                    s.spawn(move || usize::from(arr.store_max(2, 40).is_some()))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("no panic"))
-                .sum()
-        });
-        assert_eq!(winners, 1);
-        assert_eq!(arr.load(2), 40);
     }
 
     #[test]

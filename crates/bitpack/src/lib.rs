@@ -10,8 +10,10 @@
 //!   cost exactly 5 or 6 bits per cell, as the paper's memory accounting
 //!   assumes.
 //!
-//! [`AtomicBitArray`] and [`AtomicPackedArray`] are the lock-free variants
-//! that the shards of `freesketch::ShardedSketch` update.
+//! [`AtomicBitArray`] and [`AtomicPackedArray`] are the shared variants
+//! that the shards of `freesketch::ShardedSketch` update: one writer at a
+//! time stores each word with a relaxed load and store (the shard's writer
+//! lock serializes writers), and any thread reads without a lock.
 //!
 //! The [`SlotStore`] / [`ConcurrentSlotStore`] traits make the arrays
 //! interchangeable behind one slot-update API — the storage seam the

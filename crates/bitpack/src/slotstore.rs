@@ -6,16 +6,16 @@
 //! stores: a **bit** (update = set, `q` = zero fraction) or a **rank
 //! register** (update = max, `q = Σ 2^{-R[j]} / M`). [`SlotStore`]
 //! captures that seam for the exclusive (`&mut self`) estimators and
-//! [`ConcurrentSlotStore`] for the lock-free (`&self`) ones, so the
-//! estimator core in `freesketch` is written once and instantiated four
-//! times:
+//! [`ConcurrentSlotStore`] for the shared (`&self`) ones, which one writer
+//! at a time updates while any thread reads, so the estimator core in
+//! `freesketch` is written once and instantiated four times:
 //!
-//! | store | slot holds | update | exclusive | concurrent |
+//! | store | slot holds | update | exclusive | shared |
 //! |-------|-----------|--------|-----------|------------|
 //! | [`BitArray`]          | 1 bit        | set | ✓ | |
 //! | [`PackedArray`]       | w-bit register | max | ✓ | |
-//! | [`AtomicBitArray`]    | 1 bit        | `fetch_or` | | ✓ |
-//! | [`AtomicPackedArray`] | w-bit register | CAS max | | ✓ |
+//! | [`AtomicBitArray`]    | 1 bit        | relaxed load + store | | ✓ |
+//! | [`AtomicPackedArray`] | w-bit register | relaxed load + store of the max | | ✓ |
 //!
 //! The value handed to an update is a saturated geometric rank for
 //! register stores and ignored by bit stores ([`SlotStore::RANKED`] tells
@@ -106,9 +106,18 @@ pub trait SlotStore {
     fn validate(&self) -> Result<(), String>;
 }
 
-/// [`SlotStore`]'s lock-free counterpart: shared (`&self`) monotone updates
-/// from many threads, with the same change-indicator contract. Exactly one
-/// concurrent updater wins any given slot change.
+/// [`SlotStore`]'s shared counterpart: monotone updates through `&self`,
+/// with the same change-indicator contract, while any number of threads
+/// read.
+///
+/// **One writer at a time.** An update is a relaxed load and a relaxed
+/// store of the slot's word, not a read-modify-write, so two updates at
+/// once could lose one of them. Callers must not run two writes
+/// ([`ConcurrentSlotStore::try_update`],
+/// [`ConcurrentSlotStore::update_block`],
+/// [`ConcurrentSlotStore::merge_from`]) on one store at the same time; the
+/// concurrent engine in `freesketch` holds its writer lock across each.
+/// Reads take no lock and see each word as the writer last stored it.
 pub trait ConcurrentSlotStore: Send + Sync {
     /// See [`SlotStore::RANKED`].
     const RANKED: bool;
@@ -130,23 +139,22 @@ pub trait ConcurrentSlotStore: Send + Sync {
     /// Load-only warm-up of the word holding slot `i`.
     fn warm(&self, i: usize) -> u64;
 
-    /// Monotone shared update; `Some(previous)` iff **this call** changed
-    /// the slot (exactly one winner under contention).
+    /// Monotone update by the one writer; `Some(previous)` iff this call
+    /// changed the slot.
     fn try_update(&self, i: usize, value: u16) -> Option<u16>;
 
-    /// Block form of [`ConcurrentSlotStore::try_update`]: applies every
-    /// `(slots[i], values[i])` update in order, recording in `grew[i]`
-    /// whether **this call** changed slot `slots[i]` and, where it did, its
-    /// previous value in `old[i]` (`old` entries for unchanged slots are
-    /// unspecified; bit stores never write `old`).
+    /// Block form of [`ConcurrentSlotStore::try_update`], by the one
+    /// writer: applies every `(slots[i], values[i])` update in order,
+    /// recording in `grew[i]` whether slot `slots[i]` changed and, where it
+    /// did, its previous value in `old[i]` (`old` entries for unchanged
+    /// slots are unspecified; bit stores never write `old`).
     ///
     /// The default is the per-edge loop; a store with block-amortizable
-    /// bookkeeping may override it to settle shared counters once per
-    /// block instead of once per growth. [`AtomicBitArray`] does: its zero
-    /// count drops once at the end of the block, so
-    /// [`ConcurrentSlotStore::zero_slots`] may lag by up to one block of
-    /// flips per other writer (a lone writer reads it settled between
-    /// blocks).
+    /// bookkeeping may override it to settle a counter once per block
+    /// instead of once per growth. [`AtomicBitArray`] does: its zero count
+    /// is stored once at the end of the block, so a reader of
+    /// [`ConcurrentSlotStore::zero_slots`] may see it one block behind,
+    /// while the writer reads it settled between blocks.
     ///
     /// # Panics
     /// Panics if the buffer lengths disagree or any slot is out of range.
@@ -166,9 +174,9 @@ pub trait ConcurrentSlotStore: Send + Sync {
         }
     }
 
-    /// Zero-slot count. Exact once writers quiesce; may lag in-flight
-    /// updates (bit stores: up to one block per other writer, see
-    /// [`ConcurrentSlotStore::update_block`]), or scan (register stores).
+    /// Zero-slot count: exact for the writer between its updates, and at
+    /// most the block in flight behind for a reader (bit stores keep it,
+    /// see [`ConcurrentSlotStore::update_block`]; register stores scan).
     fn zero_slots(&self) -> usize;
 
     /// Zero-slot count recomputed by a full scan of the slot contents
@@ -183,7 +191,7 @@ pub trait ConcurrentSlotStore: Send + Sync {
     fn memory_bits(&self) -> usize;
 
     /// Slot-wise union of `other` into `self` (bit: OR, register: max),
-    /// through shared references.
+    /// by `self`'s one writer.
     ///
     /// # Panics
     /// Panics if geometry differs (callers check configs first).

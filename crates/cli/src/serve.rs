@@ -3,8 +3,8 @@
 //!
 //! This is the paper's *anytime* property made operational — writer
 //! threads drive an [`EdgeSource`] through the sharded concurrent ingest
-//! pipeline (`&self`, lock-free slot stores, per-shard counter maps)
-//! while thread-per-connection handlers answer the
+//! pipeline (`&self`, one writer per shard at a time, per-shard counter
+//! maps) while thread-per-connection handlers answer the
 //! [`protocol`](crate::protocol) queries against the very same sketch.
 //! No snapshot copy, no stop-the-world: queries read the live state.
 //!
@@ -19,7 +19,8 @@
 //!   shard's users (see [`protocol`](crate::protocol)).
 //! * **`SNAPSHOT` / periodic checkpoints** quiesce ingest only while
 //!   they copy the state out. A writer reads each chunk under the `gate`
-//!   RwLock, shared, and holds it until `edges_applied` counts the chunk.
+//!   RwLock, shared, and holds it until `edges_applied`, which grows batch
+//!   by batch, counts the whole chunk.
 //!   A snapshot takes the `source` lock, so no new chunk is read, then the
 //!   gate exclusively, which waits out the chunks in flight. So every
 //!   image holds exactly the first `edges` edges of the stream that it
@@ -36,7 +37,7 @@
 
 use crate::commands::crash_after_env;
 use crate::protocol::{parse_request, LineReader, LineStatus, ProtocolError, Request};
-use freesketch::ingest::{ingest_pairs, DEFAULT_BATCH, DEFAULT_CHUNK};
+use freesketch::ingest::{DEFAULT_BATCH, DEFAULT_CHUNK};
 use freesketch::snapshot::{AnySketch, Checkpointer, SnapshotImage};
 use freesketch::CardinalityEstimator;
 use graphstream::{Edge, EdgeSource};
@@ -55,8 +56,13 @@ use std::time::{Duration, Instant};
 /// drain.
 const READ_POLL: Duration = Duration::from_millis(100);
 
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long the accept loop waits before retrying a failed `accept` (out
+/// of file descriptors, say).
+const ACCEPT_RETRY: Duration = Duration::from_millis(5);
+
+/// How long a drain request waits to connect to its own listener, the
+/// wake-up of the accept loop blocked in `accept`.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Daemon configuration (the CLI's `serve` subcommand maps its flags
 /// here; tests construct it directly).
@@ -200,6 +206,9 @@ struct Shared {
     served_queries: AtomicU64,
     /// Drain requested (verb, handle, writer panic, checkpoint failure).
     shutdown_flag: AtomicBool,
+    /// The listener's address: a drain request connects to it to wake the
+    /// accept loop.
+    addr: SocketAddr,
     /// Writer-thread count (reported by `STATS`).
     writers: usize,
     start: Instant,
@@ -221,6 +230,9 @@ impl Shared {
         // connection handlers and acceptor, whose Acquire loads of this
         // flag pick it up.
         self.shutdown_flag.store(true, Ordering::Release);
+        // The accept loop blocks in `accept`; a connection wakes it to see
+        // the flag. A refused one means the loop has already stopped.
+        let _ = TcpStream::connect_timeout(&self.addr, WAKE_TIMEOUT);
     }
 
     fn shutting_down(&self) -> bool {
@@ -271,7 +283,6 @@ pub fn spawn(
         return Err(ServeError::NotConcurrent(sketch.kind()));
     }
     let listener = TcpListener::bind(("127.0.0.1", config.port))?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
     let ckpt = config.checkpoint.as_ref().map(|path| {
@@ -291,6 +302,7 @@ pub fn spawn(
         edges_applied: AtomicU64::new(config.base_edges),
         served_queries: AtomicU64::new(0),
         shutdown_flag: AtomicBool::new(false),
+        addr,
         writers: config.writers.max(1),
         start: Instant::now(),
     });
@@ -320,6 +332,8 @@ fn run_daemon(shared: &Arc<Shared>, listener: &TcpListener, config: &ServeConfig
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     while !shared.shutting_down() {
         match listener.accept() {
+            // The drain request's wake-up (or a client arriving with it).
+            Ok(_) if shared.shutting_down() => break,
             Ok((stream, _peer)) => {
                 let s = Arc::clone(shared);
                 match std::thread::Builder::new()
@@ -331,12 +345,9 @@ fn run_daemon(shared: &Arc<Shared>, listener: &TcpListener, config: &ServeConfig
                 }
                 conns.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
             Err(e) => {
                 shared.record_error(format!("accept failed: {e}"));
-                std::thread::sleep(ACCEPT_POLL);
+                std::thread::sleep(ACCEPT_RETRY);
             }
         }
     }
@@ -419,13 +430,18 @@ fn writer_loop(shared: &Arc<Shared>, chunk: usize) {
             }
             pairs.clear();
             pairs.extend(buf.iter().map(|e| e.pair()));
-            ingest_pairs(est, &pairs, DEFAULT_BATCH);
-            // ORDERING: relaxed-ok — bumped inside the gate's read section;
-            // the consistency-critical readers (snapshot, checkpoint, final
-            // report) hold the gate exclusively, so the lock handoff orders
-            // this write before their loads. Un-gated STATS reads are
-            // advisory progress values.
-            shared.edges_applied.fetch_add(n as u64, Ordering::Relaxed);
+            // Counted per batch, so STATS shows progress within a chunk.
+            for batch in pairs.chunks(DEFAULT_BATCH) {
+                est.ingest_batch(batch);
+                // ORDERING: relaxed-ok — bumped inside the gate's read
+                // section; the consistency-critical readers (snapshot,
+                // checkpoint, final report) hold the gate exclusively, so
+                // the lock handoff orders this write before their loads.
+                // Un-gated STATS reads are advisory progress values.
+                shared
+                    .edges_applied
+                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
+            }
         }
         maybe_periodic_checkpoint(shared);
     }

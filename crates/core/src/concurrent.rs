@@ -1,40 +1,42 @@
-//! Lock-free concurrent engines — the "SDN routers / line-rate
-//! monitoring" extension the paper's conclusion points at.
+//! Concurrent engines — the "SDN routers / line-rate monitoring"
+//! extension the paper's conclusion points at.
 //!
 //! [`ConcurrentEngine`] is the shared-access (`&self`) analogue of the
 //! scalar [`crate::engine::SketchEngine`]: the same hash → slot → HT-credit
 //! pipeline, written once over [`bitpack::ConcurrentSlotStore`] (atomic
-//! monotone slot updates) and [`SharedQTracker`] (atomic `q` bookkeeping),
-//! with per-user counters in a mutex-sharded
+//! words that one writer at a time stores) and [`SharedQTracker`] (`q`
+//! bookkeeping), with per-user counters in a mutex-sharded
 //! [`hashkit::ShardedCounterMap`]. Every engine is a shard of a
 //! [`crate::ShardedSketch`], the one `&self` estimator.
 //!
-//! Concurrency semantics: slot updates are idempotent monotone atomics
-//! (exactly one winner per change), so dedup holds under any interleaving.
-//! A writer credits each growth at the `q` it read at its block start,
-//! advanced past its own earlier growths in the block. Another writer's
-//! changes can lag: the bit store's zero count is settled once per block,
-//! so a writer can miss up to one block of flips per other writer; the
-//! perturbation is bounded by `k/M` for `k` unsettled flips, and
-//! `tests/concurrent_equivalence.rs` and the core proptests bound the
-//! end-to-end estimate skew against the sequential estimators
-//! empirically. A lone writer credits every growth at the `q` per-edge
-//! ingest reads. `Z` (register sharing) is CAS-accumulated with each
-//! winner's exact delta, so it is exact once writers quiesce.
+//! **Concurrency semantics.** An engine applies one writer's call at a
+//! time: [`ConcurrentEngine::process`], [`ConcurrentEngine::process_batch`]
+//! and [`ConcurrentEngine::merge`] each hold the engine's writer lock from
+//! start to end. So concurrent calls apply whole, one after another, and
+//! the result is that of some serial order of the calls. Under the lock the
+//! store writes each word with a relaxed load and store, and `q`'s
+//! numerator (the bit store's zero count, or `Z`) and the running total are
+//! plain sums the writer stores; `q` is read under the lock, so every
+//! growth is credited at the exact `q` just before it, as per-edge scalar
+//! ingest credits it, whatever the other threads do. A lone writer's engine
+//! is therefore bit-identical to the scalar engine at its seed wherever the
+//! stream is cut into blocks, slices or chunks.
+//!
+//! Readers take no writer lock. `ESTIMATE` locks the one counter shard
+//! that holds the user; `q`, the zero count, `Z` and the total are relaxed
+//! loads, at most the call in flight behind. A read that must be exact (a
+//! snapshot, a final report) runs with ingest quiesced: after a join, or
+//! under `serve`'s ingest gate.
 //!
 //! Each engine keeps its running total `n̂(t) = Σ_s n̂_s(t)` beside the
-//! counters, as the scalar engine does, so reading it is O(1). A block
-//! adds its credits to the total it loaded, in stream order, and publishes
-//! the sum with one compare-exchange; if another writer published in
-//! between, it adds its own credit sum instead. A lone writer's total is
-//! therefore the per-growth sum in stream order wherever the stream is cut
-//! into blocks, slices or chunks; under contention it equals the sum of
-//! the counters up to rounding.
+//! counters, as the scalar engine does, so reading it is O(1). A block adds
+//! its credits to the total in stream order and stores the sum once.
 
 use crate::engine::{pow2_neg, BlockScratch};
 use crate::CardinalityEstimator;
 use bitpack::ConcurrentSlotStore;
 use hashkit::{geometric_rank, reduce64, splitmix64, EdgeHasher, ShardedCounterMap};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared ingest: a cardinality estimator whose update path takes `&self`,
@@ -54,10 +56,11 @@ pub trait ConcurrentEstimator: CardinalityEstimator + Send + Sync {
 /// The `q(t)` bookkeeping seam of the [`ConcurrentEngine`] — the shared
 /// (`&self`) counterpart of [`crate::engine::QTracker`].
 ///
-/// Growth accounting is split into a per-thread fold
-/// ([`SharedQTracker::fold_growth`], plain arithmetic on a local
-/// accumulator) and one [`SharedQTracker::commit`] per edge or block, so a
-/// block's worth of register deltas costs a single CAS.
+/// Growth accounting is split into a fold on a local accumulator
+/// ([`SharedQTracker::fold_growth`]) and one [`SharedQTracker::commit`] per
+/// edge or block, so a block's register deltas reach `Z` as one folded
+/// delta. Only the engine's one writer folds and commits (see the module
+/// docs); readers call [`SharedQTracker::numerator`] alone.
 pub trait SharedQTracker<S: ConcurrentSlotStore>: Send + Sync {
     /// Name of the sharded estimator over this tracker (see
     /// [`crate::ShardedSketch`]).
@@ -66,8 +69,9 @@ pub trait SharedQTracker<S: ConcurrentSlotStore>: Send + Sync {
     /// Tracker for a fresh (all-zero) store.
     fn fresh(store: &S) -> Self;
 
-    /// The numerator of `q(t)`, read before an update and guarded away
-    /// from zero (stale reads under contention may otherwise divide by 0).
+    /// The numerator of `q(t)`, guarded away from zero. The writer reads
+    /// it before an update; a reader's value is at most the call in flight
+    /// behind.
     fn numerator(&self, store: &S) -> f64;
 
     /// Folds one slot growth `old → new` into a thread-local accumulator.
@@ -80,19 +84,19 @@ pub trait SharedQTracker<S: ConcurrentSlotStore>: Send + Sync {
     /// [`SharedQTracker::commit`].
     fn block_numerators(start: f64, old: &[u16], new: &[u16], numerators: &mut [f64]) -> f64;
 
-    /// Publishes a folded accumulator (no-op when the store maintains the
-    /// numerator itself).
+    /// Adds a folded accumulator to the numerator, as the one writer (a
+    /// no-op when the store maintains the numerator itself).
     fn commit(&self, acc: f64);
 
-    /// Unconditional exact resynchronisation against the store, called at
-    /// quiescence after an operation rewrote the store wholesale (a
+    /// Unconditional exact resynchronisation against the store, called by
+    /// the one writer after an operation rewrote the store wholesale (a
     /// snapshot merge). A no-op when the store maintains the numerator
     /// itself.
     fn resync(&self, store: &S);
 }
 
-/// `q_B = m₀/M` for atomic bit stores: the array maintains `m₀` with a
-/// relaxed counter, so the tracker is stateless.
+/// `q_B = m₀/M` for atomic bit stores: the array keeps `m₀` in a counter
+/// its one writer stores, so the tracker is stateless.
 #[derive(Debug, Default)]
 pub struct SharedZeroQ;
 
@@ -106,8 +110,6 @@ impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZeroQ {
 
     #[inline]
     fn numerator(&self, store: &S) -> f64 {
-        // Read just before the update; under contention it can lag by up to
-        // one block of flips per other writer, perturbing q by ≤ k/M.
         store.zero_slots().max(1) as f64
     }
 
@@ -130,14 +132,16 @@ impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZeroQ {
     fn resync(&self, _store: &S) {}
 }
 
-/// An `f64` that many writers add to, kept as its bits in an
-/// [`AtomicU64`]: `SharedZ`'s `Z` and each engine's running total.
+/// An `f64` that the engine's one writer stores and any thread loads, kept
+/// as its bits in an [`AtomicU64`]: `SharedZ`'s `Z` and each engine's
+/// running total.
 ///
-/// Both are pure accumulators: no other memory is published through
-/// them, and the RMW total order makes every added delta land exactly
-/// once, so every access is `Relaxed`. Exact reads happen at quiescence,
-/// where a thread join or the ingest gate's lock hand-off orders them
-/// after the writes.
+/// Both are plain sums: the writer loads, adds and stores under the
+/// engine's writer lock, which orders one writer's stores before the next
+/// writer's loads, and no other memory is published through them, so
+/// every access is `Relaxed`. Exact reads by other threads happen at
+/// quiescence, where a thread join or the ingest gate's lock hand-off
+/// orders them after the writes.
 #[derive(Debug)]
 pub(crate) struct SharedF64 {
     bits: AtomicU64,
@@ -153,63 +157,23 @@ impl SharedF64 {
     /// The current value.
     #[inline]
     pub(crate) fn get(&self) -> f64 {
-        // ORDERING: relaxed-ok — a pure accumulator (see the type doc); a
-        // live read may lag, a quiescent one is ordered by join or lock.
+        // ORDERING: relaxed-ok — a plain sum (see the type doc); the writer
+        // reads its own stores, a live read may lag, and a quiescent one is
+        // ordered by a join or a lock hand-off.
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 
-    /// Overwrites the value (quiescent use only: a merge's resync).
+    /// Stores `value` (the one writer only).
+    #[inline]
     pub(crate) fn set(&self, value: f64) {
-        // ORDERING: relaxed-ok — quiescent-only; the caller's
-        // synchronisation provides the happens-before edge.
+        // ORDERING: relaxed-ok — the writer lock orders writers (see the
+        // type doc), and no other memory is published through the value.
         self.bits.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Adds `delta`.
-    #[inline]
-    pub(crate) fn add(&self, delta: f64) {
-        // ORDERING: relaxed-ok — optimistic first read; the CAS below
-        // revalidates it, so staleness costs one retry, never a lost delta.
-        let mut current = self.bits.load(Ordering::Relaxed);
-        loop {
-            let updated = (f64::from_bits(current) + delta).to_bits();
-            match self.bits.compare_exchange_weak(
-                current,
-                updated,
-                // ORDERING: relaxed-ok (Relaxed/Relaxed) — a pure
-                // accumulator: the RMW total order makes every delta land
-                // exactly once, and no other memory is published through it.
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    /// Stores `sum`, which the caller built by adding `delta`'s terms one
-    /// by one to `seen` (a value [`SharedF64::get`] returned), if the cell
-    /// still holds `seen`. Otherwise another writer added in between, and
-    /// `delta()` is added to what the cell holds now.
-    #[inline]
-    pub(crate) fn exchange_or_add(&self, seen: f64, sum: f64, delta: impl FnOnce() -> f64) {
-        let exchanged = self.bits.compare_exchange(
-            seen.to_bits(),
-            sum.to_bits(),
-            // ORDERING: relaxed-ok (Relaxed/Relaxed) — a pure accumulator; a
-            // failed exchange falls back to `add`, so no delta is lost.
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
-        if exchanged.is_err() {
-            self.add(delta());
-        }
     }
 }
 
 /// `q_R = Z/M` for atomic register stores: `Z = Σ 2^{-R[j]}` in a shared
-/// f64 cell, CAS-added with each winner's exact delta.
+/// f64 cell, to which the one writer adds each block's folded delta.
 #[derive(Debug)]
 pub struct SharedZ {
     /// `Z`.
@@ -228,7 +192,6 @@ impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZ {
 
     #[inline]
     fn numerator(&self, _store: &S) -> f64 {
-        // A slightly stale Z is still a valid sketch state.
         self.z.get().max(f64::MIN_POSITIVE)
     }
 
@@ -250,9 +213,7 @@ impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZ {
     #[inline]
     fn commit(&self, acc: f64) {
         if acc != 0.0 {
-            // Each winner's deltas are applied exactly once, so Z is exact
-            // at quiescence.
-            self.z.add(acc);
+            self.z.set(self.z.get() + acc);
         }
     }
 
@@ -262,9 +223,10 @@ impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZ {
 }
 
 /// One shard of a [`crate::ShardedSketch`]: `&self` processing from many
-/// threads. One shared atomic [`ConcurrentSlotStore`], per-user counters
-/// in a mutex-sharded [`ShardedCounterMap`], `q` maintained by a
-/// [`SharedQTracker`], and the running total of every credit.
+/// threads, one writer's call at a time (see the module docs). One shared
+/// atomic [`ConcurrentSlotStore`], per-user counters in a mutex-sharded
+/// [`ShardedCounterMap`], `q` maintained by a [`SharedQTracker`], the
+/// running total of every credit, and the writer lock.
 #[derive(Debug)]
 pub struct ConcurrentEngine<S, Q> {
     store: S,
@@ -272,6 +234,9 @@ pub struct ConcurrentEngine<S, Q> {
     q: Q,
     counters: ShardedCounterMap,
     total: SharedF64,
+    /// Held across each call that writes, so the store, `q` and the total
+    /// have one writer at a time.
+    writer: Mutex<()>,
 }
 
 impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
@@ -285,6 +250,7 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
             q,
             counters: ShardedCounterMap::default(),
             total: SharedF64::new(0.0),
+            writer: Mutex::new(()),
         }
     }
 
@@ -326,6 +292,7 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
             q,
             counters,
             total: SharedF64::new(total),
+            writer: Mutex::new(()),
         }
     }
 
@@ -346,18 +313,20 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         }
     }
 
-    /// Observes edge `(user, item)`; callable concurrently.
+    /// Observes edge `(user, item)`; callable concurrently (the edge is
+    /// applied under the writer lock).
     #[inline]
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     pub fn process(&self, user: u64, item: u64) {
         let h = self.hasher.hash_edge(user, item);
         let slot = reduce64(h, self.store.len());
         let value = self.value_of(h);
+        let _writer = self.writer.lock();
         let qn = self.q.numerator(&self.store);
         if let Some(old) = self.store.try_update(slot, value) {
             let inc = self.store.len() as f64 / qn;
             self.counters.add(user, inc);
-            self.total.add(inc);
+            self.total.set(self.total.get() + inc);
             let mut acc = 0.0;
             Q::fold_growth(&mut acc, old, value);
             self.q.commit(acc);
@@ -402,12 +371,11 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         std::hint::black_box(acc);
     }
 
-    /// Write pass over one warmed block: a word-level
-    /// [`ConcurrentSlotStore::update_block`], each growth credited at the
-    /// numerator of `q` just before it (this writer's earlier growths
-    /// counted) with one counter add and one addition to the total loaded
-    /// before the credits, then one [`SharedF64::exchange_or_add`] of that
-    /// total (see the module docs) and one `q` commit for the whole block.
+    /// Write pass over one warmed block, under the writer lock: a
+    /// word-level [`ConcurrentSlotStore::update_block`], each growth
+    /// credited at the numerator of `q` just before it with one counter add
+    /// and one addition to the total, in stream order, then one store of
+    /// the total and one `q` commit for the whole block.
     #[inline(always)]
     fn apply_block(
         &self,
@@ -424,24 +392,21 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         let (old, new, numerators) = s.growth_values(growths);
         let q_acc = Q::block_numerators(start, old, new, numerators);
         let (users, credits) = s.credits(self.store.len(), growths);
-        if !credits.is_empty() {
-            let seen = self.total.get();
-            let mut total = seen;
-            for (&user, &credit) in users.iter().zip(credits) {
-                self.counters.add(user, credit);
-                total += credit;
-            }
-            self.total
-                .exchange_or_add(seen, total, || credits.iter().sum());
+        let mut total = self.total.get();
+        for (&user, &credit) in users.iter().zip(credits) {
+            self.counters.add(user, credit);
+            total += credit;
         }
+        self.total.set(total);
         self.q.commit(q_acc);
     }
 
     /// Observes a slice of edges — the batched fast path; callable
-    /// concurrently. The slice is cut into blocks of
-    /// [`crate::INGEST_BLOCK`] edges, each run as a load-only warm pass and
-    /// then a write pass over compile-time sized stack scratch. A lone
-    /// writer's store and counters end as per-edge ingest leaves them.
+    /// concurrently, and applied whole under the writer lock. The slice is
+    /// cut into blocks of [`crate::INGEST_BLOCK`] edges, each run as a
+    /// load-only warm pass and then a write pass over compile-time sized
+    /// stack scratch. The store and counters end as per-edge ingest of the
+    /// slice leaves them.
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     pub fn process_batch(&self, edges: &[(u64, u64)]) {
         const BLOCK: usize = crate::INGEST_BLOCK;
@@ -449,6 +414,7 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         let mut slots = [0usize; BLOCK];
         let mut values = [1u16; BLOCK];
         let mut scratch = BlockScratch::new();
+        let _writer = self.writer.lock();
         for chunk in edges.chunks(BLOCK) {
             let k = chunk.len();
             self.warm_block(chunk, &mut hashes[..k], &mut slots[..k], &mut values[..k]);
@@ -485,10 +451,11 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         self.store.memory_bits()
     }
 
-    /// Unions another engine's state into this one (quiescent state only):
-    /// bitwise OR for bit stores, element-wise max for registers, per-user
-    /// counters and the running totals added, then the `q` tracker
-    /// resynchronised exactly against the merged store. See
+    /// Unions another engine's state into this one, under this engine's
+    /// writer lock (`other` must be quiescent): bitwise OR for bit stores,
+    /// element-wise max for registers, per-user counters and the running
+    /// totals added, then the `q` tracker resynchronised exactly against
+    /// the merged store. See
     /// [`crate::engine::SketchEngine::merge`] for the disjoint-partition
     /// semantics.
     ///
@@ -516,19 +483,20 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
                 ),
             });
         }
+        let _writer = self.writer.lock();
         self.store.merge_from(&other.store);
         other
             .counters
             .for_each(&mut |user, est| self.counters.add(user, est));
-        self.total.add(other.total_estimate());
+        self.total.set(self.total.get() + other.total_estimate());
         self.q.resync(&self.store);
         Ok(())
     }
 
     /// Verifies the maintained `q` numerator against an exact store scan
     /// (quiescent state only); returns the absolute discrepancy. For bit
-    /// stores this checks the relaxed zero counter against a popcount
-    /// recount, for register stores the CAS-maintained `Z` against
+    /// stores this checks the stored zero count against a popcount
+    /// recount, for register stores the summed `Z` against
     /// `Σ 2^{-R[j]}`.
     #[must_use]
     pub fn q_discrepancy(&self) -> f64 {

@@ -12,7 +12,7 @@
 //! |-----------|--------------|--------|------------|
 //! | [`FreeBS`]  | bit array `B[1..M]`       | `&mut` | contribution (§IV-A) |
 //! | [`FreeRS`]  | registers `R[1..M]`       | `&mut` | contribution (§IV-B) |
-//! | [`ShardedFreeBS`] / [`ShardedFreeRS`] | `P` atomic sub-arrays, per-shard `q` | `&self`, lock-free, parallel scale-out | extension |
+//! | [`ShardedFreeBS`] / [`ShardedFreeRS`] | `P` atomic sub-arrays, per-shard `q` | `&self`, one writer per shard at a time, parallel scale-out | extension |
 //! | [`Cse`]     | bit array + virtual LPC   | `&mut`, O(m) | baseline (Yoon et al.) |
 //! | [`VHll`]    | registers + virtual HLL   | `&mut`, O(m) | baseline (Xiao et al.) |
 //! | [`PerUserLpc`] / [`PerUserHllpp`] | one sketch per user | `&mut`, O(m) | baselines |

@@ -1,14 +1,13 @@
 //! Sharded concurrent estimation — the one `&self` estimator, and the
 //! parallel scale-out of the shared array.
 //!
-//! A lock-free [`ConcurrentEngine`] lets many threads feed one shared
-//! array, but every fresh update still contends on the same `q`
-//! bookkeeping cache line (the relaxed zero counter resp. the CAS'd `Z`).
-//! [`ShardedSketch`] splits the memory budget into `P` independent
-//! sub-engines and routes each edge — by a dedicated hash of the *pair*,
-//! so duplicates land on the same shard and global dedup is preserved —
-//! to exactly one of them. Each shard tracks its own `q` over its own
-//! sub-array; contended atomics are touched `1/P` as often per shard.
+//! A [`ConcurrentEngine`] applies one writer's call at a time, so threads
+//! that feed one engine queue on its writer lock. [`ShardedSketch`] splits
+//! the memory budget into `P` independent sub-engines and routes each
+//! edge — by a dedicated hash of the *pair*, so duplicates land on the
+//! same shard and global dedup is preserved — to exactly one of them. Each
+//! shard tracks its own `q` over its own sub-array, and writers whose
+//! sub-batches go to different shards apply them at the same time.
 //!
 //! **Estimator composition.** Routing is uniform over shards, so shard `p`
 //! observes an i.i.d. thinned substream of each user's edges. Every shard
@@ -54,7 +53,8 @@ const ROUTER_SALT: u64 = 0x005A_A5D0_5EED;
 ///
 /// `P` is rounded up to a power of two. Ingest (`&self`) may be called
 /// from any number of threads; a batch is partitioned by shard once and
-/// each sub-batch runs the engine's phased block pipeline.
+/// each sub-batch runs the engine's phased block pipeline under that
+/// shard's writer lock.
 #[derive(Debug)]
 pub struct ShardedSketch<S, Q> {
     shards: Box<[ConcurrentEngine<S, Q>]>,
@@ -134,7 +134,8 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ShardedSketch<S, Q> {
     /// Observes a slice of edges — the batched fast path; callable
     /// concurrently. The slice is partitioned by shard in one routing
     /// pass (stable, so each shard sees its edges in stream order), then
-    /// each shard ingests its sub-batch through the phased block pipeline.
+    /// each shard applies its sub-batch whole, through the phased block
+    /// pipeline under its writer lock.
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     pub fn process_batch(&self, edges: &[(u64, u64)]) {
         let p = self.shards.len();
@@ -520,9 +521,9 @@ mod tests {
 
     #[test]
     fn two_writer_totals_match_the_counters() {
-        // One writer ingests its half in blocks (one compare-exchange per
-        // block), the other edge by edge (one add per growth); they start
-        // together, so their publishes race.
+        // One writer ingests its half in blocks (one store of the total per
+        // block), the other edge by edge (one per growth); they start
+        // together, so their calls interleave on the shards' writer locks.
         let pairs = stream();
         let (left, right) = pairs.split_at(pairs.len() / 2);
         for rs in [false, true] {

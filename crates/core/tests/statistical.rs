@@ -291,10 +291,10 @@ fn served_confidence_interval_covers_the_truth() {
     // `CONFIDENCE` answers with `AnySketch::confidence`: the Theorem 1/2
     // bound priced at the sketch's estimate and smallest shard `q`. Each
     // kind is fed as `estimate` feeds it (`ingest_stream` at the default
-    // chunk on one thread; for the sharded kinds that is the
-    // `ingest_pairs` call `serve`'s writer makes). The background user's
-    // 400 or 1,200 items take `q` from about 0.7 (FreeBS, light) to about
-    // 0.2 (FreeRS, heavy).
+    // chunk on one thread; for the sharded kinds those are the
+    // default-batch `ingest_batch` calls `serve`'s writer makes). The
+    // background user's 400 or 1,200 items take `q` from about 0.7
+    // (FreeBS, light) to about 0.2 (FreeRS, heavy).
     let kinds = [
         Kind {
             name: "freebs",

@@ -277,31 +277,43 @@ grep -q "drained:" "$tmp/serve-out.txt" || {
 test -s "$tmp/serve.fsnp" || { echo "serve left no final checkpoint"; exit 1; }
 ./target/release/freesketch restore "$tmp/serve.fsnp" > /dev/null
 
-echo "==> one-writer serve smoke (~1M-edge trace, many chunks, final checkpoint)"
-./target/release/freesketch serve "$tmp/big.fedge" --port 0 --threads 1 \
-  --checkpoint "$tmp/serve1.fsnp" > "$tmp/serve1-out.txt" 2>&1 &
-serve_pid=$!
-port=$(serve_port "$tmp/serve1-out.txt" "$serve_pid") || exit 1
-exec 3<> "/dev/tcp/127.0.0.1/$port"
-reply=""
-for _ in $(seq 1 600); do
-  printf 'STATS\n' >&3
+# Runs a fresh one-writer daemon with `--method $1` on the ~1M-edge trace
+# until STATS reports every edge, shuts it down, and leaves its final
+# checkpoint at $2; prints the drained STATS reply. Diagnostics go to
+# stderr, and the function fails if any step does.
+serve_drained() {
+  local log="$2.log" pid port reply=""
+  ./target/release/freesketch serve "$tmp/big.fedge" --port 0 --threads 1 \
+    --method "$1" --checkpoint "$2" > "$log" 2>&1 &
+  pid=$!
+  port=$(serve_port "$log" "$pid") || return 1
+  exec 3<> "/dev/tcp/127.0.0.1/$port"
+  for _ in $(seq 1 600); do
+    printf 'STATS\n' >&3
+    read -r reply <&3
+    case "$reply" in "OK edges=$edges "*) break;; esac
+    sleep 0.1
+  done
+  case "$reply" in "OK edges=$edges "*) ;; *)
+    echo "one-writer $1 daemon never reported all $edges edges: $reply" >&2
+    kill "$pid" 2> /dev/null || true; return 1;;
+  esac
+  echo "$reply"
+  printf 'SHUTDOWN\n' >&3
   read -r reply <&3
-  case "$reply" in "OK edges=$edges "*) break;; esac
-  sleep 0.1
-done
-case "$reply" in "OK edges=$edges "*) ;; *)
-  echo "one-writer daemon never reported all $edges edges: $reply"
-  kill "$serve_pid" 2> /dev/null || true; exit 1;;
-esac
-drained="$reply"
-printf 'SHUTDOWN\n' >&3
-read -r reply <&3
-case "$reply" in "OK draining"*) ;; *) echo "bad SHUTDOWN reply: $reply"; exit 1;; esac
-exec 3<&- 3>&-
-wait "$serve_pid" || {
-  echo "one-writer serve daemon exited nonzero:"; cat "$tmp/serve1-out.txt"; exit 1;
+  case "$reply" in "OK draining"*) ;; *)
+    echo "bad SHUTDOWN reply: $reply" >&2; return 1;;
+  esac
+  exec 3<&- 3>&-
+  wait "$pid" || {
+    echo "one-writer $1 serve daemon exited nonzero:" >&2; cat "$log" >&2; return 1;
+  }
 }
+
+echo "==> one-writer serve smoke (~1M-edge trace, many chunks, final checkpoint)"
+drained=$(serve_drained freebs "$tmp/serve1.fsnp") || exit 1
+# Kept for the determinism check below: the restart rewrites serve1.fsnp.
+cp "$tmp/serve1.fsnp" "$tmp/serve1-freebs-a.fsnp"
 ./target/release/freesketch restore "$tmp/serve1.fsnp" > "$tmp/serve1-restore.txt"
 grep -q "$edges edges in sharded-freebs snapshot" "$tmp/serve1-restore.txt" || {
   echo "one-writer serve checkpoint lost edges:"; cat "$tmp/serve1-restore.txt"; exit 1;
@@ -331,6 +343,19 @@ for name in edges total; do
   got=$(stats_token "$restarted" "$name") || got="no $name token"
   [ "$got" = "$want" ] || {
     echo "restarted daemon reports $got, the drained one $want: $restarted"; exit 1;
+  }
+done
+
+echo "==> one writer is deterministic (two fresh daemons write the same final image)"
+# A shard applies one writer's calls in stream order and credits each
+# growth in stream order, so two fresh one-writer daemons on the same
+# trace must leave byte-identical images.
+serve_drained freebs "$tmp/serve1-freebs-b.fsnp" > /dev/null || exit 1
+serve_drained freers "$tmp/serve1-freers-a.fsnp" > /dev/null || exit 1
+serve_drained freers "$tmp/serve1-freers-b.fsnp" > /dev/null || exit 1
+for method in freebs freers; do
+  cmp "$tmp/serve1-$method-a.fsnp" "$tmp/serve1-$method-b.fsnp" || {
+    echo "two one-writer $method daemons wrote different final images"; exit 1;
   }
 done
 

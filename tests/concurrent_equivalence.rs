@@ -1,11 +1,16 @@
 //! The concurrent engine, checked as the one shard of a one-shard sketch:
-//! a lone writer must equal the sequential reference bit for bit, and
-//! contended writers must keep `q` exact, dedup global and estimates
-//! within noise.
+//! a lone writer must equal the sequential reference bit for bit,
+//! contended writers must apply whole calls one after another, and they
+//! must keep `q` exact, dedup global and estimates within noise.
 
-use freesketch::{CardinalityEstimator, ConcurrentEstimator, FreeBS, ShardedFreeBS, ShardedFreeRS};
+use bitpack::{ConcurrentSlotStore, WordStore};
+use freesketch::concurrent::SharedQTracker;
+use freesketch::{
+    CardinalityEstimator, ConcurrentEstimator, FreeBS, ShardedFreeBS, ShardedFreeRS, ShardedSketch,
+};
 use graphstream::{GroundTruth, SynthConfig};
-use hashkit::mix64;
+use hashkit::{mix64, splitmix64};
+use std::sync::Barrier;
 
 /// Feeds each of `parts` to `est` on its own scoped thread, edge by edge
 /// or as one batch.
@@ -120,9 +125,10 @@ fn parallel_processing_matches_truth_within_noise() {
 
 #[test]
 fn contended_duplicates_stay_deduplicated() {
-    // Four threads send the SAME edges: every pair is credited once, so
-    // the total stays at the truth, and the array ends as one writer
-    // leaves it (slot updates are monotone, so order cannot matter).
+    // Four threads send the SAME edges, per edge and in blocks: every pair
+    // is credited once, so the total stays at the truth, and the array ends
+    // as one writer leaves it (slot updates are monotone, so order cannot
+    // matter).
     let stream = SynthConfig::tiny(55).generate();
     let mut truth = GroundTruth::new();
     for e in stream.edges() {
@@ -132,39 +138,41 @@ fn contended_duplicates_stay_deduplicated() {
     let pairs: Vec<(u64, u64)> = stream.edges().iter().map(|e| e.pair()).collect();
     let parts = [pairs.as_slice(); 4];
 
-    let bits = ShardedFreeBS::new(1 << 19, 1, 8);
     let lone_bits = ShardedFreeBS::new(1 << 19, 1, 8);
-    let regs = ShardedFreeRS::new(1 << 17, 1, 8);
     let lone_regs = ShardedFreeRS::new(1 << 17, 1, 8);
-    ingest_from_threads(&bits, &parts, false);
-    ingest_from_threads(&regs, &parts, false);
     lone_bits.process_batch(&pairs);
     lone_regs.process_batch(&pairs);
+    for batched in [false, true] {
+        let bits = ShardedFreeBS::new(1 << 19, 1, 8);
+        let regs = ShardedFreeRS::new(1 << 17, 1, 8);
+        ingest_from_threads(&bits, &parts, batched);
+        ingest_from_threads(&regs, &parts, batched);
 
-    let (store, lone) = (bits.shards()[0].store(), lone_bits.shards()[0].store());
-    for i in 0..lone.word_count() {
-        assert_eq!(store.word(i), lone.word(i), "FreeBS word {i}");
-    }
-    let (store, lone) = (regs.shards()[0].store(), lone_regs.shards()[0].store());
-    for i in 0..lone.word_count() {
-        assert_eq!(store.word(i), lone.word(i), "FreeRS word {i}");
-    }
-    for sketch in [&bits as &dyn CardinalityEstimator, &regs] {
-        assert!(
-            (sketch.total_estimate() / total - 1.0).abs() < 0.05,
-            "{}: 4x-duplicated stream inflated the total: {} vs {total}",
-            sketch.name(),
-            sketch.total_estimate()
-        );
+        let (store, lone) = (bits.shards()[0].store(), lone_bits.shards()[0].store());
+        for i in 0..lone.word_count() {
+            assert_eq!(store.word(i), lone.word(i), "FreeBS word {i} ({batched})");
+        }
+        let (store, lone) = (regs.shards()[0].store(), lone_regs.shards()[0].store());
+        for i in 0..lone.word_count() {
+            assert_eq!(store.word(i), lone.word(i), "FreeRS word {i} ({batched})");
+        }
+        for sketch in [&bits as &dyn CardinalityEstimator, &regs] {
+            assert!(
+                (sketch.total_estimate() / total - 1.0).abs() < 0.05,
+                "{} (batched {batched}): 4x-duplicated stream inflated the total: {} vs {total}",
+                sketch.name(),
+                sketch.total_estimate()
+            );
+        }
     }
 }
 
 #[test]
 fn contended_ingest_keeps_q_exact() {
     // Four writers, one user each, share one shard, per edge and in
-    // blocks: the relaxed zero counter must match a popcount recount and
-    // the CAS-added `Z` an exact register scan once they quiesce, and
-    // every user's estimate stays near its 5,000 distinct items.
+    // blocks: the stored zero count must match a popcount recount and the
+    // summed `Z` an exact register scan once they quiesce, and every
+    // user's estimate stays near its 5,000 distinct items.
     let pairs: Vec<(u64, u64)> = (0..4u64)
         .flat_map(|user| (0..5_000u64).map(move |item| (user, item)))
         .collect();
@@ -194,4 +202,87 @@ fn contended_ingest_keeps_q_exact() {
             }
         }
     }
+}
+
+/// A one-shard sketch bit for bit: its store words, each user's estimate
+/// (by user) and its total.
+type Image = (Vec<u64>, Vec<(u64, u64)>, u64);
+
+fn image<S, Q>(sketch: &ShardedSketch<S, Q>) -> Image
+where
+    S: ConcurrentSlotStore + WordStore,
+    Q: SharedQTracker<S>,
+{
+    let shard = &sketch.shards()[0];
+    let words = (0..shard.store().word_count())
+        .map(|i| shard.store().word(i))
+        .collect();
+    let mut users = Vec::new();
+    shard.for_each_estimate(&mut |user, est| users.push((user, est.to_bits())));
+    users.sort_unstable();
+    (words, users, sketch.total_estimate().to_bits())
+}
+
+/// Two writers meet at a barrier and each sends one slice into a fresh
+/// one-shard sketch, in several rounds; each result must be the image a
+/// lone writer leaves after `a` then `b`, or after `b` then `a`.
+fn assert_whole_calls<S, Q>(
+    fresh: impl Fn() -> ShardedSketch<S, Q>,
+    a: &[(u64, u64)],
+    b: &[(u64, u64)],
+) where
+    S: ConcurrentSlotStore + WordStore,
+    Q: SharedQTracker<S>,
+{
+    let serial = |first: &[(u64, u64)], second: &[(u64, u64)]| {
+        let sketch = fresh();
+        sketch.process_batch(first);
+        sketch.process_batch(second);
+        image(&sketch)
+    };
+    let orders = [serial(a, b), serial(b, a)];
+    assert_ne!(
+        orders[0].1, orders[1].1,
+        "the two orders must be told apart"
+    );
+    for round in 0..4 {
+        let sketch = fresh();
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            for part in [a, b] {
+                let (sketch, start) = (&sketch, &start);
+                s.spawn(move || {
+                    start.wait();
+                    sketch.ingest_batch(part);
+                });
+            }
+        });
+        let got = image(&sketch);
+        let name = CardinalityEstimator::name(&sketch);
+        assert_eq!(got.0, orders[0].0, "{name} round {round}: store words");
+        let differ = |order: &Image| got.1.iter().zip(&order.1).filter(|(x, y)| x != y).count();
+        assert!(
+            orders.contains(&got),
+            "{name} round {round}: the result is neither lone-writer order: {} and {} users \
+             differ from A-then-B and B-then-A; total {} (orders: {} and {})",
+            differ(&orders[0]),
+            differ(&orders[1]),
+            f64::from_bits(got.2),
+            f64::from_bits(orders[0].2),
+            f64::from_bits(orders[1].2)
+        );
+    }
+}
+
+#[test]
+fn a_shard_applies_whole_calls_one_at_a_time() {
+    // 100k edges over 1,000 users, cut into two 50k-edge slices; both
+    // sketches fill far enough that `q` falls well below 1, so a growth
+    // credited at another order's `q` changes its user's bits.
+    let pairs: Vec<(u64, u64)> = (0..100_000u64)
+        .map(|i| (i % 1_000, splitmix64(i) >> 20))
+        .collect();
+    let (a, b) = pairs.split_at(50_000);
+    assert_whole_calls(|| ShardedFreeBS::new(1 << 16, 1, 12), a, b);
+    assert_whole_calls(|| ShardedFreeRS::new(1 << 14, 1, 12), a, b);
 }
