@@ -10,7 +10,8 @@
 //!   the bound taken at the checkpoint's count of distinct pairs, and the
 //!   series' users-weighted mean RSE;
 //! * FNR and FPR against the exact spreader set, when the row sets Δ;
-//! * for FreeRS, the `Z` drift that `rebuild_z` returns.
+//! * for FreeRS, the `Z` drift that `z_drift` reads: the incremental
+//!   `Z` against the exact register sum, over the whole stream so far.
 //!
 //! [`write_repro`] renders the results as one JSON document with one
 //! record per line; `repro` prints it, and the repository checks it in as
@@ -286,9 +287,9 @@ impl Sketch {
         }
     }
 
-    fn z_drift(&mut self) -> Option<f64> {
+    fn z_drift(&self) -> Option<f64> {
         match self {
-            Self::FreeRS(f) => Some(f.rebuild_z()),
+            Self::FreeRS(f) => Some(f.z_drift()),
             Self::Other(_) => None,
         }
     }
@@ -331,7 +332,7 @@ pub struct EstimateResult {
     pub bins: Vec<(RseBin, Option<f64>)>,
     /// Detected users, FNR and FPR, when the row sets Δ.
     pub detection: Option<(usize, f64, f64)>,
-    /// FreeRS's absolute `Z` drift since its last exact rebuild.
+    /// FreeRS's absolute `Z` drift, accumulated since the stream began.
     pub z_drift: Option<f64>,
 }
 

@@ -3,11 +3,13 @@
 //!
 //! [`ConcurrentEngine`] is the shared-access (`&self`) analogue of the
 //! scalar [`crate::engine::SketchEngine`]: the same hash → slot → HT-credit
-//! pipeline, written once over [`bitpack::ConcurrentSlotStore`] (atomic
-//! words that one writer at a time stores) and [`SharedQTracker`] (`q`
-//! bookkeeping), with per-user counters in a mutex-sharded
-//! [`hashkit::ShardedCounterMap`]. Every engine is a shard of a
-//! [`crate::ShardedSketch`], the one `&self` estimator.
+//! pipeline over [`bitpack::ConcurrentSlotStore`] (atomic words that one
+//! writer at a time stores) and [`SharedQTracker`] (`q` bookkeeping), with
+//! per-user counters in a mutex-sharded [`hashkit::ShardedCounterMap`]. It
+//! hashes through the scalar engine's [`crate::BlockHasher`] and keeps `Z`
+//! by the scalar engine's additions, so only storage and counters differ.
+//! Every engine is a shard of a [`crate::ShardedSketch`], the one `&self`
+//! estimator.
 //!
 //! **Concurrency semantics.** An engine applies one writer's call at a
 //! time: [`ConcurrentEngine::process`], [`ConcurrentEngine::process_batch`]
@@ -32,10 +34,10 @@
 //! counters, as the scalar engine does, so reading it is O(1). A block adds
 //! its credits to the total in stream order and stores the sum once.
 
-use crate::engine::{pow2_neg, BlockScratch};
-use crate::CardinalityEstimator;
+use crate::engine::{check_mergeable, grow_z, z_numerators, BlockScratch};
+use crate::{BlockHasher, CardinalityEstimator};
 use bitpack::ConcurrentSlotStore;
-use hashkit::{geometric_rank, reduce64, splitmix64, EdgeHasher, ShardedCounterMap};
+use hashkit::{EdgeHasher, ShardedCounterMap};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -54,12 +56,8 @@ pub trait ConcurrentEstimator: CardinalityEstimator + Send + Sync {
 }
 
 /// The `q(t)` bookkeeping seam of the [`ConcurrentEngine`] — the shared
-/// (`&self`) counterpart of [`crate::engine::QTracker`].
-///
-/// Growth accounting is split into a fold on a local accumulator
-/// ([`SharedQTracker::fold_growth`]) and one [`SharedQTracker::commit`] per
-/// edge or block, so a block's register deltas reach `Z` as one folded
-/// delta. Only the engine's one writer folds and commits (see the module
+/// (`&self`) counterpart of [`crate::engine::QTracker`], with the same
+/// methods. Only the engine's one writer accounts growths (see the module
 /// docs); readers call [`SharedQTracker::numerator`] alone.
 pub trait SharedQTracker<S: ConcurrentSlotStore>: Send + Sync {
     /// Name of the sharded estimator over this tracker (see
@@ -69,29 +67,23 @@ pub trait SharedQTracker<S: ConcurrentSlotStore>: Send + Sync {
     /// Tracker for a fresh (all-zero) store.
     fn fresh(store: &S) -> Self;
 
-    /// The numerator of `q(t)`, guarded away from zero. The writer reads
-    /// it before an update; a reader's value is at most the call in flight
-    /// behind.
+    /// The numerator of `q(t)`. The writer reads it before an update; a
+    /// reader's value is at most the call in flight behind.
     fn numerator(&self, store: &S) -> f64;
 
-    /// Folds one slot growth `old → new` into a thread-local accumulator.
-    fn fold_growth(acc: &mut f64, old: u16, new: u16);
+    /// Accounts one slot growth `old → new`, as the one writer (a no-op
+    /// when the store maintains the numerator itself).
+    fn on_growth(&self, old: u16, new: u16);
 
-    /// Writes to `numerators[j]` the numerator just before a block's growth
-    /// `j`, `old[j] → new[j]`, counting this writer's earlier growths from
-    /// `start`, the numerator read before the block's store update.
-    /// Returns the block's folded accumulator for
-    /// [`SharedQTracker::commit`].
-    fn block_numerators(start: f64, old: &[u16], new: &[u16], numerators: &mut [f64]) -> f64;
+    /// Accounts a block's growths `old[j] → new[j]` in order, as the one
+    /// writer, and writes to `numerators[j]` the numerator just before
+    /// growth `j`. `start` is the numerator before the block, read before
+    /// its store update.
+    fn block_numerators(&self, start: f64, old: &[u16], new: &[u16], numerators: &mut [f64]);
 
-    /// Adds a folded accumulator to the numerator, as the one writer (a
-    /// no-op when the store maintains the numerator itself).
-    fn commit(&self, acc: f64);
-
-    /// Unconditional exact resynchronisation against the store, called by
-    /// the one writer after an operation rewrote the store wholesale (a
-    /// snapshot merge). A no-op when the store maintains the numerator
-    /// itself.
+    /// Exact resynchronisation against the store, called by the one
+    /// writer after an operation rewrote the store wholesale (a snapshot
+    /// merge). A no-op when the store maintains the numerator itself.
     fn resync(&self, store: &S);
 }
 
@@ -108,25 +100,22 @@ impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZeroQ {
         Self
     }
 
+    /// Guarded away from zero, so a full array reports `q = 1/M`.
     #[inline]
     fn numerator(&self, store: &S) -> f64 {
         store.zero_slots().max(1) as f64
     }
 
     #[inline]
-    fn fold_growth(_acc: &mut f64, _old: u16, _new: u16) {}
+    fn on_growth(&self, _old: u16, _new: u16) {}
 
     /// Growth `j` of a block finds `m₀ − j` zero bits.
     #[inline]
-    fn block_numerators(start: f64, _old: &[u16], _new: &[u16], numerators: &mut [f64]) -> f64 {
+    fn block_numerators(&self, start: f64, _old: &[u16], _new: &[u16], numerators: &mut [f64]) {
         for (j, n) in numerators.iter_mut().enumerate() {
             *n = start - j as f64;
         }
-        0.0
     }
-
-    #[inline]
-    fn commit(&self, _acc: f64) {}
 
     #[inline]
     fn resync(&self, _store: &S) {}
@@ -173,7 +162,8 @@ impl SharedF64 {
 }
 
 /// `q_R = Z/M` for atomic register stores: `Z = Σ 2^{-R[j]}` in a shared
-/// f64 cell, to which the one writer adds each block's folded delta.
+/// f64 cell, which the one writer keeps as [`crate::engine::IncrementalZ`]
+/// keeps its `Z`: the same additions in the same order.
 #[derive(Debug)]
 pub struct SharedZ {
     /// `Z`.
@@ -192,29 +182,18 @@ impl<S: ConcurrentSlotStore> SharedQTracker<S> for SharedZ {
 
     #[inline]
     fn numerator(&self, _store: &S) -> f64 {
-        self.z.get().max(f64::MIN_POSITIVE)
+        self.z.get()
     }
 
     #[inline]
-    fn fold_growth(acc: &mut f64, old: u16, new: u16) {
-        *acc += pow2_neg(new) - pow2_neg(old);
+    fn on_growth(&self, old: u16, new: u16) {
+        self.z.set(grow_z(self.z.get(), old, new));
     }
 
+    /// Adds each growth to `Z` in stream order and stores the sum once.
     #[inline]
-    fn block_numerators(start: f64, old: &[u16], new: &[u16], numerators: &mut [f64]) -> f64 {
-        let mut acc = 0.0;
-        for ((n, &old), &new) in numerators.iter_mut().zip(old).zip(new) {
-            *n = start + acc;
-            <Self as SharedQTracker<S>>::fold_growth(&mut acc, old, new);
-        }
-        acc
-    }
-
-    #[inline]
-    fn commit(&self, acc: f64) {
-        if acc != 0.0 {
-            self.z.set(self.z.get() + acc);
-        }
+    fn block_numerators(&self, _start: f64, old: &[u16], new: &[u16], numerators: &mut [f64]) {
+        self.z.set(z_numerators(self.z.get(), old, new, numerators));
     }
 
     fn resync(&self, store: &S) {
@@ -302,15 +281,15 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         &self.store
     }
 
-    /// The update value an edge hash carries: a saturated geometric rank
-    /// for register stores, ignored (1) for bit stores.
+    /// The pure half of this engine's block pipeline: the scalar
+    /// engine's hasher over this store's geometry.
     #[inline]
-    fn value_of(&self, h: u64) -> u16 {
-        if S::RANKED {
-            u16::from(geometric_rank(splitmix64(h)).saturated(self.store.width()))
-        } else {
-            1
-        }
+    fn split_hasher(&self) -> BlockHasher {
+        BlockHasher::new(
+            self.hasher,
+            self.store.len(),
+            S::RANKED.then(|| self.store.width()),
+        )
     }
 
     /// Observes edge `(user, item)`; callable concurrently (the edge is
@@ -318,64 +297,27 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
     #[inline]
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     pub fn process(&self, user: u64, item: u64) {
-        let h = self.hasher.hash_edge(user, item);
-        let slot = reduce64(h, self.store.len());
-        let value = self.value_of(h);
+        let (slot, value) = self.split_hasher().hash_one(user, item);
         let _writer = self.writer.lock();
         let qn = self.q.numerator(&self.store);
         if let Some(old) = self.store.try_update(slot, value) {
             let inc = self.store.len() as f64 / qn;
             self.counters.add(user, inc);
             self.total.set(self.total.get() + inc);
-            let mut acc = 0.0;
-            Q::fold_growth(&mut acc, old, value);
-            self.q.commit(acc);
+            self.q.on_growth(old, value);
         }
         // Non-changing edges are discarded for free, matching the scalar
         // engine's Algorithm 1/2 semantics.
     }
 
-    /// Load-only warm pass over one block: hash, map to slots, derive rank
-    /// values, and touch every store word the write pass will hit so those
-    /// lines are resident when it runs. Unlike the scalar engine there is
-    /// no counter warm — [`ShardedCounterMap`] sits behind shard mutexes,
-    /// so a speculative read would contend rather than prefetch.
-    #[inline(always)]
-    fn warm_block(
-        &self,
-        chunk: &[(u64, u64)],
-        hashes: &mut [u64],
-        slots: &mut [usize],
-        values: &mut [u16],
-    ) {
-        let m = self.store.len();
-        if S::RANKED {
-            self.hasher.hash_many(chunk, hashes);
-            for (s, &h) in slots.iter_mut().zip(hashes.iter()) {
-                *s = reduce64(h, m);
-            }
-            let width = self.store.width();
-            for (v, &h) in values.iter_mut().zip(hashes.iter()) {
-                *v = u16::from(geometric_rank(splitmix64(h)).saturated(width));
-            }
-        } else {
-            // Bit stores never look at the hash again (the update value is
-            // always 1), so the slot derivation fuses into the lane loop
-            // and the `hashes` scratch is never materialized.
-            self.hasher.slots_many(chunk, m, slots);
-        }
-        let mut acc = 0u64;
-        for &s in slots.iter() {
-            acc ^= self.store.warm(s);
-        }
-        std::hint::black_box(acc);
-    }
-
-    /// Write pass over one warmed block, under the writer lock: a
-    /// word-level [`ConcurrentSlotStore::update_block`], each growth
-    /// credited at the numerator of `q` just before it with one counter add
-    /// and one addition to the total, in stream order, then one store of
-    /// the total and one `q` commit for the whole block.
+    /// One hashed block, under the writer lock: a load-only warm pass over
+    /// every store word the block needs, then a word-level
+    /// [`ConcurrentSlotStore::update_block`], each growth credited at the
+    /// numerator of `q` just before it with one counter add and one
+    /// addition to the total, in stream order, then one store of the
+    /// total. Unlike the scalar engine there is no counter warm —
+    /// [`ShardedCounterMap`] sits behind shard mutexes, so a speculative
+    /// read would contend rather than prefetch.
     #[inline(always)]
     fn apply_block(
         &self,
@@ -385,12 +327,17 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
         s: &mut BlockScratch,
     ) {
         let k = chunk.len();
+        let mut acc = 0u64;
+        for &slot in slots {
+            acc ^= self.store.warm(slot);
+        }
+        std::hint::black_box(acc);
         let start = self.q.numerator(&self.store);
         self.store
             .update_block(slots, values, &mut s.grew[..k], &mut s.old[..k]);
         let growths = s.list_growths(chunk, values, S::RANKED);
         let (old, new, numerators) = s.growth_values(growths);
-        let q_acc = Q::block_numerators(start, old, new, numerators);
+        self.q.block_numerators(start, old, new, numerators);
         let (users, credits) = s.credits(self.store.len(), growths);
         let mut total = self.total.get();
         for (&user, &credit) in users.iter().zip(credits) {
@@ -398,26 +345,25 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
             total += credit;
         }
         self.total.set(total);
-        self.q.commit(q_acc);
     }
 
     /// Observes a slice of edges — the batched fast path; callable
     /// concurrently, and applied whole under the writer lock. The slice is
-    /// cut into blocks of [`crate::INGEST_BLOCK`] edges, each run as a
-    /// load-only warm pass and then a write pass over compile-time sized
-    /// stack scratch. The store and counters end as per-edge ingest of the
-    /// slice leaves them.
+    /// cut into blocks of [`crate::INGEST_BLOCK`] edges, each hashed by
+    /// [`BlockHasher::hash`] and applied over compile-time sized stack
+    /// scratch. The store and counters end as per-edge ingest of the slice
+    /// leaves them.
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     pub fn process_batch(&self, edges: &[(u64, u64)]) {
         const BLOCK: usize = crate::INGEST_BLOCK;
-        let mut hashes = [0u64; BLOCK];
+        let hasher = self.split_hasher();
         let mut slots = [0usize; BLOCK];
         let mut values = [1u16; BLOCK];
         let mut scratch = BlockScratch::new();
         let _writer = self.writer.lock();
         for chunk in edges.chunks(BLOCK) {
             let k = chunk.len();
-            self.warm_block(chunk, &mut hashes[..k], &mut slots[..k], &mut values[..k]);
+            hasher.hash(chunk, &mut slots[..k], &mut values[..k]);
             self.apply_block(chunk, &slots[..k], &values[..k], &mut scratch);
         }
     }
@@ -463,26 +409,10 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ConcurrentEngine<S, Q> {
     /// [`graphstream::SnapshotError::ConfigMismatch`] when the hasher
     /// seeds or store geometries (length, register width) differ.
     pub fn merge(&self, other: &Self) -> Result<(), graphstream::SnapshotError> {
-        if self.hasher != other.hasher {
-            return Err(graphstream::SnapshotError::ConfigMismatch {
-                detail: format!(
-                    "hasher seed {:#x} vs {:#x}",
-                    self.hasher.seed(),
-                    other.hasher.seed()
-                ),
-            });
-        }
-        if self.store.len() != other.store.len() || self.store.width() != other.store.width() {
-            return Err(graphstream::SnapshotError::ConfigMismatch {
-                detail: format!(
-                    "store geometry {}x{} vs {}x{}",
-                    self.store.len(),
-                    self.store.width(),
-                    other.store.len(),
-                    other.store.width()
-                ),
-            });
-        }
+        check_mergeable(
+            (&self.hasher, self.store.len(), self.store.width()),
+            (&other.hasher, other.store.len(), other.store.width()),
+        )?;
         let _writer = self.writer.lock();
         self.store.merge_from(&other.store);
         other

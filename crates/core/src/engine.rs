@@ -36,8 +36,8 @@ use hashkit::{geometric_rank, reduce64, splitmix64, CounterMap, EdgeHasher};
 ///
 /// `q(t) = numerator(t) / M`; the numerator is the store's zero count for
 /// bit sharing (maintained exactly by the array itself) and
-/// `Z = Σ_j 2^{-R[j]}` for register sharing (maintained incrementally here,
-/// with periodic exact rebuilds cancelling floating-point drift).
+/// `Z = Σ_j 2^{-R[j]}` for register sharing, maintained incrementally here
+/// as Algorithm 2 keeps it: one addition per growth, never rebuilt.
 pub trait QTracker<S: SlotStore> {
     /// The paper's name for the estimator this tracker realizes — used as
     /// [`CardinalityEstimator::name`].
@@ -60,18 +60,9 @@ pub trait QTracker<S: SlotStore> {
     /// the numerator before the block, read before its store update.
     fn block_numerators(&mut self, start: f64, old: &[u16], new: &[u16], numerators: &mut [f64]);
 
-    /// Amortized exact resynchronisation against the store (FreeRS's
-    /// periodic `Z` rebuild). Called after every growth.
-    fn maybe_rebuild(&mut self, store: &S);
-
-    /// Whether [`QTracker::maybe_rebuild`] may fire within the next
-    /// `growths` growths. The block pipeline applies such a block edge by
-    /// edge, so the rebuild reads the store as per-edge ingest leaves it.
-    fn rebuild_within(&self, growths: usize) -> bool;
-
-    /// Unconditional exact resynchronisation against the store, called
-    /// after an operation rewrote the store wholesale (a snapshot merge).
-    /// A no-op when the store maintains the numerator itself.
+    /// Exact resynchronisation against the store, called after an
+    /// operation rewrote the store wholesale (a snapshot merge). A no-op
+    /// when the store maintains the numerator itself.
     fn resync(&mut self, store: &S);
 }
 
@@ -105,43 +96,21 @@ impl<S: SlotStore> QTracker<S> for ZeroQ {
     }
 
     #[inline]
-    fn maybe_rebuild(&mut self, _store: &S) {}
-
-    #[inline]
-    fn rebuild_within(&self, _growths: usize) -> bool {
-        false
-    }
-
-    #[inline]
     fn resync(&mut self, _store: &S) {}
 }
 
-/// How many register-growth events may pass between exact recomputations of
-/// `Z = Σ_j 2^{-R[j]}`. Each incremental update adds one rounding error of
-/// at most ~2⁻⁵³·M, so a 2²⁰ window keeps the accumulated drift far below
-/// any estimate's noise floor; the rebuild is O(M) but amortizes to ~0.
-const Z_REBUILD_INTERVAL: u64 = 1 << 20;
-
 /// `q_R = Z/M` for register stores, with `Z` maintained incrementally in
-/// O(1) per growth and rebuilt exactly every 2²⁰ growths
-/// (`Z_REBUILD_INTERVAL`).
+/// O(1) per growth.
+///
+/// Each growth adds `2^{-new} − 2^{-old}`, so every term of the `f64` sum
+/// is a power of two and the sum stays exact until some register's rank
+/// exceeds about `52 − log₂ Z`; past that a growth rounds `Z` by at most
+/// half an ulp. [`crate::FreeRS::z_drift`] measures the distance to the
+/// exact sum.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncrementalZ {
     /// Incrementally maintained `Z = Σ_j 2^{-R[j]}`.
     pub(crate) z: f64,
-    pub(crate) growths_since_rebuild: u64,
-}
-
-impl IncrementalZ {
-    /// Recomputes `Z` exactly from `store` and returns the absolute drift
-    /// the incremental value had accumulated.
-    pub fn rebuild<S: SlotStore>(&mut self, store: &S) -> f64 {
-        let exact = store.sum_pow2_neg();
-        let drift = (self.z - exact).abs();
-        self.z = exact;
-        self.growths_since_rebuild = 0;
-        drift
-    }
 }
 
 impl<S: SlotStore> QTracker<S> for IncrementalZ {
@@ -151,7 +120,6 @@ impl<S: SlotStore> QTracker<S> for IncrementalZ {
     fn fresh(store: &S) -> Self {
         Self {
             z: store.len() as f64,
-            growths_since_rebuild: 0,
         }
     }
 
@@ -162,37 +130,39 @@ impl<S: SlotStore> QTracker<S> for IncrementalZ {
 
     #[inline]
     fn on_growth(&mut self, old: u16, new: u16) {
-        self.z += pow2_neg(new) - pow2_neg(old);
-        self.growths_since_rebuild += 1;
+        self.z = grow_z(self.z, old, new);
     }
 
     /// The same additions to `Z`, in the same order, as one
     /// [`QTracker::on_growth`] per growth.
     #[inline]
     fn block_numerators(&mut self, _start: f64, old: &[u16], new: &[u16], numerators: &mut [f64]) {
-        for ((n, &old), &new) in numerators.iter_mut().zip(old).zip(new) {
-            *n = self.z;
-            self.z += pow2_neg(new) - pow2_neg(old);
-        }
-        self.growths_since_rebuild += numerators.len() as u64;
-    }
-
-    #[inline]
-    fn maybe_rebuild(&mut self, store: &S) {
-        if self.growths_since_rebuild >= Z_REBUILD_INTERVAL {
-            self.rebuild(store);
-        }
-    }
-
-    #[inline]
-    fn rebuild_within(&self, growths: usize) -> bool {
-        self.growths_since_rebuild + growths as u64 >= Z_REBUILD_INTERVAL
+        self.z = z_numerators(self.z, old, new, numerators);
     }
 
     #[inline]
     fn resync(&mut self, store: &S) {
-        self.rebuild(store);
+        self.z = store.sum_pow2_neg();
     }
+}
+
+/// The register sum `Z` after one growth `old → new`: the one addition
+/// every FreeRS engine, scalar or shard, keeps `Z` by.
+#[inline(always)]
+pub(crate) fn grow_z(z: f64, old: u16, new: u16) -> f64 {
+    z + (pow2_neg(new) - pow2_neg(old))
+}
+
+/// Writes to `numerators[j]` the register sum just before growth
+/// `old[j] → new[j]`, starting from `z` and applying [`grow_z`] per growth
+/// in stream order, and returns the sum after the last one.
+#[inline(always)]
+pub(crate) fn z_numerators(mut z: f64, old: &[u16], new: &[u16], numerators: &mut [f64]) -> f64 {
+    for ((n, &old), &new) in numerators.iter_mut().zip(old).zip(new) {
+        *n = z;
+        z = grow_z(z, old, new);
+    }
+    z
 }
 
 /// The pure half of a [`SketchEngine`]'s block pipeline: pair → slot, and
@@ -210,6 +180,18 @@ pub struct BlockHasher {
 }
 
 impl BlockHasher {
+    /// The block hasher of an engine hashing with `hasher` into `m` slots;
+    /// `rank_width` is the register width of a register store, `None` for
+    /// a bit store.
+    #[inline]
+    pub(crate) fn new(hasher: EdgeHasher, m: usize, rank_width: Option<u8>) -> Self {
+        Self {
+            hasher,
+            m,
+            rank_width,
+        }
+    }
+
     /// Whether [`BlockHasher::hash`] fills ranks (register stores).
     #[must_use]
     pub fn ranked(&self) -> bool {
@@ -246,10 +228,27 @@ impl BlockHasher {
                 *s = reduce64(h, self.m);
             }
             for (r, &h) in r.iter_mut().zip(hashes.iter()) {
-                *r = u16::from(geometric_rank(splitmix64(h)).saturated(width));
+                *r = rank(h, width);
             }
         }
     }
+
+    /// The slot and update value of one edge, as [`BlockHasher::hash`]
+    /// computes them in a block: the saturated rank for register stores,
+    /// 1 for bit stores.
+    #[inline(always)]
+    pub(crate) fn hash_one(&self, user: u64, item: u64) -> (usize, u16) {
+        let h = self.hasher.hash_edge(user, item);
+        let value = self.rank_width.map_or(1, |width| rank(h, width));
+        (reduce64(h, self.m), value)
+    }
+}
+
+/// The saturated geometric rank a register update carries for edge hash
+/// `h`.
+#[inline(always)]
+fn rank(h: u64, width: u8) -> u16 {
+    u16::from(geometric_rank(splitmix64(h)).saturated(width))
 }
 
 /// Stack scratch of one block's apply pass: which updates grew the store
@@ -414,12 +413,6 @@ impl<S: SlotStore, Q: QTracker<S>> SketchEngine<S, Q> {
         }
     }
 
-    /// Split borrow for tracker maintenance that needs the store
-    /// (`FreeRS::rebuild_z`).
-    pub(crate) fn store_and_q_mut(&mut self) -> (&S, &mut Q) {
-        (&self.store, &mut self.q)
-    }
-
     /// Unions another engine's state into this one: bitwise OR for bit
     /// stores, element-wise max for registers, per-user counters and the
     /// running total added. After the store union the `q` tracker is
@@ -437,26 +430,10 @@ impl<S: SlotStore, Q: QTracker<S>> SketchEngine<S, Q> {
     /// sketches place edges in unrelated slots and their union is
     /// meaningless.
     pub fn merge(&mut self, other: &Self) -> Result<(), graphstream::SnapshotError> {
-        if self.hasher != other.hasher {
-            return Err(graphstream::SnapshotError::ConfigMismatch {
-                detail: format!(
-                    "hasher seed {:#x} vs {:#x}",
-                    self.hasher.seed(),
-                    other.hasher.seed()
-                ),
-            });
-        }
-        if self.store.len() != other.store.len() || self.store.width() != other.store.width() {
-            return Err(graphstream::SnapshotError::ConfigMismatch {
-                detail: format!(
-                    "store geometry {}x{} vs {}x{}",
-                    self.store.len(),
-                    self.store.width(),
-                    other.store.len(),
-                    other.store.width()
-                ),
-            });
-        }
+        check_mergeable(
+            (&self.hasher, self.store.len(), self.store.width()),
+            (&other.hasher, other.store.len(), other.store.width()),
+        )?;
         self.store.merge_from(&other.store);
         other
             .estimates
@@ -466,25 +443,14 @@ impl<S: SlotStore, Q: QTracker<S>> SketchEngine<S, Q> {
         Ok(())
     }
 
-    /// The update value an edge hash carries: a saturated geometric rank
-    /// for register stores, ignored (1) for bit stores.
-    #[inline]
-    fn value_of(&self, h: u64) -> u16 {
-        if S::RANKED {
-            u16::from(geometric_rank(splitmix64(h)).saturated(self.store.width()))
-        } else {
-            1
-        }
-    }
-
     /// The pure half of this engine's block pipeline.
     #[inline]
     fn split_hasher(&self) -> BlockHasher {
-        BlockHasher {
-            hasher: self.hasher,
-            m: self.store.len(),
-            rank_width: S::RANKED.then(|| self.store.width()),
-        }
+        BlockHasher::new(
+            self.hasher,
+            self.store.len(),
+            S::RANKED.then(|| self.store.width()),
+        )
     }
 
     /// Applies one hashed edge as Algorithms 1 and 2 do: the numerator of
@@ -499,7 +465,6 @@ impl<S: SlotStore, Q: QTracker<S>> SketchEngine<S, Q> {
             self.estimates.add(user, inc);
             self.total += inc;
             self.q.on_growth(old, value);
-            self.q.maybe_rebuild(&self.store);
         }
         // Non-changing edges (duplicates, or collisions — indistinguishable,
         // and exactly the event q accounts for) are discarded for free, as
@@ -518,9 +483,6 @@ impl<S: SlotStore, Q: QTracker<S>> SketchEngine<S, Q> {
     /// until the store update, and speculatively touching every user's
     /// counter measured slower than demand-warming the grown ones (it
     /// roughly doubles the map traffic).
-    ///
-    /// A block within which FreeRS's exact `Z` rebuild may fall is applied
-    /// edge by edge instead: about one block in 2¹¹.
     #[inline(always)]
     fn apply_block(
         &mut self,
@@ -530,12 +492,6 @@ impl<S: SlotStore, Q: QTracker<S>> SketchEngine<S, Q> {
         s: &mut BlockScratch,
     ) {
         let k = chunk.len();
-        if self.q.rebuild_within(k) {
-            for ((&(user, _), &slot), &value) in chunk.iter().zip(slots).zip(values) {
-                self.apply_edge(user, slot, value);
-            }
-            return;
-        }
         let mut acc = 0u64;
         for &slot in slots {
             acc ^= self.store.warm(slot);
@@ -564,9 +520,7 @@ impl<S: SlotStore, Q: QTracker<S>> CardinalityEstimator for SketchEngine<S, Q> {
     #[inline]
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     fn process(&mut self, user: u64, item: u64) {
-        let h = self.hasher.hash_edge(user, item);
-        let slot = reduce64(h, self.store.len());
-        let value = self.value_of(h);
+        let (slot, value) = self.split_hasher().hash_one(user, item);
         self.apply_edge(user, slot, value);
     }
 
@@ -635,9 +589,29 @@ impl<S: SlotStore, Q: QTracker<S>> CardinalityEstimator for SketchEngine<S, Q> {
     }
 }
 
+/// Checks that two engines, each given as its hasher, `M` and slot width,
+/// may be merged: the same hasher seed and store geometry, or
+/// [`graphstream::SnapshotError::ConfigMismatch`] naming the difference.
+pub(crate) fn check_mergeable(
+    (hasher, len, width): (&EdgeHasher, usize, u8),
+    (other, other_len, other_width): (&EdgeHasher, usize, u8),
+) -> Result<(), graphstream::SnapshotError> {
+    if hasher != other {
+        return Err(graphstream::SnapshotError::ConfigMismatch {
+            detail: format!("hasher seed {:#x} vs {:#x}", hasher.seed(), other.seed()),
+        });
+    }
+    if (len, width) != (other_len, other_width) {
+        return Err(graphstream::SnapshotError::ConfigMismatch {
+            detail: format!("store geometry {len}x{width} vs {other_len}x{other_width}"),
+        });
+    }
+    Ok(())
+}
+
 /// `2^{-v}` by exponent manipulation (exact for all register values).
 #[inline]
-pub(crate) fn pow2_neg(v: u16) -> f64 {
+fn pow2_neg(v: u16) -> f64 {
     f64::from_bits((1023u64.saturating_sub(u64::from(v))) << 52)
 }
 

@@ -1,7 +1,7 @@
 //! Crash-safe sketch lifecycle: checksummed snapshots, incremental
 //! checkpointing, and restore-with-fallback.
 //!
-//! A snapshot is a [`graphstream::snapshot`] FSNP container (version 3)
+//! A snapshot is a [`graphstream::snapshot`] FSNP container (version 4)
 //! with four typed sections, each independently CRC-protected so
 //! corruption is localized to a named section. Every field is a
 //! little-endian `u64` (`f64` fields as their bits):
@@ -19,9 +19,9 @@
 //! the loader re-inserts users in ascending order, so a sum over the
 //! rebuilt counter map would add them in another order and could differ
 //! in its last bits. The `q` state is what cannot be rebuilt from the
-//! words: FreeRS's incremental `Z` and its growths since the last exact
-//! rebuild (one sharded FreeRS shard: `Z` alone); nothing for FreeBS,
-//! whose zero count is recounted.
+//! words: FreeRS's incremental `Z`, whether the engine is a scalar sketch
+//! or a shard; nothing for FreeBS, whose zero count is recounted. So a
+//! one-shard sketch's engine record is the scalar sketch's.
 //!
 //! [`AnySketch`] erases the four estimator configurations the CLI can
 //! build (FreeBS, FreeRS and their sharded variants) behind one
@@ -599,13 +599,11 @@ impl TrackerState for SharedZeroQ {
 impl TrackerState for IncrementalZ {
     fn put(&self, conf: &mut Vec<u8>) {
         put(conf, self.z.to_bits());
-        put(conf, self.growths_since_rebuild);
     }
 
     fn take(conf: &mut Fields<'_>) -> Result<Self, SnapshotError> {
         Ok(Self {
             z: take_sum(conf, "register sum Z")?,
-            growths_since_rebuild: conf.u64()?,
         })
     }
 }
@@ -749,7 +747,7 @@ pub fn save_snapshot(
 /// taken at. The result has passed [`AnySketch::validate`].
 ///
 /// # Errors
-/// Any [`SnapshotError`]: bad magic, version skew (version 1 and 2 files
+/// Any [`SnapshotError`]: bad magic, version skew (version 1 to 3 files
 /// included), truncation, CRC mismatch, missing section, or a payload
 /// that checksums but decodes to an inconsistent sketch. Never panics on
 /// corrupt input.
@@ -1248,6 +1246,17 @@ mod tests {
     }
 
     #[test]
+    fn version_three_files_are_rejected() {
+        let mut bytes = freebs_bytes(1 << 8);
+        bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
+        let err = load_snapshot(&mut bytes.as_slice()).expect_err("v3");
+        assert!(
+            matches!(err, SnapshotError::UnsupportedVersion { found: 3 }),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn unknown_kind_is_malformed() {
         let bytes = with_section(&freebs_bytes(1 << 8), TAG_META, |m| set_u64(m, 0, 9));
         assert!(malformed_detail(&bytes).contains("unknown sketch kind 9"));
@@ -1376,7 +1385,7 @@ mod tests {
         let mut sketch = AnySketch::FreeRS(FreeRS::new(1 << 10, 2));
         ingest(&mut sketch, &edges(500, 4));
         let bytes = snapshot_bytes(&sketch, 500);
-        // FreeRS CONF: seed, M, width, total, Z, growths.
+        // FreeRS CONF: seed, M, width, total, Z.
         for z in [f64::NAN, -1.0, 1e9] {
             let edited = with_section(&bytes, TAG_CONF, |c| set_u64(c, 4, z.to_bits()));
             let detail = malformed_detail(&edited);

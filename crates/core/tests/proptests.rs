@@ -249,7 +249,7 @@ proptest! {
         for &(u, d) in &stream {
             frs.process(u, d);
         }
-        let drift = frs.rebuild_z();
+        let drift = frs.z_drift();
         prop_assert!(drift < 1e-9, "drift {drift}");
     }
 
@@ -381,44 +381,69 @@ proptest! {
     }
 }
 
-/// Multi-thread sharded stress: 4 threads splitting one stream must land
-/// within a small skew of the same sharded estimator fed sequentially —
-/// the only nondeterminism is the bounded q staleness across in-flight
-/// updates, far below the estimator's own noise.
+/// One shard bit for bit: its store words, each user's counter (by user)
+/// and its running total.
+type ShardImage = (Vec<u64>, Vec<(u64, u64)>, u64);
+
+fn shard_images(sketch: &ShardedFreeBS) -> Vec<ShardImage> {
+    sketch
+        .shards()
+        .iter()
+        .map(|shard| {
+            let store = shard.store();
+            let words = (0..store.word_count()).map(|i| store.word(i)).collect();
+            let mut users = Vec::new();
+            shard.for_each_estimate(&mut |user, est| users.push((user, est.to_bits())));
+            users.sort_unstable();
+            (words, users, shard.total_estimate().to_bits())
+        })
+        .collect()
+}
+
+/// Multi-thread sharded stress: 4 threads each send one slice of a stream
+/// into a 4-shard sketch. A shard applies whole calls one after another, in
+/// whatever order the threads reach it, and a user's HT sum depends on that
+/// order; so each shard must end exactly as it does when the four slices
+/// arrive in one of their 24 serial orders (each shard in its own order):
+/// the same store words, every user's counter and the same total.
 #[test]
-fn sharded_parallel_ingest_bounds_skew_vs_sequential() {
+fn sharded_parallel_ingest_is_a_serial_order_per_shard() {
     let users = 16u64;
     let edges: Vec<(u64, u64)> = (0..120_000u64)
         .map(|i| (i % users, hashkit::splitmix64(i) >> 12))
         .collect();
+    let parts: Vec<&[(u64, u64)]> = edges.chunks(edges.len().div_ceil(4)).collect();
+    let fresh = || ShardedFreeBS::new(1 << 18, 4, 42);
 
-    let sequential = freesketch::ShardedFreeBS::new(1 << 18, 4, 42);
-    sequential.process_batch(&edges);
+    let orders: Vec<[usize; 4]> = (0..256usize)
+        .map(|i| [i & 3, i >> 2 & 3, i >> 4 & 3, i >> 6])
+        .filter(|order| (0..4).all(|part| order.contains(&part)))
+        .collect();
+    assert_eq!(orders.len(), 24);
+    let serial: Vec<Vec<ShardImage>> = orders
+        .iter()
+        .map(|order| {
+            let sketch = fresh();
+            for &part in order {
+                sketch.process_batch(parts[part]);
+            }
+            shard_images(&sketch)
+        })
+        .collect();
 
-    let threads = 4;
-    let parallel = std::sync::Arc::new(freesketch::ShardedFreeBS::new(1 << 18, 4, 42));
-    let chunk = edges.len().div_ceil(threads);
+    let parallel = fresh();
     std::thread::scope(|s| {
-        for part in edges.chunks(chunk) {
-            let parallel = std::sync::Arc::clone(&parallel);
+        for &part in &parts {
+            let parallel = &parallel;
             s.spawn(move || parallel.process_batch(part));
         }
     });
-
-    for u in 0..users {
-        let (seq, par) = (sequential.estimate(u), parallel.estimate(u));
-        let rel = (par / seq - 1.0).abs();
+    for (p, got) in shard_images(&parallel).iter().enumerate() {
         assert!(
-            rel < 0.02,
-            "user {u}: parallel {par} vs sequential {seq} (skew {rel})"
+            serial.iter().any(|images| &images[p] == got),
+            "shard {p} ends in none of the 24 serial orders of the four slices"
         );
     }
-    assert!(
-        (parallel.total_estimate() / sequential.total_estimate() - 1.0).abs() < 0.01,
-        "totals diverged: {} vs {}",
-        parallel.total_estimate(),
-        sequential.total_estimate()
-    );
 }
 
 /// The `ARRY` section of `sketch`'s snapshot: every store's raw words.

@@ -25,8 +25,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FSNP";
 /// generic tagged value encoding; version 2 sections are typed
 /// fixed-layout payloads; version 3 gives every engine one `CONF` record,
 /// so a sharded sketch's shards record their running totals as scalar
-/// engines do. A reader accepts only its own version.
-pub const SNAPSHOT_VERSION: u16 = 3;
+/// engines do; version 4 drops the scalar FreeRS record's growth count,
+/// so a FreeRS engine records `Z` alone, scalar or shard. A reader
+/// accepts only its own version.
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 /// Container header length in bytes: magic + version + section count.
 pub const SNAPSHOT_HEADER_LEN: usize = 8;

@@ -2,7 +2,7 @@
 //!
 //! The concurrent estimators keep the same `u64 → f64` Horvitz–Thompson
 //! counters as the sequential ones, but must accept writes from many
-//! threads. [`ShardedCounterMap`] splits one [`CounterMap`] into `P`
+//! threads. [`ShardedCounterMap`] splits one [`CounterMap`] into 64
 //! independently locked shards keyed by a mix of the user id, so writers
 //! for different users almost never contend and every shard keeps the flat
 //! one-cache-line-per-touch layout of the scalar store.
@@ -10,20 +10,20 @@
 //! The shard comes from the **high** bits of `splitmix64(key)`, because
 //! each shard's [`CounterMap`] starts probing at the low bits of that same
 //! hash. Taking the shard from the low bits would leave every key of a
-//! shard with the same low `log2 P` bits, so they would crowd into `1/P` of
-//! its home slots: a lookup then probes about 13 slots instead of about
-//! 1.3 (100k keys, 64 shards).
+//! shard with the same low 6 bits, so they would crowd into 1/64 of its
+//! home slots: a lookup then probes about 13 slots instead of about 1.3
+//! (100k keys).
 
 use crate::countermap::CounterMap;
 use crate::mix::splitmix64;
 use crate::reduce64;
 use parking_lot::Mutex;
 
-/// Default shard count: enough that 8–16 writer threads rarely collide,
+/// The shard count: enough that 8–16 writer threads rarely collide,
 /// small enough that a full scan stays cheap.
-pub const DEFAULT_SHARDS: usize = 64;
+const SHARDS: usize = 64;
 
-/// A concurrent `u64 → f64` accumulator map: `P` mutex-protected
+/// A concurrent `u64 → f64` accumulator map: 64 mutex-protected
 /// [`CounterMap`] shards, keyed by the high bits of a mix of the key (so
 /// sequential user ids spread instead of piling into neighbouring shards,
 /// and a shard's keys still spread over all of its home slots).
@@ -43,33 +43,18 @@ pub struct ShardedCounterMap {
 }
 
 impl Default for ShardedCounterMap {
+    /// An empty map.
     fn default() -> Self {
-        Self::new(DEFAULT_SHARDS)
+        Self {
+            shards: (0..SHARDS).map(|_| Mutex::new(CounterMap::new())).collect(),
+        }
     }
 }
 
 impl ShardedCounterMap {
-    /// Creates a map with `shards` shards, rounded up to a power of two
-    /// (minimum 1).
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        let mut v = Vec::with_capacity(n);
-        v.resize_with(n, || Mutex::new(CounterMap::new()));
-        Self {
-            shards: v.into_boxed_slice(),
-        }
-    }
-
-    /// Number of shards (a power of two).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     #[inline]
     fn shard(&self, key: u64) -> &Mutex<CounterMap> {
-        &self.shards[reduce64(splitmix64(key), self.shards.len())]
+        &self.shards[reduce64(splitmix64(key), SHARDS)]
     }
 
     /// Adds `delta` to `key`'s counter, inserting the key at zero first if
@@ -113,7 +98,7 @@ mod tests {
 
     #[test]
     fn add_get_round_trip() {
-        let m = ShardedCounterMap::new(8);
+        let m = ShardedCounterMap::default();
         for k in 0..500u64 {
             m.add(k, k as f64);
             m.add(k, 1.0);
@@ -123,13 +108,6 @@ mod tests {
             assert_eq!(m.get(k), Some(k as f64 + 1.0), "key {k}");
         }
         assert_eq!(m.get(9999), None);
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(ShardedCounterMap::new(0).shard_count(), 1);
-        assert_eq!(ShardedCounterMap::new(3).shard_count(), 4);
-        assert_eq!(ShardedCounterMap::new(64).shard_count(), 64);
     }
 
     #[test]
@@ -176,7 +154,7 @@ mod tests {
 
     #[test]
     fn for_each_visits_the_sentinel_key() {
-        let m = ShardedCounterMap::new(4);
+        let m = ShardedCounterMap::default();
         m.add(u64::MAX, 2.0); // sentinel key must survive sharding
         m.add(1, 3.0);
         let mut seen = Vec::new();

@@ -182,6 +182,17 @@ grep -q "restored checkpoint" "$tmp/resumed.txt" || {
 tail -n +2 "$tmp/resumed.txt" | diff -u "$tmp/ref.txt" - || {
   echo "resumed estimate differs from uninterrupted run"; exit 1;
 }
+# A version-3 file (FreeRS records carried a growth count) is refused as
+# a typed error: a copy of the fresh checkpoint with header bytes 4-5, the
+# version, patched to 3.
+cp "$tmp/state.fsnp" "$tmp/v3.fsnp"
+printf '\003\000' | dd of="$tmp/v3.fsnp" bs=1 seek=4 conv=notrunc status=none
+code=0
+./target/release/freesketch restore "$tmp/v3.fsnp" > /dev/null 2> "$tmp/v3-err.txt" || code=$?
+[ "$code" -eq 1 ] || { echo "restore of a version-3 snapshot exited $code, not 1"; exit 1; }
+grep -q "unsupported snapshot version 3" "$tmp/v3-err.txt" || {
+  echo "version-3 snapshot not refused as typed:"; cat "$tmp/v3-err.txt"; exit 1;
+}
 
 echo "==> snapshot merge smoke (split halves vs whole trace)"
 half=$(( (edges + 1) / 2 ))

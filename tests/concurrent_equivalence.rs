@@ -1,13 +1,16 @@
 //! The concurrent engine, checked as the one shard of a one-shard sketch:
-//! a lone writer must equal the sequential reference bit for bit,
+//! a lone writer must equal the scalar engine bit for bit, snapshot
+//! included,
 //! contended writers must apply whole calls one after another, and they
 //! must keep `q` exact, dedup global and estimates within noise.
 
-use bitpack::{ConcurrentSlotStore, WordStore};
+use bitpack::{ConcurrentSlotStore, SlotStore, WordStore};
 use freesketch::concurrent::SharedQTracker;
 use freesketch::{
-    CardinalityEstimator, ConcurrentEstimator, FreeBS, ShardedFreeBS, ShardedFreeRS, ShardedSketch,
+    save_snapshot, AnySketch, CardinalityEstimator, ConcurrentEstimator, FreeBS, FreeRS, QTracker,
+    ShardedFreeBS, ShardedFreeRS, ShardedSketch, SketchEngine,
 };
+use graphstream::snapshot::{find_section, read_sections};
 use graphstream::{GroundTruth, SynthConfig};
 use hashkit::{mix64, splitmix64};
 use std::sync::Barrier;
@@ -30,37 +33,70 @@ fn ingest_from_threads(est: &dyn ConcurrentEstimator, parts: &[&[(u64, u64)]], b
     });
 }
 
-#[test]
-fn sequential_replay_is_bit_identical() {
-    // Shard 0 of a sketch seeded 4 hashes with `mix64(4, 0)`, so a lone
-    // writer's one-shard sketch is that scalar FreeBS: the same words,
-    // zero count, per-user estimates and total, per edge and in blocks.
-    let stream = SynthConfig::tiny(21).generate();
-    let pairs: Vec<(u64, u64)> = stream.edges().iter().map(|e| e.pair()).collect();
-    let mut seq = FreeBS::new(1 << 18, mix64(4, 0));
-    let per_edge = ShardedFreeBS::new(1 << 18, 1, 4);
-    for &(user, item) in &pairs {
-        seq.process(user, item);
+/// The `CONF`, `ARRY` and `CNTR` sections of `sketch`'s snapshot.
+fn sections(sketch: AnySketch) -> [Vec<u8>; 3] {
+    let mut bytes = Vec::new();
+    save_snapshot(&mut bytes, &sketch, 0).expect("in-memory write");
+    let sections = read_sections(&mut bytes.as_slice()).expect("sections");
+    [b"CONF", b"ARRY", b"CNTR"].map(|tag| find_section(&sections, tag).expect("section").to_vec())
+}
+
+/// Feeds `pairs` to `scalar` per edge, and to one-shard sketches from
+/// `fresh` per edge and in 1,000-edge slices: each sketch's shard must be
+/// `scalar` bit for bit (every slot, `q`, every user's estimate, the
+/// total), and so must its snapshot (the same `CNTR` bytes and, after the
+/// router seed and shard count, the same `CONF` record).
+///
+/// A bit array has one layout, so for FreeBS the store words and the
+/// `ARRY` bytes must match too. The atomic register array keeps 12
+/// five-bit registers per word, so that no register straddles two words,
+/// while the scalar one packs them across words: FreeRS's registers are
+/// compared slot by slot.
+fn assert_lone_writer_is_scalar<S, Q, T, R>(
+    mut scalar: SketchEngine<S, Q>,
+    fresh: impl Fn() -> ShardedSketch<T, R>,
+    pairs: &[(u64, u64)],
+) where
+    S: SlotStore + WordStore,
+    Q: QTracker<S>,
+    T: ConcurrentSlotStore + WordStore,
+    R: SharedQTracker<T>,
+    AnySketch: From<SketchEngine<S, Q>> + From<ShardedSketch<T, R>>,
+{
+    let per_edge = fresh();
+    for &(user, item) in pairs {
+        scalar.process(user, item);
         per_edge.process(user, item);
     }
-    let blocks = ShardedFreeBS::new(1 << 18, 1, 4);
+    let blocks = fresh();
     for slice in pairs.chunks(1000) {
         blocks.process_batch(slice);
     }
+    let name = CardinalityEstimator::name(&scalar);
     for (how, sketch) in [("per edge", &per_edge), ("blocks", &blocks)] {
+        let how = format!("{name} {how}");
         let shard = &sketch.shards()[0];
-        let bits = seq.store();
-        assert_eq!(shard.store().word_count(), bits.words().len(), "{how}");
-        for (i, &w) in bits.words().iter().enumerate() {
-            assert_eq!(shard.store().word(i), w, "{how}: word {i}");
+        let store = scalar.store();
+        assert_eq!(
+            ConcurrentSlotStore::len(shard.store()),
+            SlotStore::len(store)
+        );
+        for i in 0..SlotStore::len(store) {
+            assert_eq!(shard.store().load(i), store.load(i), "{how}: slot {i}");
         }
-        assert_eq!(shard.store().zeros(), bits.zeros(), "{how}");
+        if !S::RANKED {
+            assert_eq!(shard.store().word_count(), store.word_count(), "{how}");
+            for i in 0..store.word_count() {
+                assert_eq!(shard.store().word(i), store.word(i), "{how}: word {i}");
+            }
+        }
+        assert_eq!(shard.q().to_bits(), scalar.q().to_bits(), "{how}: q");
         let mut users = Vec::new();
         shard.for_each_estimate(&mut |user, est| {
             users.push(user);
             assert_eq!(
                 est.to_bits(),
-                seq.estimate(user).to_bits(),
+                scalar.estimate(user).to_bits(),
                 "{how}: user {user}"
             );
         });
@@ -68,13 +104,47 @@ fn sequential_replay_is_bit_identical() {
         let visits = users.len();
         users.dedup();
         assert_eq!(users.len(), visits, "{how}: a user was visited twice");
-        assert_eq!(users.len(), seq.user_count(), "{how}");
+        assert_eq!(users.len(), scalar.user_count(), "{how}");
         assert_eq!(
             sketch.total_estimate().to_bits(),
-            seq.total_estimate().to_bits(),
+            scalar.total_estimate().to_bits(),
             "{how}"
         );
     }
+    let [conf, arry, cntr] = sections(AnySketch::from(scalar));
+    for (how, sketch) in [("per edge", per_edge), ("blocks", blocks)] {
+        let [sharded_conf, sharded_arry, sharded_cntr] = sections(AnySketch::from(sketch));
+        if !S::RANKED {
+            assert_eq!(sharded_arry, arry, "{name} {how}: ARRY");
+        }
+        assert_eq!(sharded_cntr, cntr, "{name} {how}: CNTR");
+        assert_eq!(
+            sharded_conf[16..],
+            conf[..],
+            "{name} {how}: CONF engine record"
+        );
+    }
+}
+
+#[test]
+fn sequential_replay_is_bit_identical() {
+    // Shard 0 of a sketch seeded 4 hashes with `mix64(4, 0)`, so a lone
+    // writer's one-shard sketch is that scalar FreeBS or FreeRS, per edge
+    // and in blocks.
+    let stream = SynthConfig::tiny(21).generate();
+    let pairs: Vec<(u64, u64)> = stream.edges().iter().map(|e| e.pair()).collect();
+    assert_lone_writer_is_scalar(
+        FreeBS::new(1 << 18, mix64(4, 0)),
+        || ShardedFreeBS::new(1 << 18, 1, 4),
+        &pairs,
+    );
+    // In 2¹⁴ registers the stream brings `q` down to about 0.55, so a
+    // credit at another `Z` would change its user's bits.
+    assert_lone_writer_is_scalar(
+        FreeRS::new(1 << 14, mix64(4, 0)),
+        || ShardedFreeRS::new(1 << 14, 1, 4),
+        &pairs,
+    );
 }
 
 #[test]
