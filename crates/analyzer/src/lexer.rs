@@ -59,12 +59,6 @@ pub struct Lexed {
 }
 
 impl Lexed {
-    /// The scrubbed text split into lines (no trailing newlines).
-    #[must_use]
-    pub fn scrubbed_lines(&self) -> Vec<&str> {
-        self.scrubbed.lines().collect()
-    }
-
     /// 1-based line number of byte `offset` in [`Lexed::scrubbed`].
     #[must_use]
     pub fn line_of(&self, offset: usize) -> usize {

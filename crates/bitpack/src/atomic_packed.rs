@@ -1,30 +1,35 @@
 //! Packed register array for the shards of the concurrent FreeRS: one
-//! writer at a time, any number of readers.
+//! writer at a time, read only while no writer runs.
 
+use crate::packed::pow2_neg;
+use crate::PackedArray;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fixed-length array of `w`-bit registers that one writer at a time
-/// max-updates through `&self` while any number of threads read it.
+/// max-updates through `&self`, laid out as [`PackedArray`]: register `i`
+/// takes bits `i·w .. (i+1)·w` of the concatenated words, straddling a
+/// word boundary where it falls on one, so `M` registers take
+/// `⌈wM/64⌉` words, exactly the `w·M` bits the paper's memory accounting
+/// assumes, and the words equal a [`PackedArray`]'s after the same
+/// updates.
 ///
-/// **One writer at a time.** Every write ([`AtomicPackedArray::store_max`],
-/// [`AtomicPackedArray::merge_max`]) is a relaxed load and a relaxed store
-/// of the word, with no compare-and-swap. Two writers at once could lose
-/// each other's growths, so callers serialize them: the concurrent engine
-/// in `freesketch` holds its writer lock across every call that writes.
-/// The words stay atomic so that readers, which take no lock, load what the
-/// writer stored (the crate forbids `unsafe`), and a reader sees every
-/// register whole, because a register never straddles two words.
-///
-/// Unlike [`crate::PackedArray`], cells never straddle word boundaries:
-/// each word holds `⌊64/w⌋` cells and the remainder bits go unused. The
-/// memory overhead versus tight packing is `64 mod w` bits per word
-/// (for w = 5: 4/64 ≈ 6%).
+/// **One writer at a time, and no reader beside it.** Every write
+/// ([`AtomicPackedArray::store_max`], [`AtomicPackedArray::merge_max`]) is
+/// a relaxed load and a relaxed store of each word the register touches,
+/// with no compare-and-swap, so two writers at once could lose each
+/// other's growths, and a reader could see a straddling register half
+/// written. Callers serialize writers, and load registers only while no
+/// writer runs: the concurrent engine in `freesketch` holds its writer
+/// lock across every call that writes, and reads registers only under that
+/// lock (the writer itself; `resync` after a merge, whose `other` is
+/// quiescent) or at quiescence (`q_discrepancy`, and snapshot capture,
+/// under `serve`'s ingest gate). The words stay atomic because the crate
+/// forbids `unsafe` and the engine is shared through `&self`.
 #[derive(Debug)]
 pub struct AtomicPackedArray {
     words: Vec<AtomicU64>,
     len: usize,
     width: u8,
-    cells_per_word: usize,
 }
 
 impl AtomicPackedArray {
@@ -34,17 +39,16 @@ impl AtomicPackedArray {
     /// Panics if `len == 0` or `width ∉ 1..=16`.
     #[must_use]
     pub fn new(len: usize, width: u8) -> Self {
-        assert!(len > 0, "register array must be non-empty");
-        assert!((1..=16).contains(&width), "width {width} must be in 1..=16");
-        let cells_per_word = 64 / usize::from(width);
-        let n_words = len.div_ceil(cells_per_word);
-        let mut words = Vec::with_capacity(n_words);
-        words.resize_with(n_words, || AtomicU64::new(0));
+        Self::from_packed(PackedArray::new(len, width))
+    }
+
+    /// Takes over the words of a validated [`PackedArray`].
+    fn from_packed(regs: PackedArray) -> Self {
+        let (len, width) = (regs.len(), regs.width());
         Self {
-            words,
+            words: regs.into_words().into_iter().map(AtomicU64::new).collect(),
             len,
             width,
-            cells_per_word,
         }
     }
 
@@ -72,18 +76,12 @@ impl AtomicPackedArray {
         ((1u32 << self.width) - 1) as u16
     }
 
-    #[inline]
-    fn locate(&self, i: usize) -> (usize, u32) {
-        let word = i / self.cells_per_word;
-        let off = (i % self.cells_per_word) as u32 * u32::from(self.width);
-        (word, off)
-    }
-
-    /// Load-only warm-up of the word holding register `i` (relaxed),
-    /// returned so the caller can fold many warms into one accumulator and
-    /// force the batch with a single `std::hint::black_box` — the
-    /// concurrent batch ingest path's software prefetch (the crate forbids
-    /// `unsafe`, so no prefetch intrinsic).
+    /// Load-only warm-up of the word holding register `i`'s low bits
+    /// (relaxed), returned so the caller can fold many warms into one
+    /// accumulator and force the batch with a single
+    /// `std::hint::black_box` — the concurrent batch ingest path's
+    /// software prefetch (the crate forbids `unsafe`, so no prefetch
+    /// intrinsic).
     ///
     /// # Panics
     /// Panics if `i >= len`.
@@ -91,13 +89,13 @@ impl AtomicPackedArray {
     #[must_use]
     pub fn warm(&self, i: usize) -> u64 {
         assert!(i < self.len, "register index {i} out of range {}", self.len);
-        let (word, _) = self.locate(i);
         // ORDERING: relaxed-ok — the value is discarded (cache-warming only);
         // any ordering stronger than Relaxed would just slow the prefetch.
-        self.words[word].load(Ordering::Relaxed)
+        self.words[(i * usize::from(self.width)) >> 6].load(Ordering::Relaxed)
     }
 
-    /// Loads register `i` (relaxed).
+    /// Loads register `i` (relaxed), by the writer or while none runs
+    /// (see the type doc).
     ///
     /// # Panics
     /// Panics if `i >= len`.
@@ -105,11 +103,17 @@ impl AtomicPackedArray {
     #[must_use]
     pub fn load(&self, i: usize) -> u16 {
         assert!(i < self.len, "register index {i} out of range {}", self.len);
-        let (word, off) = self.locate(i);
-        let mask = (1u64 << self.width) - 1;
-        // ORDERING: relaxed-ok — registers only grow (max-merge), and a stale
-        // read merely under-reports momentarily; no payload is guarded.
-        ((self.words[word].load(Ordering::Relaxed) >> off) & mask) as u16
+        let w = usize::from(self.width);
+        let (word, off) = ((i * w) >> 6, (i * w) & 63);
+        // ORDERING: relaxed-ok — no writer runs beside a load (see the type
+        // doc): the writer reads its own stores, and a quiescent reader is
+        // ordered after them by the writer lock's hand-off or a join.
+        let mut v = self.words[word].load(Ordering::Relaxed) >> off;
+        if off + w > 64 {
+            // ORDERING: relaxed-ok — as above, for a register's high bits.
+            v |= self.words[word + 1].load(Ordering::Relaxed) << (64 - off);
+        }
+        (v & ((1u64 << w) - 1)) as u16
     }
 
     /// Performs `R[i] ← max(R[i], value)` (one writer at a time),
@@ -119,35 +123,39 @@ impl AtomicPackedArray {
     /// Panics if `i >= len` or `value > max_value()`.
     #[inline]
     pub fn store_max(&self, i: usize, value: u16) -> Option<u16> {
-        assert!(i < self.len, "register index {i} out of range {}", self.len);
         assert!(
             value <= self.max_value(),
             "value {value} exceeds {}-bit register capacity",
             self.width
         );
-        let (word, off) = self.locate(i);
-        let mask = (1u64 << self.width) - 1;
-        let slot = &self.words[word];
-        // ORDERING: relaxed-ok — one writer at a time (see the type doc):
-        // nothing else stores this word between the load and the store, and
-        // a register publishes no other memory.
-        let current = slot.load(Ordering::Relaxed);
-        let old = ((current >> off) & mask) as u16;
+        let old = self.load(i);
         if value <= old {
             return None;
         }
-        let updated = (current & !(mask << off)) | (u64::from(value) << off);
+        let w = usize::from(self.width);
+        let (word, off) = ((i * w) >> 6, (i * w) & 63);
+        let (mask, v) = ((1u64 << w) - 1, u64::from(value));
+        let lo = &self.words[word];
+        // ORDERING: relaxed-ok — one writer at a time (see the type doc):
+        // nothing else stores this word between the load and the store, and
+        // a register publishes no other memory.
+        let bits = lo.load(Ordering::Relaxed);
         // ORDERING: relaxed-ok — as above.
-        slot.store(updated, Ordering::Relaxed);
+        lo.store((bits & !(mask << off)) | (v << off), Ordering::Relaxed);
+        if off + w > 64 {
+            let (hi, spill) = (&self.words[word + 1], 64 - off);
+            // ORDERING: relaxed-ok — as above, for a register's high bits.
+            let bits = hi.load(Ordering::Relaxed);
+            // ORDERING: relaxed-ok — as above.
+            hi.store((bits & !(mask >> spill)) | (v >> spill), Ordering::Relaxed);
+        }
         Some(old)
     }
 
     /// `Σ 2^{-R[i]}` over all registers (quiescent-state scan).
     #[must_use]
     pub fn sum_pow2_neg(&self) -> f64 {
-        (0..self.len)
-            .map(|i| f64::from_bits((1023u64.saturating_sub(u64::from(self.load(i)))) << 52))
-            .sum()
+        (0..self.len).map(|i| pow2_neg(self.load(i))).sum()
     }
 
     /// Number of backing words.
@@ -156,64 +164,29 @@ impl AtomicPackedArray {
         self.words.len()
     }
 
-    /// Backing word `i`: registers `i·c .. (i+1)·c` for `c = ⌊64/w⌋`
-    /// cells per word, cell `j` of the word at bits `j·w .. (j+1)·w`.
+    /// Backing word `i`, laid out as [`PackedArray::words`].
     ///
     /// # Panics
     /// Panics if `i >= word_count()`.
     #[must_use]
     pub fn word(&self, i: usize) -> u64 {
-        // ORDERING: relaxed-ok — registers only grow; read at quiescence for
-        // an exact image, and any interleaved view is still a valid
-        // (slightly stale) sketch state.
+        // ORDERING: relaxed-ok — read at quiescence (see the type doc), where
+        // the writer lock's hand-off or a join orders it after every store.
         self.words[i].load(Ordering::Relaxed)
     }
 
     /// Rebuilds an array of `len` registers of `width` bits from its
-    /// backing words (the inverse of [`AtomicPackedArray::word`]).
+    /// backing words (the inverse of [`AtomicPackedArray::word`]),
+    /// validated as [`PackedArray::from_words`] does.
     ///
     /// # Errors
-    /// The first violated invariant: zero length, a width outside
-    /// `1..=16`, a word count that does not match the geometry, or bits
-    /// set outside the cells.
+    /// The first violated shape invariant.
     pub fn from_words(len: usize, width: u8, words: Vec<u64>) -> Result<Self, String> {
-        if len == 0 {
-            return Err("register array length is zero".to_string());
-        }
-        if !(1..=16).contains(&width) {
-            return Err(format!("register width {width} outside 1..=16"));
-        }
-        let cells_per_word = 64 / usize::from(width);
-        let expected = len.div_ceil(cells_per_word);
-        if words.len() != expected {
-            return Err(format!(
-                "register array has {} words, expected {expected} for {len} registers of \
-                 {width} bits",
-                words.len()
-            ));
-        }
-        let last_cells = len - (expected - 1) * cells_per_word;
-        for (i, &w) in words.iter().enumerate() {
-            let cells = if i + 1 == expected {
-                last_cells
-            } else {
-                cells_per_word
-            };
-            let bits = cells * usize::from(width);
-            if bits < 64 && w >> bits != 0 {
-                return Err(format!("stray bits in register word {i}"));
-            }
-        }
-        Ok(Self {
-            words: words.into_iter().map(AtomicU64::new).collect(),
-            len,
-            width,
-            cells_per_word,
-        })
+        PackedArray::from_words(len, width, words).map(Self::from_packed)
     }
 
     /// Element-wise max of another array into this one (HLL union), as
-    /// this array's one writer; `other` is read as it stands.
+    /// this array's one writer; `other` must be quiescent.
     ///
     /// # Panics
     /// Panics if geometry differs.
@@ -233,25 +206,39 @@ impl AtomicPackedArray {
 mod tests {
     use super::*;
 
+    fn words(arr: &AtomicPackedArray) -> Vec<u64> {
+        (0..arr.word_count()).map(|i| arr.word(i)).collect()
+    }
+
     #[test]
     fn sequential_semantics_match_packed() {
-        let a = AtomicPackedArray::new(300, 5);
-        let mut p = crate::PackedArray::new(300, 5);
-        let mut g = hashkit_free_rng(42);
-        for _ in 0..2000 {
-            let i = (next(&mut g) % 300) as usize;
-            let v = (next(&mut g) % 32) as u16;
-            assert_eq!(a.store_max(i, v), p.store_max(i, v), "cell {i} value {v}");
-        }
-        for i in 0..300 {
-            assert_eq!(a.load(i), p.load(i));
+        // 2^14 five-bit registers take 1,280 words, as PackedArray's do, and
+        // the same updates leave the same words, at widths that straddle
+        // word boundaries (5, 6, 7) and one that does not (16).
+        assert_eq!(AtomicPackedArray::new(1 << 14, 5).word_count(), 1280);
+        let mut g = 42u64;
+        for width in [5u8, 6, 7, 16] {
+            let len = 1 << 14;
+            let a = AtomicPackedArray::new(len, width);
+            let mut p = PackedArray::new(len, width);
+            assert_eq!(a.word_count(), p.words().len(), "width {width}");
+            for _ in 0..20_000 {
+                let i = (next(&mut g) % len as u64) as usize;
+                let v = (next(&mut g) % (u64::from(a.max_value()) + 1)) as u16;
+                assert_eq!(
+                    a.store_max(i, v),
+                    p.store_max(i, v),
+                    "register {i} value {v}"
+                );
+            }
+            assert_eq!(words(&a), p.words(), "width {width}");
+            for i in 0..len {
+                assert_eq!(a.load(i), p.load(i), "width {width}: register {i}");
+            }
         }
     }
 
     // Tiny local RNG to avoid a dev-dependency cycle on hashkit.
-    fn hashkit_free_rng(seed: u64) -> u64 {
-        seed
-    }
     fn next(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = *state;
@@ -261,50 +248,52 @@ mod tests {
     }
 
     #[test]
-    fn no_straddling_no_neighbor_corruption() {
+    fn straddling_registers_leave_their_neighbors_alone() {
+        // Five-bit register 12 takes bits 60..65: four in word 0, one in
+        // word 1.
         let arr = AtomicPackedArray::new(100, 5);
-        // 12 cells per 64-bit word with 4 spare bits; hammer neighbors.
+        assert_eq!(arr.store_max(12, 0b10110), Some(0));
+        assert_eq!(arr.load(12), 0b10110);
+        assert_eq!((arr.word(0) >> 60, arr.word(1)), (0b0110, 0b1));
         arr.store_max(11, 31);
-        arr.store_max(12, 17);
-        arr.store_max(13, 1);
-        assert_eq!(arr.load(11), 31);
-        assert_eq!(arr.load(12), 17);
-        assert_eq!(arr.load(13), 1);
-        assert_eq!(arr.load(10), 0);
+        arr.store_max(13, 31);
+        assert_eq!(arr.load(12), 0b10110);
+        assert_eq!(arr.store_max(12, 31), Some(0b10110));
+        assert_eq!([arr.load(10), arr.load(11), arr.load(13)], [0, 31, 31]);
     }
 
     #[test]
     fn sum_pow2_neg_matches_sequential_array() {
         let arr = AtomicPackedArray::new(64, 5);
-        let mut seq = crate::PackedArray::new(64, 5);
+        let mut seq = PackedArray::new(64, 5);
         for i in 0..64 {
             arr.store_max(i, (i % 32) as u16);
             seq.store(i, (i % 32) as u16);
         }
-        assert!((arr.sum_pow2_neg() - seq.sum_pow2_neg()).abs() < 1e-12);
+        assert_eq!(arr.sum_pow2_neg().to_bits(), seq.sum_pow2_neg().to_bits());
     }
 
     #[test]
     fn words_round_trip_and_reject_bad_shapes() {
-        // 12 five-bit cells per word: 25 registers fill three words.
+        // 25 five-bit registers take 125 bits: two words, the last with
+        // three spare bits.
         let arr = AtomicPackedArray::new(25, 5);
         arr.store_max(0, 31);
-        arr.store_max(11, 9);
+        arr.store_max(12, 9);
         arr.store_max(24, 17);
-        let words: Vec<u64> = (0..arr.word_count()).map(|i| arr.word(i)).collect();
+        let words = words(&arr);
+        assert_eq!(words.len(), 2);
         let back = AtomicPackedArray::from_words(25, 5, words.clone()).expect("valid words");
         for i in 0..25 {
             assert_eq!(back.load(i), arr.load(i), "register {i}");
         }
-        assert!(AtomicPackedArray::from_words(25, 5, words[..2].to_vec()).is_err());
+        assert!(AtomicPackedArray::from_words(25, 5, words[..1].to_vec()).is_err());
         assert!(AtomicPackedArray::from_words(25, 17, words.clone()).is_err());
-        // The four spare bits of a full word, and a cell past the length.
-        let mut spare = words.clone();
-        spare[0] |= 1 << 62;
-        assert!(AtomicPackedArray::from_words(25, 5, spare).is_err());
+        assert!(AtomicPackedArray::from_words(0, 5, Vec::new()).is_err());
         let mut past = words;
-        past[2] |= 1 << 5;
-        assert!(AtomicPackedArray::from_words(25, 5, past).is_err());
+        past[1] |= 1 << 62;
+        let err = AtomicPackedArray::from_words(25, 5, past).expect_err("stray bit");
+        assert!(err.contains("stray"), "{err}");
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //! [`AtomicBitArray`] and [`AtomicPackedArray`] are the shared variants
 //! that the shards of `freesketch::ShardedSketch` update: one writer at a
 //! time stores each word with a relaxed load and store (the shard's writer
-//! lock serializes writers), and any thread reads without a lock.
+//! lock serializes writers). Each keeps its exclusive twin's layout, so
+//! its words equal the twin's after the same updates and a shared FreeRS
+//! also costs exactly `w` bits per register. A register may straddle two
+//! words, so registers are read only by the writer or while none runs
+//! (see [`ConcurrentSlotStore::load`]).
 //!
 //! The [`SlotStore`] / [`ConcurrentSlotStore`] traits make the arrays
 //! interchangeable behind one slot-update API — the storage seam the

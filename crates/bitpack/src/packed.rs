@@ -198,6 +198,10 @@ impl PackedArray {
         Ok(regs)
     }
 
+    pub(crate) fn into_words(self) -> Vec<u64> {
+        self.words
+    }
+
     /// Checks the structural invariants a freshly deserialized array must
     /// satisfy: non-empty, a width in `1..=16`, the right word count for
     /// the geometry, and no stray bits past the packed payload. Snapshot

@@ -117,7 +117,8 @@ pub trait SlotStore {
 /// [`ConcurrentSlotStore::update_block`],
 /// [`ConcurrentSlotStore::merge_from`]) on one store at the same time; the
 /// concurrent engine in `freesketch` holds its writer lock across each.
-/// Reads take no lock and see each word as the writer last stored it.
+/// Slot loads and scans run under that lock or while no writer runs (see
+/// [`ConcurrentSlotStore::load`]).
 pub trait ConcurrentSlotStore: Send + Sync {
     /// See [`SlotStore::RANKED`].
     const RANKED: bool;
@@ -133,7 +134,13 @@ pub trait ConcurrentSlotStore: Send + Sync {
     /// Bits per slot (1 for bit stores).
     fn width(&self) -> u8;
 
-    /// Current value of slot `i` (relaxed load).
+    /// Current value of slot `i` (relaxed loads), by the one writer or
+    /// while no writer runs: a register of [`AtomicPackedArray`] may
+    /// straddle two words, which the writer stores one after the other, so
+    /// a load beside it could see half an update. The engine loads slots
+    /// only under its writer lock (updates, and `merge` with its `resync`,
+    /// whose `other` is quiescent) or at quiescence (`q_discrepancy`, and
+    /// snapshot capture under `serve`'s ingest gate).
     fn load(&self, i: usize) -> u16;
 
     /// Load-only warm-up of the word holding slot `i`.
@@ -625,6 +632,7 @@ mod tests {
         }
         let back = <PackedArray as WordStore>::from_words(100, 5, words_of(&regs)).expect("valid");
         assert_eq!(back, regs);
+        assert_eq!(words_of(&regs), words_of(&aregs), "same register layout");
         let back =
             <AtomicPackedArray as WordStore>::from_words(100, 5, words_of(&aregs)).expect("valid");
         assert_eq!(words_of(&back), words_of(&aregs));

@@ -6,10 +6,11 @@
 //! pipeline over [`bitpack::ConcurrentSlotStore`] (atomic words that one
 //! writer at a time stores) and [`SharedQTracker`] (`q` bookkeeping), with
 //! per-user counters in a mutex-sharded [`hashkit::ShardedCounterMap`]. It
-//! hashes through the scalar engine's [`crate::BlockHasher`] and keeps `Z`
-//! by the scalar engine's additions, so only storage and counters differ.
-//! Every engine is a shard of a [`crate::ShardedSketch`], the one `&self`
-//! estimator.
+//! hashes through the scalar engine's [`crate::BlockHasher`], keeps `Z`
+//! by the scalar engine's additions, and its store keeps the scalar
+//! store's word layout, so only the storage and counter types differ, not
+//! their contents. Every engine is a shard of a [`crate::ShardedSketch`],
+//! the one `&self` estimator.
 //!
 //! **Concurrency semantics.** An engine applies one writer's call at a
 //! time: [`ConcurrentEngine::process`], [`ConcurrentEngine::process_batch`]
@@ -21,14 +22,17 @@
 //! plain sums the writer stores; `q` is read under the lock, so every
 //! growth is credited at the exact `q` just before it, as per-edge scalar
 //! ingest credits it, whatever the other threads do. A lone writer's engine
-//! is therefore bit-identical to the scalar engine at its seed wherever the
-//! stream is cut into blocks, slices or chunks.
+//! is therefore bit-identical to the scalar engine at its seed, store words
+//! included, wherever the stream is cut into blocks, slices or chunks.
 //!
 //! Readers take no writer lock. `ESTIMATE` locks the one counter shard
 //! that holds the user; `q`, the zero count, `Z` and the total are relaxed
-//! loads, at most the call in flight behind. A read that must be exact (a
-//! snapshot, a final report) runs with ingest quiesced: after a join, or
-//! under `serve`'s ingest gate.
+//! loads, at most the call in flight behind. No reader loads a store slot
+//! beside the writer (a register may straddle two words, which the writer
+//! stores one after the other): every slot read is the writer's own, under
+//! the lock (`merge` and its `resync`), or runs with ingest quiesced, as
+//! every read that must be exact does (`q_discrepancy`, a snapshot, a
+//! final report): after a join, or under `serve`'s ingest gate.
 //!
 //! Each engine keeps its running total `n̂(t) = Σ_s n̂_s(t)` beside the
 //! counters, as the scalar engine does, so reading it is O(1). A block adds

@@ -35,8 +35,9 @@
 //!   [`concurrent::ConcurrentEngine`] shards behind a router (per-shard
 //!   `q`, HT sums merged across shards). [`ShardedFreeBS`] =
 //!   `ShardedSketch<AtomicBitArray, SharedZeroQ>`, [`ShardedFreeRS`] =
-//!   `ShardedSketch<AtomicPackedArray, SharedZ>`; at `P = 1` it is one
-//!   shared array.
+//!   `ShardedSketch<AtomicPackedArray, SharedZ>`; at `P = 1` its one
+//!   shard hashes with the sketch's seed and stores the scalar sketch's
+//!   words, so one writer leaves it bit for bit the scalar sketch.
 //!
 //! [`AnySketch`] puts the four configurations the CLI builds behind one
 //! surface, and [`AnySketch::confidence`] prices any user's anytime
@@ -117,10 +118,10 @@ pub trait CardinalityEstimator {
     /// *identical* to processing the same edges one at a time in order, and
     /// every growth is credited at the `q` just before it, so the per-user
     /// estimates are the per-edge ones too. The scalar FreeBS/FreeRS
-    /// engines, [`Cse`] and [`VHll`] match `process` exactly; the sharded
-    /// engines on one writer match it within rounding. Proptests in
-    /// `crates/core/tests/proptests.rs` assert both properties for every
-    /// implementation.
+    /// engines, [`Cse`] and [`VHll`] match `process` exactly, and so do the
+    /// sharded engines on one writer, every estimate and the total to the
+    /// bit. Proptests in `crates/core/tests/proptests.rs` assert both
+    /// properties for every implementation.
     // HOT: steady-state ingest path — keep allocation-free (hot-path-hygiene root).
     fn process_batch(&mut self, edges: &[(u64, u64)]) {
         for &(user, item) in edges {

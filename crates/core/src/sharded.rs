@@ -9,6 +9,17 @@
 //! shard tracks its own `q` over its own sub-array, and writers whose
 //! sub-batches go to different shards apply them at the same time.
 //!
+//! **One shard is the scalar sketch.** At `P = 1` the router has one
+//! choice and the shard hashes with the sketch's own seed (shards of a
+//! larger `P` hash with `mix64(seed, i)`). Its store keeps the scalar
+//! store's word layout, and it hashes, updates and credits as the scalar
+//! engine does, so a lone writer's one-shard [`ShardedFreeBS`] or
+//! [`ShardedFreeRS`] holds the words, counters and running total of the
+//! scalar [`crate::FreeBS`] or [`FreeRS`] at that seed, and writes the
+//! same `ARRY`, `CNTR` and engine record to a snapshot
+//! (`tests/concurrent_equivalence.rs`). So `serve --threads 1` answers as
+//! `estimate` does at the same `--seed`.
+//!
 //! **Estimator composition.** Routing is uniform over shards, so shard `p`
 //! observes an i.i.d. thinned substream of each user's edges. Every shard
 //! is an unbiased estimator (Theorems 1/2) of its substream's
@@ -63,8 +74,10 @@ pub struct ShardedSketch<S, Q> {
 
 impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ShardedSketch<S, Q> {
     /// Splits a budget of `slots` over `shards` fresh engines (rounded up
-    /// to a power of two), each store built by `store(slots / P)`. Shard
-    /// `i` hashes with seed `mix64(seed, i)`; the router with a salted one.
+    /// to a power of two), each store built by `store(slots / P)`. At
+    /// `P = 1` the one shard hashes with `seed`, as the scalar sketch does
+    /// (see the module docs); at `P > 1` shard `i` hashes with
+    /// `mix64(seed, i)`. The router hashes with a salted seed.
     ///
     /// # Panics
     /// Panics if `slots < P` would leave a shard empty.
@@ -72,8 +85,9 @@ impl<S: ConcurrentSlotStore, Q: SharedQTracker<S>> ShardedSketch<S, Q> {
         let p = shards.max(1).next_power_of_two();
         let per_shard = slots / p;
         assert!(per_shard > 0, "budget {slots} too small for {p} shards");
+        let shard_seed = |i: usize| if p == 1 { seed } else { mix64(seed, i as u64) };
         let engines = (0..p)
-            .map(|i| ConcurrentEngine::from_store(store(per_shard), mix64(seed, i as u64)))
+            .map(|i| ConcurrentEngine::from_store(store(per_shard), shard_seed(i)))
             .collect();
         Self::from_parts(engines, EdgeHasher::new(mix64(seed, ROUTER_SALT)))
     }

@@ -1,7 +1,7 @@
 //! Crash-safe sketch lifecycle: checksummed snapshots, incremental
 //! checkpointing, and restore-with-fallback.
 //!
-//! A snapshot is a [`graphstream::snapshot`] FSNP container (version 4)
+//! A snapshot is a [`graphstream::snapshot`] FSNP container (version 5)
 //! with four typed sections, each independently CRC-protected so
 //! corruption is localized to a named section. Every field is a
 //! little-endian `u64` (`f64` fields as their bits):
@@ -20,8 +20,11 @@
 //! rebuilt counter map would add them in another order and could differ
 //! in its last bits. The `q` state is what cannot be rebuilt from the
 //! words: FreeRS's incremental `Z`, whether the engine is a scalar sketch
-//! or a shard; nothing for FreeBS, whose zero count is recounted. So a
-//! one-shard sketch's engine record is the scalar sketch's.
+//! or a shard; nothing for FreeBS, whose zero count is recounted. A
+//! shard's store keeps the scalar store's word layout, and the one shard
+//! of a one-shard sketch hashes with the scalar seed, so a lone writer's
+//! one-shard sketch writes the scalar sketch's `ARRY` and `CNTR` bytes and,
+//! after its router seed and `P`, its engine record.
 //!
 //! [`AnySketch`] erases the four estimator configurations the CLI can
 //! build (FreeBS, FreeRS and their sharded variants) behind one
@@ -1257,6 +1260,17 @@ mod tests {
     }
 
     #[test]
+    fn version_four_files_are_rejected() {
+        let mut bytes = freebs_bytes(1 << 8);
+        bytes[4..6].copy_from_slice(&4u16.to_le_bytes());
+        let err = load_snapshot(&mut bytes.as_slice()).expect_err("v4");
+        assert!(
+            matches!(err, SnapshotError::UnsupportedVersion { found: 4 }),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn unknown_kind_is_malformed() {
         let bytes = with_section(&freebs_bytes(1 << 8), TAG_META, |m| set_u64(m, 0, 9));
         assert!(malformed_detail(&bytes).contains("unknown sketch kind 9"));
@@ -1354,12 +1368,13 @@ mod tests {
         assert!(malformed_detail(&edited).contains("stray"));
         let mut sketch = AnySketch::ShardedFreeRS(ShardedFreeRS::new(100, 2, 4));
         ingest(&mut sketch, &edges(200, 3));
-        // Shard 0 holds 50 five-bit registers in five words (12 per word):
-        // its last word has only two cells.
+        // Shard 0 holds 50 five-bit registers, 250 bits, in four words: its
+        // last word's top six bits lie past the end.
         let bytes = snapshot_bytes(&sketch, 200);
         let edited = with_section(&bytes, TAG_ARRY, |a| {
-            let w = u64::from_le_bytes(a[40..48].try_into().expect("word")) | 1 << 20;
-            set_u64(a, 5, w);
+            assert_eq!(u64::from_le_bytes(a[..8].try_into().expect("count")), 4);
+            let w = u64::from_le_bytes(a[32..40].try_into().expect("word")) | 1 << 60;
+            set_u64(a, 4, w);
         });
         assert!(malformed_detail(&edited).contains("stray"));
     }

@@ -2,7 +2,7 @@
 //! in tests and printed by the ablation experiments.
 //!
 //! Everything here is a direct transcription of §III and §IV:
-//! LPC bias/variance (Whang et al., quoted in §III-A1), the `E[1/q]`
+//! LPC bias (Whang et al., quoted in §III-A1), the `E[1/q]`
 //! approximations of Theorems 1 and 2, the variance *bounds* of both
 //! theorems, and the approximate variances of CSE and vHLL quoted in
 //! §III-B/§IV-C.
@@ -13,14 +13,6 @@
 pub fn lpc_bias(n: f64, m: f64) -> f64 {
     let t = n / m;
     0.5 * (t.exp() - t - 1.0)
-}
-
-/// LPC estimator variance at `n` with `m` bits (§III-A1):
-/// `Var(n̂) ≈ m(e^{n/m} − n/m − 1)`.
-#[must_use]
-pub fn lpc_variance(n: f64, m: f64) -> f64 {
-    let t = n / m;
-    m * (t.exp() - t - 1.0)
 }
 
 /// Theorem 1's approximation of `E[1/q_B]` when `n` distinct pairs have

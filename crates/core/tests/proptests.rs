@@ -71,38 +71,39 @@ proptest! {
     /// The batched ingest contract (`CardinalityEstimator::process_batch`):
     /// for every estimator, `process_batch` leaves the shared array
     /// *identical* to per-edge processing and credits every growth at its
-    /// own `q`. The scalar FreeBS/FreeRS engines match per-edge ingest
-    /// exactly (counters and total compared with `==`) wherever the stream
-    /// is cut into batches; the sharded engines on one writer keep the same
-    /// store words, with estimates within rounding.
+    /// own `q`. The scalar FreeBS/FreeRS engines and the sharded engines on
+    /// one writer match per-edge ingest exactly (every estimate and the
+    /// total compared by their bits) wherever the stream is cut into
+    /// batches, and at one shard the sharded engines are the scalar ones at
+    /// the same seed.
     #[test]
     fn batch_matches_scalar_exactly(stream in edges(), seed: u64, cut in 1usize..1300) {
-        let mut scalar = FreeBS::new(1 << 14, seed);
+        let mut bs = FreeBS::new(1 << 14, seed);
         let mut batch = FreeBS::new(1 << 14, seed);
         for &(u, d) in &stream {
-            scalar.process(u, d);
+            bs.process(u, d);
         }
         for slice in stream.chunks(cut) {
             batch.process_batch(slice);
         }
-        prop_assert_eq!(scalar.bit_array(), batch.bit_array());
-        prop_assert_eq!(scalar.total_estimate(), batch.total_estimate());
+        prop_assert_eq!(bs.bit_array(), batch.bit_array());
+        prop_assert_eq!(bs.total_estimate().to_bits(), batch.total_estimate().to_bits());
         for u in 0..32u64 {
-            prop_assert_eq!(scalar.estimate(u), batch.estimate(u), "FreeBS user {}", u);
+            prop_assert_eq!(bs.estimate(u).to_bits(), batch.estimate(u).to_bits(), "FreeBS user {}", u);
         }
 
-        let mut scalar = FreeRS::new(1 << 11, seed);
+        let mut rs = FreeRS::new(1 << 11, seed);
         let mut batch = FreeRS::new(1 << 11, seed);
         for &(u, d) in &stream {
-            scalar.process(u, d);
+            rs.process(u, d);
         }
         for slice in stream.chunks(cut) {
             batch.process_batch(slice);
         }
-        prop_assert_eq!(scalar.registers(), batch.registers());
-        prop_assert_eq!(scalar.total_estimate(), batch.total_estimate());
+        prop_assert_eq!(rs.registers(), batch.registers());
+        prop_assert_eq!(rs.total_estimate().to_bits(), batch.total_estimate().to_bits());
         for u in 0..32u64 {
-            prop_assert_eq!(scalar.estimate(u), batch.estimate(u), "FreeRS user {}", u);
+            prop_assert_eq!(rs.estimate(u).to_bits(), batch.estimate(u).to_bits(), "FreeRS user {}", u);
         }
 
         for shards in [1usize, 4] {
@@ -110,7 +111,8 @@ proptest! {
             let batched = AnySketch::from(ShardedFreeBS::new(1 << 14, shards, seed));
             let rs_per_edge = AnySketch::from(ShardedFreeRS::new(1 << 11, shards, seed));
             let rs_batched = AnySketch::from(ShardedFreeRS::new(1 << 11, shards, seed));
-            for (a, b) in [(&per_edge, &batched), (&rs_per_edge, &rs_batched)] {
+            let scalars: [&dyn CardinalityEstimator; 2] = [&bs, &rs];
+            for ((a, b), scalar) in [(&per_edge, &batched), (&rs_per_edge, &rs_batched)].into_iter().zip(scalars) {
                 let (a_in, b_in) = (a.as_concurrent().expect("sharded"), b.as_concurrent().expect("sharded"));
                 for &(u, d) in &stream {
                     a_in.ingest(u, d);
@@ -119,9 +121,15 @@ proptest! {
                     b_in.ingest_batch(slice);
                 }
                 prop_assert_eq!(arry_section(a), arry_section(b), "{} P = {}", a.name(), shards);
+                prop_assert_eq!(a.total_estimate().to_bits(), b.total_estimate().to_bits(), "{} P = {}", a.name(), shards);
                 for u in 0..32u64 {
-                    let (x, y) = (a.estimate(u), b.estimate(u));
-                    prop_assert!((x - y).abs() <= x * 1e-12, "{} user {}: {} vs {}", a.name(), u, x, y);
+                    prop_assert_eq!(a.estimate(u).to_bits(), b.estimate(u).to_bits(), "{} P = {} user {}", a.name(), shards, u);
+                }
+                if shards == 1 {
+                    prop_assert_eq!(a.total_estimate().to_bits(), scalar.total_estimate().to_bits(), "{}", a.name());
+                    for u in 0..32u64 {
+                        prop_assert_eq!(a.estimate(u).to_bits(), scalar.estimate(u).to_bits(), "{} user {}", a.name(), u);
+                    }
                 }
             }
         }

@@ -26,9 +26,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FSNP";
 /// fixed-layout payloads; version 3 gives every engine one `CONF` record,
 /// so a sharded sketch's shards record their running totals as scalar
 /// engines do; version 4 drops the scalar FreeRS record's growth count,
-/// so a FreeRS engine records `Z` alone, scalar or shard. A reader
-/// accepts only its own version.
-pub const SNAPSHOT_VERSION: u16 = 4;
+/// so a FreeRS engine records `Z` alone, scalar or shard; version 5 packs
+/// a sharded FreeRS's registers in its `ARRY` section as the scalar one's
+/// are, across word boundaries (version 4 kept `⌊64/w⌋` whole registers
+/// per word). A reader accepts only its own version.
+pub const SNAPSHOT_VERSION: u16 = 5;
 
 /// Container header length in bytes: magic + version + section count.
 pub const SNAPSHOT_HEADER_LEN: usize = 8;

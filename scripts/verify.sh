@@ -182,17 +182,20 @@ grep -q "restored checkpoint" "$tmp/resumed.txt" || {
 tail -n +2 "$tmp/resumed.txt" | diff -u "$tmp/ref.txt" - || {
   echo "resumed estimate differs from uninterrupted run"; exit 1;
 }
-# A version-3 file (FreeRS records carried a growth count) is refused as
-# a typed error: a copy of the fresh checkpoint with header bytes 4-5, the
-# version, patched to 3.
-cp "$tmp/state.fsnp" "$tmp/v3.fsnp"
-printf '\003\000' | dd of="$tmp/v3.fsnp" bs=1 seek=4 conv=notrunc status=none
-code=0
-./target/release/freesketch restore "$tmp/v3.fsnp" > /dev/null 2> "$tmp/v3-err.txt" || code=$?
-[ "$code" -eq 1 ] || { echo "restore of a version-3 snapshot exited $code, not 1"; exit 1; }
-grep -q "unsupported snapshot version 3" "$tmp/v3-err.txt" || {
-  echo "version-3 snapshot not refused as typed:"; cat "$tmp/v3-err.txt"; exit 1;
-}
+# A version-3 file (FreeRS records carried a growth count) and a version-4
+# file (a sharded FreeRS kept whole registers per word) are refused as
+# typed errors: copies of the fresh checkpoint with header bytes 4-5, the
+# version, patched to 3 and to 4.
+for v in 3 4; do
+  cp "$tmp/state.fsnp" "$tmp/v$v.fsnp"
+  printf "\\00$v\\000" | dd of="$tmp/v$v.fsnp" bs=1 seek=4 conv=notrunc status=none
+  code=0
+  ./target/release/freesketch restore "$tmp/v$v.fsnp" > /dev/null 2> "$tmp/v$v-err.txt" || code=$?
+  [ "$code" -eq 1 ] || { echo "restore of a version-$v snapshot exited $code, not 1"; exit 1; }
+  grep -q "unsupported snapshot version $v" "$tmp/v$v-err.txt" || {
+    echo "version-$v snapshot not refused as typed:"; cat "$tmp/v$v-err.txt"; exit 1;
+  }
+done
 
 echo "==> snapshot merge smoke (split halves vs whole trace)"
 half=$(( (edges + 1) / 2 ))
@@ -367,6 +370,25 @@ serve_drained freers "$tmp/serve1-freers-b.fsnp" > /dev/null || exit 1
 for method in freebs freers; do
   cmp "$tmp/serve1-$method-a.fsnp" "$tmp/serve1-$method-b.fsnp" || {
     echo "two one-writer $method daemons wrote different final images"; exit 1;
+  }
+done
+
+echo "==> one-writer serve equals the scalar checkpoint (ARRY, CNTR, CONF engine record)"
+# A one-shard sketch hashes with the scalar seed and stores the scalar
+# words, so the drained daemon's image holds the bytes of `checkpoint` on
+# the same trace from ARRY to the end, and the same CONF engine record.
+# Offsets: an 8-byte header, a 32-byte META section, a 16-byte CONF
+# section header, then a CONF payload of 32 (FreeBS) or 40 (FreeRS) bytes
+# in the scalar file and 16 more (router seed and P) in the daemon's.
+for spec in freebs:32 freers:40; do
+  method=${spec%:*} record=${spec#*:}
+  ingest checkpoint "$tmp/big.fedge" "$tmp/scalar-$method.fsnp" --method "$method" > /dev/null
+  scalar_arry=$(( 56 + record )) served_arry=$(( 72 + record ))
+  cmp -i "$scalar_arry:$served_arry" "$tmp/scalar-$method.fsnp" "$tmp/serve1-$method-a.fsnp" || {
+    echo "one-writer $method daemon's ARRY and CNTR differ from checkpoint's"; exit 1;
+  }
+  cmp -n "$record" -i 56:72 "$tmp/scalar-$method.fsnp" "$tmp/serve1-$method-a.fsnp" || {
+    echo "one-writer $method daemon's CONF engine record differs from checkpoint's"; exit 1;
   }
 done
 

@@ -7,11 +7,14 @@
 //! One writer over one shard replays the stream in a deterministic
 //! order, so the comparison is exact bytes, not a drift bound (the
 //! multi-writer drift case lives in `crates/cli/tests/serve_stress.rs`).
+//! The one shard hashes with the daemon's seed, so the checkpoint also
+//! holds the scalar FreeBS's state at that seed.
 
 use freesketch::snapshot::{load_with_fallback, save_snapshot, AnySketch};
-use freesketch::{CardinalityEstimator, ShardedFreeBS};
+use freesketch::{CardinalityEstimator, FreeBS, ShardedFreeBS};
 use freesketch_cli::protocol::ConfidenceLevel;
 use freesketch_cli::serve::{spawn, ServeConfig};
+use graphstream::snapshot::{find_section, read_sections};
 use graphstream::{CycleSource, Edge};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -64,6 +67,23 @@ fn snapshot_bytes(sketch: &AnySketch, edges: u64) -> Vec<u8> {
     bytes
 }
 
+/// The snapshot of a scalar FreeBS at the daemon's seed and budget, fed
+/// the fixture edge by edge.
+fn scalar_bytes(edges: &[Edge]) -> Vec<u8> {
+    let mut scalar = FreeBS::new(MEMORY_BITS, SEED);
+    for e in edges {
+        let (user, item) = e.pair();
+        scalar.process(user, item);
+    }
+    snapshot_bytes(&AnySketch::FreeBS(scalar), edges.len() as u64)
+}
+
+/// The `CONF`, `ARRY` and `CNTR` payloads of a snapshot.
+fn sections(bytes: &[u8]) -> [Vec<u8>; 3] {
+    let sections = read_sections(&mut &bytes[..]).expect("sections");
+    [b"CONF", b"ARRY", b"CNTR"].map(|tag| find_section(&sections, tag).expect("section").to_vec())
+}
+
 fn temp_path(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("freesketch-e2e-{}-{tag}", std::process::id()));
@@ -75,6 +95,7 @@ fn serve_round_trip_restores_bit_identical_state() {
     let edges = fixture();
     let total = edges.len() as u64;
     let offline = offline_run(&edges);
+    let scalar = scalar_bytes(&edges);
 
     let snap = temp_path("final.fsnp");
     std::fs::remove_file(&snap).ok();
@@ -197,6 +218,19 @@ fn serve_round_trip_restores_bit_identical_state() {
         snapshot_bytes(&restored, total),
         snapshot_bytes(&offline, total),
         "restored state differs from the offline run"
+    );
+
+    // The final checkpoint holds the scalar FreeBS's `ARRY` and `CNTR`
+    // bytes and, after the router seed and shard count, its `CONF` engine
+    // record.
+    let [conf, arry, cntr] = sections(&std::fs::read(&snap).expect("final checkpoint"));
+    let [scalar_conf, scalar_arry, scalar_cntr] = sections(&scalar);
+    assert_eq!(arry, scalar_arry, "ARRY differs from the scalar sketch's");
+    assert_eq!(cntr, scalar_cntr, "CNTR differs from the scalar sketch's");
+    assert_eq!(
+        conf[16..],
+        scalar_conf[..],
+        "CONF engine record differs from the scalar sketch's"
     );
 
     std::fs::remove_file(&snap).ok();
